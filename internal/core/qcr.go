@@ -28,8 +28,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"slices"
 
+	"impatience/internal/arena"
 	"impatience/internal/utility"
 )
 
@@ -349,20 +349,16 @@ type QCR struct {
 	rng         *rand.Rand
 	disruptor   Disruptor
 	misbehavior Misbehavior
-	ewma        []float64 // per item: smoothed reaction input (0 = no report yet)
-	capped      int       // reports saturated by Hardening.CounterCap
-	clamped     int       // mandates withheld by Hardening.ReplicaClamp
-	nodes       int
-	items       int
-	piles       [][]mandate // piles[node*items+item]: pending mandates
-	keys        [][]int32   // per node: sorted items with a non-empty pile
-	scratch     []int32     // reusable union buffer for OnMeeting
-	moved       int         // mandates that changed nodes (routing traffic)
-	created     int         // mandates minted by OnFulfill
-	executed    int         // mandates consumed by replication (incl. rewriting)
-	expired     int         // mandates discarded by TTL expiry
-	abandoned   int         // mandates discarded after exhausting MaxAttempts
-	dropped     int         // mandates lost in flight at handoff
+	ewma        []float64            // per item: smoothed reaction input (0 = no report yet)
+	capped      int                  // reports saturated by Hardening.CounterCap
+	clamped     int                  // mandates withheld by Hardening.ReplicaClamp
+	piles       arena.Lists[mandate] // per node: items with pending mandates, oldest first
+	moved       int                  // mandates that changed nodes (routing traffic)
+	created     int                  // mandates minted by OnFulfill
+	executed    int                  // mandates consumed by replication (incl. rewriting)
+	expired     int                  // mandates discarded by TTL expiry
+	abandoned   int                  // mandates discarded after exhausting MaxAttempts
+	dropped     int                  // mandates lost in flight at handoff
 }
 
 // Name implements Policy.
@@ -379,54 +375,11 @@ func (q *QCR) Name() string {
 // Init implements Policy.
 func (q *QCR) Init(c Cache) {
 	q.rng = rand.New(rand.NewPCG(q.Seed, q.Seed^0x51ce5ca1ab1e))
-	q.nodes, q.items = c.Nodes(), c.Items()
-	q.piles = make([][]mandate, q.nodes*q.items)
-	q.keys = make([][]int32, q.nodes)
-	q.scratch = nil
+	q.piles = arena.New[mandate](c.Nodes())
 	q.ewma = nil
 	if q.Hardening != nil {
-		q.ewma = make([]float64, q.items)
+		q.ewma = make([]float64, c.Items())
 	}
-}
-
-// pileAt returns the pending-mandate pile for item at node.
-func (q *QCR) pileAt(node, item int) []mandate {
-	return q.piles[node*q.items+item]
-}
-
-// setPile stores a pile back, keeping the node's sorted key list in sync
-// with pile emptiness.
-func (q *QCR) setPile(node, item int, pile []mandate) {
-	idx := node*q.items + item
-	had := len(q.piles[idx]) > 0
-	q.piles[idx] = pile
-	if len(pile) > 0 && !had {
-		q.keys[node] = insertKey(q.keys[node], int32(item))
-	} else if len(pile) == 0 && had {
-		q.keys[node] = removeKey(q.keys[node], int32(item))
-	}
-}
-
-// insertKey adds v to a sorted key list (no-op when already present).
-func insertKey(list []int32, v int32) []int32 {
-	at, ok := slices.BinarySearch(list, v)
-	if ok {
-		return list
-	}
-	list = append(list, 0)
-	copy(list[at+1:], list[at:])
-	list[at] = v
-	return list
-}
-
-// removeKey deletes v from a sorted key list (no-op when absent).
-func removeKey(list []int32, v int32) []int32 {
-	at, ok := slices.BinarySearch(list, v)
-	if !ok {
-		return list
-	}
-	copy(list[at:], list[at+1:])
-	return list[:len(list)-1]
 }
 
 // SetDisruptor implements FaultAware: the simulator wires its fault
@@ -447,28 +400,11 @@ func (q *QCR) HardeningCounters() (capped, clamped int) {
 
 // OnCrash implements CrashAware: a crashed node loses its pending
 // mandates along with its cache. Returns the number lost.
-func (q *QCR) OnCrash(node int) int {
-	var n int
-	for _, it := range q.keys[node] {
-		idx := node*q.items + int(it)
-		n += len(q.piles[idx])
-		q.piles[idx] = nil
-	}
-	q.keys[node] = q.keys[node][:0]
-	return n
-}
+func (q *QCR) OnCrash(node int) int { return q.piles.Clear(node) }
 
 // TotalMandates returns the number of pending mandates across all nodes,
 // the divergence indicator of Figure 3.
-func (q *QCR) TotalMandates() int {
-	var sum int
-	for n := 0; n < q.nodes; n++ {
-		for _, it := range q.keys[n] {
-			sum += len(q.piles[n*q.items+int(it)])
-		}
-	}
-	return sum
-}
+func (q *QCR) TotalMandates() int { return q.piles.Total() }
 
 // MandatesMoved returns the cumulative number of mandates transferred
 // between nodes by mandate routing — the protocol's control overhead
@@ -476,13 +412,7 @@ func (q *QCR) TotalMandates() int {
 func (q *QCR) MandatesMoved() int { return q.moved }
 
 // MandatesFor returns pending mandates for one item across all nodes.
-func (q *QCR) MandatesFor(item int) int {
-	var sum int
-	for n := 0; n < q.nodes; n++ {
-		sum += len(q.piles[n*q.items+item])
-	}
-	return sum
-}
+func (q *QCR) MandatesFor(item int) int { return q.piles.TotalItem(item) }
 
 // MandatesCreated returns the cumulative number of mandates minted by
 // OnFulfill, the input side of the mandate conservation law:
@@ -504,18 +434,24 @@ func (q *QCR) FaultCounters() (dropped, expired, abandoned int) {
 }
 
 // count returns the pending mandates for item at node (test hook).
-func (q *QCR) count(node, item int) int { return len(q.pileAt(node, item)) }
+func (q *QCR) count(node, item int) int { return len(q.piles.Find(node, item)) }
 
 // addMandates injects n mandates born at the given time (test hook).
 func (q *QCR) addMandates(node, item, n int, born float64) {
 	if n <= 0 {
 		return
 	}
-	pile := q.pileAt(node, item)
-	for k := 0; k < n; k++ {
-		pile = append(pile, mandate{born: born})
+	q.mint(node, item, n, born)
+}
+
+// mint appends n ≥ 1 mandates born at now to node's pile for item.
+func (q *QCR) mint(node, item, n int, now float64) {
+	c := q.piles.At(node, item)
+	pile := c.Vals()
+	for j := 0; j < n; j++ {
+		pile = append(pile, mandate{born: now})
 	}
-	q.setPile(node, item, pile)
+	c.Set(pile)
 	q.created += n
 }
 
@@ -557,12 +493,7 @@ func (q *QCR) OnFulfill(c Cache, node, peer, item, queries int, age, now float64
 		}
 	}
 	if k > 0 {
-		pile := q.pileAt(node, item)
-		for j := 0; j < k; j++ {
-			pile = append(pile, mandate{born: now})
-		}
-		q.setPile(node, item, pile)
-		q.created += k
+		q.mint(node, item, k, now)
 	}
 }
 
@@ -633,133 +564,135 @@ func (q *QCR) expireOld(pile []mandate, now float64) []mandate {
 // mandate per item (creating a replica on whichever of the two nodes
 // lacks the item), then route the remainder.
 func (q *QCR) OnMeeting(c Cache, a, b int, now float64) {
-	ka, kb := q.keys[a], q.keys[b]
-	if len(ka) == 0 && len(kb) == 0 {
+	l := &q.piles
+	if l.Empty(a) && l.Empty(b) {
 		return
 	}
-	// Merge the two sorted per-node key lists into the sorted union of
-	// items with pending mandates on either side. The buffer is reused
-	// across meetings; it must be a snapshot because the loop body edits
-	// the key lists through setPile.
-	union := q.scratch[:0]
-	i, j := 0, 0
-	for i < len(ka) && j < len(kb) {
-		switch {
-		case ka[i] < kb[j]:
-			union = append(union, ka[i])
-			i++
-		case ka[i] > kb[j]:
-			union = append(union, kb[j])
-			j++
-		default:
-			union = append(union, ka[i])
-			i++
-			j++
+	// Walk the two nodes' pile lists together in ascending item order:
+	// each item with pending mandates on either side is visited once. The
+	// side without a pile gets an empty one at its cursor (reusing a
+	// drained pile's storage, so routing into it does not allocate);
+	// piles left empty are removed after the walk.
+	ca, cb := l.Walk(a), l.Walk(b)
+	for {
+		item, ok := ca.Item()
+		if ib, okb := cb.Item(); okb && (!ok || ib < item) {
+			item, ok = ib, true
 		}
+		if !ok {
+			break
+		}
+		ca.Seek(item)
+		cb.Seek(item)
+		q.meetItem(c, a, b, item, &ca, &cb, now)
+		ca.Next()
+		cb.Next()
 	}
-	union = append(union, ka[i:]...)
-	union = append(union, kb[j:]...)
-	q.scratch = union
-	for _, it := range union {
-		item := int(it)
-		pa, pb := q.pileAt(a, item), q.pileAt(b, item)
-		origA, origB := len(pa), len(pb) // pre-meeting piles, for moved accounting
-		if q.MandateTTL > 0 {
-			pa = q.expireOld(pa, now)
-			pb = q.expireOld(pb, now)
-		}
-		if len(pa)+len(pb) == 0 {
-			q.setPile(a, item, pa)
-			q.setPile(b, item, pb)
-			continue
-		}
-		hasA, hasB := c.Has(a, item), c.Has(b, item)
-		switch {
-		case hasA && hasB:
-			if q.Rewriting {
-				// A (vacuous) replication consumes one mandate.
-				if len(pa) >= len(pb) && len(pa) > 0 {
-					pa = q.consume(pa)
-				} else if len(pb) > 0 {
-					pb = q.consume(pb)
-				}
-			}
-		case hasA && !hasB:
-			// The copy flows a → b. Under StrictSource only a's own
-			// mandates can drive it; otherwise either side's can (the
-			// holder's pile is consumed first when available).
-			if q.StrictSource {
-				if len(pa) > 0 {
-					if c.Write(b, item) {
-						pa = q.consume(pa)
-						hasB = true
-					} else {
-						pa = q.retryOrAbandon(pa)
-					}
-				}
-			} else if c.Write(b, item) {
-				if len(pa) > 0 {
-					pa = q.consume(pa)
-				} else {
-					pb = q.consume(pb)
-				}
-				hasB = true
-			} else if len(pa) > 0 {
-				pa = q.retryOrAbandon(pa)
-			} else {
-				pb = q.retryOrAbandon(pb)
-			}
-		case !hasA && hasB:
-			if q.StrictSource {
-				if len(pb) > 0 {
-					if c.Write(a, item) {
-						pb = q.consume(pb)
-						hasA = true
-					} else {
-						pb = q.retryOrAbandon(pb)
-					}
-				}
-			} else if c.Write(a, item) {
-				if len(pb) > 0 {
-					pb = q.consume(pb)
-				} else {
-					pa = q.consume(pa)
-				}
-				hasA = true
+	l.Compact(a)
+	l.Compact(b)
+}
+
+// meetItem runs one item's share of a meeting on the piles under ca (at
+// a) and cb (at b): expire stale mandates, execute at most one, then
+// route the remainder.
+func (q *QCR) meetItem(c Cache, a, b, item int, ca, cb *arena.Cursor[mandate], now float64) {
+	pa, pb := ca.Vals(), cb.Vals()
+	origA, origB := len(pa), len(pb) // pre-meeting piles, for moved accounting
+	if q.MandateTTL > 0 {
+		pa = q.expireOld(pa, now)
+		pb = q.expireOld(pb, now)
+	}
+	if len(pa)+len(pb) == 0 {
+		ca.Set(pa)
+		cb.Set(pb)
+		return
+	}
+	hasA, hasB := c.Has(a, item), c.Has(b, item)
+	switch {
+	case hasA && hasB:
+		if q.Rewriting {
+			// A (vacuous) replication consumes one mandate.
+			if len(pa) >= len(pb) && len(pa) > 0 {
+				pa = q.consume(pa)
 			} else if len(pb) > 0 {
-				pb = q.retryOrAbandon(pb)
-			} else {
-				pa = q.retryOrAbandon(pa)
+				pb = q.consume(pb)
 			}
 		}
-		if q.MandateRouting {
-			wantA, _ := q.route(c, a, b, item, len(pa)+len(pb), hasA, hasB)
-			// A free-rider refuses to carry mandates: nothing may cross to
-			// it, and a non-free-riding peer takes everything it holds.
-			if m := q.misbehavior; m != nil {
-				frA, frB := m.FreeRider(a), m.FreeRider(b)
-				switch {
-				case frA && frB:
-					wantA = len(pa)
-				case frA:
-					wantA = 0
-				case frB:
-					wantA = len(pa) + len(pb)
+	case hasA && !hasB:
+		// The copy flows a → b. Under StrictSource only a's own
+		// mandates can drive it; otherwise either side's can (the
+		// holder's pile is consumed first when available).
+		if q.StrictSource {
+			if len(pa) > 0 {
+				if c.Write(b, item) {
+					pa = q.consume(pa)
+					hasB = true
+				} else {
+					pa = q.retryOrAbandon(pa)
 				}
 			}
-			pa, pb = q.redistribute(pa, pb, wantA)
+		} else if c.Write(b, item) {
+			if len(pa) > 0 {
+				pa = q.consume(pa)
+			} else {
+				pb = q.consume(pb)
+			}
+			hasB = true
+		} else if len(pa) > 0 {
+			pa = q.retryOrAbandon(pa)
+		} else {
+			pb = q.retryOrAbandon(pb)
 		}
-		// Routing traffic: any increase relative to the pre-meeting pile
-		// crossed over (net of executions, matching the original metric).
-		if gain := len(pa) - origA; gain > 0 {
-			q.moved += gain
+	case !hasA && hasB:
+		if q.StrictSource {
+			if len(pb) > 0 {
+				if c.Write(a, item) {
+					pb = q.consume(pb)
+					hasA = true
+				} else {
+					pb = q.retryOrAbandon(pb)
+				}
+			}
+		} else if c.Write(a, item) {
+			if len(pb) > 0 {
+				pb = q.consume(pb)
+			} else {
+				pa = q.consume(pa)
+			}
+			hasA = true
+		} else if len(pb) > 0 {
+			pb = q.retryOrAbandon(pb)
+		} else {
+			pa = q.retryOrAbandon(pa)
 		}
-		if gain := len(pb) - origB; gain > 0 {
-			q.moved += gain
-		}
-		q.setPile(a, item, pa)
-		q.setPile(b, item, pb)
 	}
+	if q.MandateRouting {
+		wantA, _ := q.route(c, a, b, item, len(pa)+len(pb), hasA, hasB)
+		// A free-rider refuses to carry mandates: nothing may cross to
+		// it, and a non-free-riding peer takes everything it holds.
+		if m := q.misbehavior; m != nil {
+			frA, frB := m.FreeRider(a), m.FreeRider(b)
+			switch {
+			case frA && frB:
+				wantA = len(pa)
+			case frA:
+				wantA = 0
+			case frB:
+				wantA = len(pa) + len(pb)
+			}
+		}
+		pa, pb = q.redistribute(pa, pb, wantA)
+	}
+	// Routing traffic: any increase relative to the pre-meeting pile
+	// crossed over (net of executions, matching the original metric).
+	if gain := len(pa) - origA; gain > 0 {
+		q.moved += gain
+	}
+	if gain := len(pb) - origB; gain > 0 {
+		q.moved += gain
+	}
+	ca.Set(pa)
+	cb.Set(pb)
 }
 
 // redistribute realizes the routing split: mandates cross from the side

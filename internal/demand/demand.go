@@ -165,10 +165,9 @@ type Request struct {
 // superposition of the independent Poisson(d_i·π_{i,n}) processes of
 // Section 3.3.
 type Process struct {
-	pop     Popularity
-	profile Profile
+	items   int
 	itemCDF []float64
-	nodeCDF [][]float64
+	nodeCDF [][]float64 // per item; items whose profile rows share storage share one CDF
 	total   float64
 	rng     *rand.Rand
 	now     float64
@@ -176,6 +175,9 @@ type Process struct {
 
 // NewProcess builds a request process starting at time 0. The profile must
 // have one row per item; pass UniformProfile for the paper's default.
+// Rows that share a backing array (the same row given to several items)
+// get one shared CDF, so a profile built from one row costs one CDF
+// rather than one per item.
 func NewProcess(pop Popularity, profile Profile, rng *rand.Rand) (*Process, error) {
 	if err := pop.Validate(); err != nil {
 		return nil, err
@@ -186,11 +188,22 @@ func NewProcess(pop Popularity, profile Profile, rng *rand.Rand) (*Process, erro
 	if err := profile.Validate(); err != nil {
 		return nil, err
 	}
-	p := &Process{pop: pop, profile: profile, rng: rng, total: pop.Total()}
+	p := &Process{items: pop.Items(), rng: rng, total: pop.Total()}
 	p.itemCDF = cdf(pop.Rates)
 	p.nodeCDF = make([][]float64, len(profile.P))
+	type rowKey struct {
+		first *float64
+		n     int
+	}
+	built := make(map[rowKey][]float64)
 	for i, row := range profile.P {
+		k := rowKey{&row[0], len(row)} // Validate rejects empty rows
+		if c, ok := built[k]; ok {
+			p.nodeCDF[i] = c
+			continue
+		}
 		p.nodeCDF[i] = cdf(row)
+		built[k] = p.nodeCDF[i]
 	}
 	return p, nil
 }
@@ -216,10 +229,9 @@ func (p *Process) SetPopularity(pop Popularity) error {
 	if err := pop.Validate(); err != nil {
 		return err
 	}
-	if pop.Items() != len(p.profile.P) {
-		return fmt.Errorf("demand: new popularity has %d items, profile has %d", pop.Items(), len(p.profile.P))
+	if pop.Items() != p.items {
+		return fmt.Errorf("demand: new popularity has %d items, profile has %d", pop.Items(), p.items)
 	}
-	p.pop = pop
 	p.total = pop.Total()
 	p.itemCDF = cdf(pop.Rates)
 	return nil

@@ -224,3 +224,44 @@ func TestCloneIndependence(t *testing.T) {
 		t.Error("Clone shares backing storage")
 	}
 }
+
+// TestProcessSharesRowCDFs checks that items given the same profile row
+// share one node CDF, and that sharing leaves the drawn requests exactly
+// as they are with one copy of the row per item.
+func TestProcessSharesRowCDFs(t *testing.T) {
+	const items, clients = 5, 40
+	pop := Pareto(items, 1, 3)
+	row := make([]float64, clients)
+	for n := range row {
+		row[n] = float64(n+1) / float64(clients*(clients+1)/2)
+	}
+	shared := Profile{P: make([][]float64, items)}
+	copied := Profile{P: make([][]float64, items)}
+	for i := range shared.P {
+		shared.P[i] = row
+		copied.P[i] = append([]float64(nil), row...)
+	}
+	ps, err := NewProcess(pop, shared, newRNG(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc, err := NewProcess(pop, copied, newRNG(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < items; i++ {
+		if &ps.nodeCDF[i][0] != &ps.nodeCDF[0][0] {
+			t.Fatalf("item %d has its own CDF for a shared row", i)
+		}
+		if &pc.nodeCDF[i][0] == &pc.nodeCDF[0][0] {
+			t.Fatalf("item %d shares a CDF across distinct rows", i)
+		}
+	}
+	for k := 0; k < 1000; k++ {
+		a, _ := ps.Next()
+		b, _ := pc.Next()
+		if a != b {
+			t.Fatalf("request %d: shared rows drew %+v, copied rows %+v", k, a, b)
+		}
+	}
+}

@@ -145,8 +145,8 @@ func TestRunBatchValidation(t *testing.T) {
 // TestBatchStepZeroAllocSteadyState extends the zero-allocation
 // discipline to the batch executor: once warmed up, stepping every
 // runner of a batch through one shared contact allocates nothing — the
-// per-scheme bins, delay buffers and runner scratch are all preallocated
-// or retained.
+// per-scheme bins, delay buffers, request queues, mandate piles and
+// runner scratch are all preallocated or retained.
 func TestBatchStepZeroAllocSteadyState(t *testing.T) {
 	const (
 		nodes    = 8
@@ -154,55 +154,59 @@ func TestBatchStepZeroAllocSteadyState(t *testing.T) {
 		duration = 1e12
 		dt       = 0.01
 	)
-	mk := func(pol core.Policy, seed uint64) Config {
-		return Config{
-			Rho:          3,
-			Utility:      utility.Step{Tau: 10},
-			Pop:          demand.Pareto(items, 1, 2),
-			Policy:       pol,
-			Seed:         seed,
-			WarmupFrac:   -1,
-			RecordDelays: true, // satellite: preallocated delay buffers stay flat
-			BinWidth:     duration / 64,
-		}
-	}
-	cfgs := []Config{mk(core.Static{Label: "uni"}, 5), mk(core.Static{Label: "sqrt"}, 6)}
-	runners := make([]*runner, len(cfgs))
-	for i := range cfgs {
-		cfg := cfgs[i]
-		if err := validateBatch(&cfg, nodes, duration); err != nil {
-			t.Fatalf("validateBatch: %v", err)
-		}
-		r, err := buildRunner(&cfg, nodes, duration)
-		if err != nil {
-			t.Fatalf("buildRunner: %v", err)
-		}
-		r.checked = true
-		runners[i] = r
-	}
-	var pairs []trace.Contact
-	for a := 0; a < nodes; a++ {
-		for b := a + 1; b < nodes; b++ {
-			pairs = append(pairs, trace.Contact{A: a, B: b})
-		}
-	}
-	now, pi := 0.0, 0
-	stepOne := func() {
-		c := pairs[pi]
-		pi = (pi + 1) % len(pairs)
-		now += dt
-		c.T = now
-		for _, r := range runners {
-			if err := r.step(c); err != nil {
-				t.Fatalf("step: %v", err)
+	for _, tc := range steadyCases(13) {
+		t.Run(tc.name, func(t *testing.T) {
+			mk := func(seed uint64) Config {
+				return Config{
+					Rho:          3,
+					Utility:      utility.Step{Tau: 10},
+					Pop:          demand.Pareto(items, 1, tc.demand),
+					Policy:       tc.policy(),
+					Seed:         seed,
+					WarmupFrac:   -1,
+					RecordDelays: true, // preallocated delay buffers stay flat
+					BinWidth:     duration / 64,
+				}
 			}
-		}
-	}
-	for i := 0; i < 50000; i++ {
-		stepOne()
-	}
-	if avg := testing.AllocsPerRun(20000, stepOne); avg > 0.01 {
-		t.Errorf("batch steady-state step allocates %.4f objects/contact, want 0", avg)
+			cfgs := []Config{mk(5), mk(6)}
+			runners := make([]*runner, len(cfgs))
+			for i := range cfgs {
+				cfg := cfgs[i]
+				if err := validateBatch(&cfg, nodes, duration); err != nil {
+					t.Fatalf("validateBatch: %v", err)
+				}
+				r, err := buildRunner(&cfg, nodes, duration)
+				if err != nil {
+					t.Fatalf("buildRunner: %v", err)
+				}
+				r.checked = true
+				runners[i] = r
+			}
+			var pairs []trace.Contact
+			for a := 0; a < nodes; a++ {
+				for b := a + 1; b < nodes; b++ {
+					pairs = append(pairs, trace.Contact{A: a, B: b})
+				}
+			}
+			now, pi := 0.0, 0
+			stepOne := func() {
+				c := pairs[pi]
+				pi = (pi + 1) % len(pairs)
+				now += dt
+				c.T = now
+				for _, r := range runners {
+					if err := r.step(c); err != nil {
+						t.Fatalf("step: %v", err)
+					}
+				}
+			}
+			for i := 0; i < 50000; i++ {
+				stepOne()
+			}
+			if avg := testing.AllocsPerRun(20000, stepOne); avg > 0.01 {
+				t.Errorf("batch steady-state step allocates %.4f objects/contact, want 0", avg)
+			}
+		})
 	}
 }
 

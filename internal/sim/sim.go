@@ -24,11 +24,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"slices"
 	"sort"
 
 	"impatience/internal/adversary"
 	"impatience/internal/alloc"
+	"impatience/internal/arena"
 	"impatience/internal/core"
 	"impatience/internal/demand"
 	"impatience/internal/faults"
@@ -232,24 +232,24 @@ type state struct {
 	// handleArrival, crash and the horizon accounting are a tag switch
 	// instead of an interface call. Under Config.ReferenceKernel every
 	// kernel is the generic arm, i.e. exactly the old interface path.
-	uks     []utilKernel
-	slots   [][]int32 // per node: item id per slot, -1 when empty
-	stickyS [][]bool  // per node: slot pinned?
-	has     []bool    // node*items + item
-	used    []int     // per node: occupied slots (occupancy counter)
-	counts  []int     // replicas per item
-	stickyN []int     // per item: node holding the pinned replica, -1
+	uks []utilKernel
+	// The caches, flat: node n's slots are slots[n·ρ : (n+1)·ρ] for
+	// n < servers (dedicated clients have none). Slot order is the order
+	// Write's reservoir sample and crash visit, so it is part of every
+	// digest.
+	slots   []int32 // item id per slot, -1 when empty
+	stickyS []bool  // slot pinned?
+	has     []bool  // node*items + item
+	used    []int32 // per node: occupied slots (occupancy counter)
+	counts  []int   // replicas per item
+	stickyN []int   // per item: node holding the pinned replica, -1
 	writes  int
 
-	// Outstanding requests, laid out for the meeting hot path: the open
-	// requests for (node, item) live at reqs[node*items+item], and
-	// reqItems[node] is the sorted list of items with at least one open
-	// request there. The list is maintained incrementally on arrival,
-	// fulfillment and crash, so a meeting iterates it directly instead of
-	// rebuilding (and sorting) a key set from a map — the profiler's
-	// dominant cost before this layout.
-	reqs     [][]request
-	reqItems [][]int32
+	// Outstanding requests: per node, the items with open requests in
+	// ascending order, each with its requests in arrival order. A meeting
+	// walks the list directly, and the summation orders of crash and the
+	// horizon accounting follow it.
+	reqs arena.Lists[request]
 
 	// Fault-injection state; inj is nil when the layer is off, and every
 	// fault code path below is gated on it.
@@ -302,10 +302,11 @@ func (s *state) Write(node, item int) bool {
 		return false
 	}
 	// Reservoir-sample a uniformly random non-sticky slot.
+	lo, hi := s.slotRange(node)
 	chosen := -1
 	seen := 0
-	for k := range s.slots[node] {
-		if s.stickyS[node][k] {
+	for k := lo; k < hi; k++ {
+		if s.stickyS[k] {
 			continue
 		}
 		seen++
@@ -316,13 +317,13 @@ func (s *state) Write(node, item int) bool {
 	if chosen < 0 {
 		return false
 	}
-	if old := s.slots[node][chosen]; old >= 0 {
+	if old := s.slots[chosen]; old >= 0 {
 		s.has[node*s.items+int(old)] = false
 		s.counts[old]--
 	} else {
 		s.used[node]++
 	}
-	s.slots[node][chosen] = int32(item)
+	s.slots[chosen] = int32(item)
 	s.has[node*s.items+item] = true
 	s.counts[item]++
 	s.writes++
@@ -334,10 +335,11 @@ func (s *state) place(node, item int, sticky bool) error {
 	if s.Has(node, item) {
 		return fmt.Errorf("sim: node %d already holds item %d", node, item)
 	}
-	for k := range s.slots[node] {
-		if s.slots[node][k] < 0 {
-			s.slots[node][k] = int32(item)
-			s.stickyS[node][k] = sticky
+	lo, hi := s.slotRange(node)
+	for k := lo; k < hi; k++ {
+		if s.slots[k] < 0 {
+			s.slots[k] = int32(item)
+			s.stickyS[k] = sticky
 			s.has[node*s.items+item] = true
 			s.used[node]++
 			s.counts[item]++
@@ -364,42 +366,25 @@ func resolveUtility(cfg *Config, i int) utility.Function {
 	return cfg.Utility
 }
 
+// slotRange returns the bounds of node's slot row in slots and stickyS;
+// the row is empty for a dedicated client.
+func (s *state) slotRange(node int) (lo, hi int) {
+	if node >= s.servers {
+		return 0, 0
+	}
+	return node * s.rho, (node + 1) * s.rho
+}
+
 // freeSlots counts empty slots at a node, from the occupancy counter
 // maintained by place/Write/crash (O(1), no slot-row walk).
 func (s *state) freeSlots(node int) int {
-	return len(s.slots[node]) - s.used[node]
+	lo, hi := s.slotRange(node)
+	return hi - lo - int(s.used[node])
 }
 
-// addRequest registers one open request for (node, item), keeping the
-// node's sorted outstanding-item list in step.
+// addRequest registers one open request for (node, item).
 func (s *state) addRequest(node, item int, t float64) {
-	idx := node*s.items + item
-	if len(s.reqs[idx]) == 0 {
-		s.reqItems[node] = insertSorted(s.reqItems[node], int32(item))
-		if s.reqs[idx] == nil {
-			// First request ever for (node, item): start with room for a
-			// small queue so arrival churn appends into retained storage
-			// instead of growing 1→2→4. Fulfillment and crash truncate to
-			// length 0 but keep the capacity, which is what makes the
-			// fused per-contact path allocation-free in steady state (see
-			// the AllocsPerRun regression test).
-			s.reqs[idx] = make([]request, 0, 4)
-		}
-	}
-	s.reqs[idx] = append(s.reqs[idx], request{t0: t})
-}
-
-// insertSorted inserts v into an ascending list, keeping it sorted.
-// No-op if already present (callers guard, but stay safe).
-func insertSorted(list []int32, v int32) []int32 {
-	i, found := slices.BinarySearch(list, v)
-	if found {
-		return list
-	}
-	list = append(list, 0)
-	copy(list[i+1:], list[i:])
-	list[i] = v
-	return list
+	s.reqs.Push(node, item, request{t0: t})
 }
 
 // reseed re-pins item's sticky replica at a node currently holding it —
@@ -407,9 +392,10 @@ func insertSorted(list []int32, v int32) []int32 {
 // sticky holder crashed. Called on the first fulfillment of the item
 // after the loss.
 func (s *state) reseed(node, item int) {
-	for k, it := range s.slots[node] {
-		if int(it) == item {
-			s.stickyS[node][k] = true
+	lo, hi := s.slotRange(node)
+	for k := lo; k < hi; k++ {
+		if int(s.slots[k]) == item {
+			s.stickyS[k] = true
 			s.stickyN[item] = node
 			s.tally.StickyReseeded++
 			return
@@ -424,29 +410,30 @@ func (s *state) reseed(node, item int) {
 func (s *state) crash(n int, t float64, res *Result) {
 	s.down[n] = true
 	s.tally.Crashes++
-	for k := range s.slots[n] {
-		it := s.slots[n][k]
+	lo, hi := s.slotRange(n)
+	for k := lo; k < hi; k++ {
+		it := s.slots[k]
 		if it < 0 {
 			continue
 		}
 		s.has[n*s.items+int(it)] = false
 		s.counts[it]--
 		s.tally.ReplicasLost++
-		if s.stickyS[n][k] {
-			s.stickyS[n][k] = false
+		if s.stickyS[k] {
+			s.stickyS[k] = false
 			s.stickyN[it] = -1
 			s.tally.StickyLost++
 		}
-		s.slots[n][k] = -1
+		s.slots[k] = -1
 	}
 	s.used[n] = 0
-	// Sorted item order (the outstanding-item list is kept sorted): the
-	// float summation order — and hence the Result — stays reproducible.
-	for _, it := range s.reqItems[n] {
-		item := int(it)
-		idx := n*s.items + item
+	// Ascending item order: the float summation order — and hence the
+	// Result — stays reproducible.
+	ents := s.reqs.Entries(n)
+	for i := range ents {
+		item := ents[i].Item()
 		uk := &s.uks[item]
-		for _, rq := range s.reqs[idx] {
+		for _, rq := range ents[i].Vals() {
 			s.tally.RequestsLost++
 			age := t - rq.t0
 			if age <= 0 {
@@ -457,9 +444,8 @@ func (s *state) crash(n int, t float64, res *Result) {
 				res.OutstandingCost += h
 			}
 		}
-		s.reqs[idx] = s.reqs[idx][:0]
 	}
-	s.reqItems[n] = s.reqItems[n][:0]
+	s.reqs.Clear(n)
 	if ca, ok := s.cfg.Policy.(core.CrashAware); ok {
 		s.tally.MandatesCrashed += ca.OnCrash(n)
 	}
@@ -620,31 +606,22 @@ func buildRunner(cfg *Config, nodes int, duration float64) (*runner, error) {
 		servers = cfg.ServerCount
 	}
 	s := &state{
-		cfg:      cfg,
-		items:    items,
-		nodes:    nodes,
-		servers:  servers,
-		rho:      cfg.Rho,
-		rng:      rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x5eed0fca11)),
-		slots:    make([][]int32, nodes),
-		stickyS:  make([][]bool, nodes),
-		has:      make([]bool, nodes*items),
-		used:     make([]int, nodes),
-		counts:   make([]int, items),
-		stickyN:  make([]int, items),
-		reqs:     make([][]request, nodes*items),
-		reqItems: make([][]int32, nodes),
+		cfg:     cfg,
+		items:   items,
+		nodes:   nodes,
+		servers: servers,
+		rho:     cfg.Rho,
+		rng:     rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x5eed0fca11)),
+		slots:   make([]int32, servers*cfg.Rho),
+		stickyS: make([]bool, servers*cfg.Rho),
+		has:     make([]bool, nodes*items),
+		used:    make([]int32, nodes),
+		counts:  make([]int, items),
+		stickyN: make([]int, items),
+		reqs:    arena.New[request](nodes),
 	}
-	for n := 0; n < nodes; n++ {
-		slots := cfg.Rho
-		if n >= servers {
-			slots = 0 // dedicated clients carry no cache
-		}
-		s.slots[n] = make([]int32, slots)
-		for k := range s.slots[n] {
-			s.slots[n][k] = -1
-		}
-		s.stickyS[n] = make([]bool, slots)
+	for k := range s.slots {
+		s.slots[k] = -1
 	}
 	for i := range s.stickyN {
 		s.stickyN[i] = -1
@@ -661,19 +638,20 @@ func buildRunner(cfg *Config, nodes int, duration float64) (*runner, error) {
 
 	profile := cfg.Profile
 	if len(profile.P) == 0 {
+		// Every item gets the same uniform row over the clients (all nodes
+		// in pure P2P, [servers, nodes) in the dedicated case); the demand
+		// process builds one CDF for the shared row.
+		first := 0
 		if cfg.ServerCount > 0 {
-			// Demand arises only at the client nodes [servers, nodes).
-			profile = demand.Profile{P: make([][]float64, items)}
-			clients := nodes - servers
-			for i := range profile.P {
-				row := make([]float64, nodes)
-				for n := servers; n < nodes; n++ {
-					row[n] = 1 / float64(clients)
-				}
-				profile.P[i] = row
-			}
-		} else {
-			profile = demand.UniformProfile(items, nodes)
+			first = servers
+		}
+		row := make([]float64, nodes)
+		for n := first; n < nodes; n++ {
+			row[n] = 1 / float64(nodes-first)
+		}
+		profile = demand.Profile{P: make([][]float64, items)}
+		for i := range profile.P {
+			profile.P[i] = row
 		}
 	} else if cfg.ServerCount > 0 {
 		for i, row := range profile.P {
@@ -857,17 +835,14 @@ func (r *runner) handleArrival(rq demand.Request) {
 
 // fulfillSide advances node n's requests given it met peer: every
 // outstanding request queries the peer (counter++); requests for items
-// the peer holds are all fulfilled. The node's outstanding-item list
-// is already sorted (kept so incrementally), so this iterates it in
-// place — in the same deterministic item order as before — without
-// the per-meeting key collection and sort the profiler flagged.
+// the peer holds are all fulfilled. The node's open items are walked in
+// ascending item order; fulfilled items' queues are emptied in the walk
+// and removed after it.
 func (r *runner) fulfillSide(n, peer int, t float64) {
 	s := r.s
-	list := s.reqItems[n]
-	if len(list) == 0 {
+	if s.reqs.Empty(n) {
 		return
 	}
-	base := n * s.items
 	// Misbehavior roles for this side of the meeting, resolved once.
 	var peerRefuses, nFreeRides, nDishonest bool
 	if s.adv != nil {
@@ -875,9 +850,12 @@ func (r *runner) fulfillSide(n, peer int, t float64) {
 		nFreeRides = s.adv.FreeRider(n)
 		nDishonest = s.adv.Dishonest(n)
 	}
-	for i := 0; i < len(list); {
-		item := int(list[i])
-		pending := s.reqs[base+item]
+	ents := s.reqs.Entries(n)
+	fulfilled := false
+	for i := range ents {
+		e := &ents[i]
+		item := e.Item()
+		pending := e.Vals()
 		// A truncated meeting completes the metadata exchange (the
 		// query counters advance) but loses the item payload: the
 		// request stays open and retries at the next meeting with a
@@ -916,9 +894,8 @@ func (r *runner) fulfillSide(n, peer int, t float64) {
 			if s.inj != nil && !s.cfg.NoSticky && s.stickyN[item] < 0 {
 				s.reseed(peer, item)
 			}
-			s.reqs[base+item] = pending[:0]
-			copy(list[i:], list[i+1:])
-			list = list[:len(list)-1]
+			e.Clear()
+			fulfilled = true
 		} else {
 			if peerRefuses && s.Has(peer, item) && !s.truncated {
 				s.atally.RefusedServes++
@@ -928,10 +905,11 @@ func (r *runner) fulfillSide(n, peer int, t float64) {
 					pending[k].queries++
 				}
 			}
-			i++
 		}
 	}
-	s.reqItems[n] = list
+	if fulfilled {
+		s.reqs.Compact(n)
+	}
 }
 
 // advanceTo interleaves request arrivals and churn events in time
@@ -1019,10 +997,10 @@ func (r *runner) step(c trace.Contact) error {
 		// elided. Both cuts are behavior-identical: fulfillSide on an empty
 		// list returns before any mutation, and passivity is only set when
 		// no adversary tallies can mutate at hook call sites.
-		if len(s.reqItems[c.A]) != 0 {
+		if !s.reqs.Empty(c.A) {
 			r.fulfillSide(c.A, c.B, c.T)
 		}
-		if len(s.reqItems[c.B]) != 0 {
+		if !s.reqs.Empty(c.B) {
 			r.fulfillSide(c.B, c.A, c.T)
 		}
 		if !r.passive {
@@ -1069,12 +1047,13 @@ func (r *runner) finish() (*Result, error) {
 	// only earned on actual fulfillment.
 	end := r.duration
 	for n := 0; n < s.nodes; n++ {
-		// Node then sorted item order: the float summation order is fixed,
-		// so the Result digest is reproducible run to run.
-		for _, it := range s.reqItems[n] {
-			item := int(it)
+		// Node then ascending item order: the float summation order is
+		// fixed, so the Result digest is reproducible run to run.
+		ents := s.reqs.Entries(n)
+		for i := range ents {
+			item := ents[i].Item()
 			uk := &s.uks[item]
-			for _, rq := range s.reqs[n*s.items+item] {
+			for _, rq := range ents[i].Vals() {
 				res.Outstanding++
 				age := end - rq.t0
 				if age <= 0 {
@@ -1316,76 +1295,71 @@ func spreadInitial(items, servers, rho int, want alloc.Counts, freeSlots func(in
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool { return want[order[a]] > want[order[b]] })
-	buckets := make([][]int32, rho+1)
+	// The free-count buckets share one array of all servers, fullest
+	// bucket first: bucket f is flat[end[f+1]:end[f]], ascending by server
+	// index, where end[f] counts the servers with at least f free slots.
+	// Demoting servers from bucket f to f−1 only moves them across the
+	// boundary of two adjacent buckets, so the array never regrows.
+	end := make([]int, rho+2) // end[rho+1] = 0
+	for n := 0; n < servers; n++ {
+		end[freeSlots(n)]++
+	}
+	for f := rho - 1; f >= 0; f-- {
+		end[f] += end[f+1]
+	}
+	flat := make([]int32, servers)
+	next := make([]int, rho+1) // next free position of each bucket
+	copy(next, end[1:])
 	for n := 0; n < servers; n++ {
 		f := freeSlots(n)
-		buckets[f] = append(buckets[f], int32(n)) // ascending by construction
+		flat[next[f]] = int32(n) // ascending by construction
+		next[f]++
 	}
-	var taken []int // positions taken from the current bucket
+	var moved []int32 // servers demoted out of the current bucket
 	for _, i := range order {
 		need := want[i] - count(i)
 		for f := rho; f >= 1 && need > 0; f-- {
-			b := buckets[f]
-			taken = taken[:0]
-			for pos := 0; pos < len(b) && need > 0; pos++ {
-				n := int(b[pos])
-				if has(n, i) {
+			lo, hi := end[f+1], end[f]
+			// Scan bucket f in place: servers that take a copy move to
+			// moved, the rest are compacted toward lo.
+			moved = moved[:0]
+			w := lo
+			pos := lo
+			for ; pos < hi && need > 0; pos++ {
+				n := int(flat[pos])
+				if !has(n, i) {
+					if err := place(n, i); err != nil {
+						return err
+					}
+					need--
+					moved = append(moved, int32(n))
 					continue
 				}
-				if err := place(n, i); err != nil {
-					return err
-				}
-				need--
-				taken = append(taken, pos)
+				flat[w] = int32(n)
+				w++
 			}
-			if len(taken) == 0 {
+			if len(moved) == 0 {
 				continue
 			}
-			// Demote the used servers to bucket f−1. Both the survivors
-			// and the taken values are ascending subsequences of b, so
-			// one sweep rebuilds the bucket and one merge re-sorts the
-			// destination.
-			moved := make([]int32, 0, len(taken))
-			kept := b[:0]
-			ti := 0
-			for pos, n := range b {
-				if ti < len(taken) && pos == taken[ti] {
-					moved = append(moved, n)
-					ti++
-				} else {
-					kept = append(kept, n)
+			w += copy(flat[w:], flat[pos:hi])
+			// Bucket f now ends at w; bucket f−1 grows to [w, end[f−1]).
+			// Merge moved into it front to back: the write position never
+			// passes the read position in flat, so the merge is in place.
+			end[f] = w
+			j := hi
+			for _, n := range moved {
+				for j < end[f-1] && flat[j] < n {
+					flat[w] = flat[j]
+					w++
+					j++
 				}
+				flat[w] = n
+				w++
 			}
-			buckets[f] = kept
-			buckets[f-1] = mergeAscending(buckets[f-1], moved)
 		}
 		// need may still be positive: no server without the item has a
 		// free slot, so the remainder of this item is dropped — exactly
 		// the per-copy greedy's bail-out.
 	}
 	return nil
-}
-
-// mergeAscending merges two ascending int32 slices into a fresh
-// ascending slice (the initCaches bucket demotion).
-func mergeAscending(a, b []int32) []int32 {
-	if len(b) == 0 {
-		return a
-	}
-	if len(a) == 0 {
-		return b
-	}
-	out := make([]int32, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] <= b[j] {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
 }

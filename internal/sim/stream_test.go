@@ -165,11 +165,38 @@ func TestStreamRejectsBadSources(t *testing.T) {
 	}
 }
 
+// steadyCase is one policy the zero-allocation steady-state tests run,
+// with the aggregate demand rate it runs under.
+type steadyCase struct {
+	name   string
+	demand float64
+	policy func() core.Policy
+}
+
+// steadyCases are a static allocation, and QCR under enough demand that
+// mandate piles are created, routed between nodes and drained at
+// meetings throughout the measured window.
+func steadyCases(seed uint64) []steadyCase {
+	return []steadyCase{
+		{"static", 2, func() core.Policy { return core.Static{Label: "uni"} }},
+		{"qcr", 20, func() core.Policy {
+			return &core.QCR{
+				Reaction:       core.PathReplication(2),
+				MandateRouting: true,
+				StrictSource:   true,
+				MaxMandates:    8,
+				Seed:           seed,
+			}
+		}},
+	}
+}
+
 // TestStepZeroAllocSteadyState is the allocation regression test behind
 // the fused pipeline's throughput claim: once every (node, item) request
 // queue has been touched, the per-contact hot path — arrival drain,
-// meeting, fulfillment, bookkeeping — runs without heap allocation, so
-// streamed runs of any length keep a flat memory profile.
+// meeting, fulfillment, bookkeeping and, under QCR, mandate minting,
+// execution and routing — runs without heap allocation, so streamed runs
+// of any length keep a flat memory profile.
 func TestStepZeroAllocSteadyState(t *testing.T) {
 	const (
 		nodes    = 8
@@ -177,44 +204,49 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 		duration = 1e12
 		dt       = 0.01
 	)
-	cfg := Config{
-		Rho:        3,
-		Utility:    utility.Step{Tau: 10},
-		Pop:        demand.Pareto(items, 1, 2),
-		Contacts:   (&trace.Trace{Nodes: nodes, Duration: duration}).Source(),
-		Policy:     core.Static{Label: "uni"},
-		Seed:       5,
-		WarmupFrac: -1,
-	}
-	r, err := newRunner(&cfg)
-	if err != nil {
-		t.Fatalf("newRunner: %v", err)
-	}
-	// Cycle through every pair so all request queues and outstanding-item
-	// lists reach their steady-state capacity during warmup.
-	var pairs []trace.Contact
-	for a := 0; a < nodes; a++ {
-		for b := a + 1; b < nodes; b++ {
-			pairs = append(pairs, trace.Contact{A: a, B: b})
-		}
-	}
-	now, pi := 0.0, 0
-	stepOne := func() {
-		c := pairs[pi]
-		pi = (pi + 1) % len(pairs)
-		now += dt
-		c.T = now
-		if err := r.step(c); err != nil {
-			t.Fatalf("step: %v", err)
-		}
-	}
-	for i := 0; i < 50000; i++ {
-		stepOne()
-	}
-	// Not exactly 0.0: a request queue whose depth exceeds anything seen
-	// in warmup can still grow once. The bound catches any systematic
-	// per-contact allocation while tolerating such one-offs.
-	if avg := testing.AllocsPerRun(20000, stepOne); avg > 0.01 {
-		t.Errorf("steady-state step allocates %.4f objects/contact, want 0", avg)
+	for _, tc := range steadyCases(11) {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{
+				Rho:        3,
+				Utility:    utility.Step{Tau: 10},
+				Pop:        demand.Pareto(items, 1, tc.demand),
+				Contacts:   (&trace.Trace{Nodes: nodes, Duration: duration}).Source(),
+				Policy:     tc.policy(),
+				Seed:       5,
+				WarmupFrac: -1,
+			}
+			r, err := newRunner(&cfg)
+			if err != nil {
+				t.Fatalf("newRunner: %v", err)
+			}
+			// Cycle through every pair so all request queues, outstanding-item
+			// lists and mandate piles reach their steady-state capacity during
+			// warmup.
+			var pairs []trace.Contact
+			for a := 0; a < nodes; a++ {
+				for b := a + 1; b < nodes; b++ {
+					pairs = append(pairs, trace.Contact{A: a, B: b})
+				}
+			}
+			now, pi := 0.0, 0
+			stepOne := func() {
+				c := pairs[pi]
+				pi = (pi + 1) % len(pairs)
+				now += dt
+				c.T = now
+				if err := r.step(c); err != nil {
+					t.Fatalf("step: %v", err)
+				}
+			}
+			for i := 0; i < 50000; i++ {
+				stepOne()
+			}
+			// Not exactly 0.0: a queue whose depth exceeds anything seen in
+			// warmup can still grow once. The bound catches any systematic
+			// per-contact allocation while tolerating such one-offs.
+			if avg := testing.AllocsPerRun(20000, stepOne); avg > 0.01 {
+				t.Errorf("steady-state step allocates %.4f objects/contact, want 0", avg)
+			}
+		})
 	}
 }
