@@ -112,3 +112,82 @@ func InvertDecreasing(f func(float64) float64, target, x0 float64) (float64, err
 	u, err := Bisect(func(u float64) float64 { return f(math.Exp(u)) - target }, math.Log(lo), math.Log(hi), 1e-13)
 	return math.Exp(u), err
 }
+
+// brentMaxIter caps Brent's probes; its bisection safeguard closes even a
+// step over ln(1e-300)…ln(1e300) far inside it.
+const brentMaxIter = 200
+
+// Brent finds a sign change of a continuous f in [a, b] by the
+// Brent–Dekker method: inverse quadratic or secant steps while they shrink
+// the bracket fast enough, bisection otherwise, so it is superlinear on
+// smooth f and degrades to bisection on step-like or flat f. fa and fb
+// are f(a) and f(b), which callers have usually paid for while bracketing;
+// they must not share a sign. The search stops once the bracket is within
+// xtol plus two ulps and returns its end at which f ≤ 0, for callers that
+// need a one-sided answer. A NaN probe is ErrNaN; exhausting brentMaxIter
+// is ErrNoConverge.
+func Brent(f func(float64) float64, a, b, fa, fb, xtol float64) (float64, error) {
+	if math.IsNaN(a) || math.IsNaN(b) || math.IsNaN(fa) || math.IsNaN(fb) {
+		return 0, ErrNaN
+	}
+	if (fa > 0 && fb > 0) || (fa < 0 && fb < 0) {
+		return 0, ErrNoBracket
+	}
+	// [b, c] is the bracket with |f(b)| ≤ |f(c)|; a is the previous b.
+	c, fc := a, fa
+	d := b - a
+	e := d
+	for i := 0; i < brentMaxIter; i++ {
+		if (fb > 0) == (fc > 0) {
+			c, fc = a, fa
+			d = b - a
+			e = d
+		}
+		if math.Abs(fc) < math.Abs(fb) {
+			a, b, c = b, c, b
+			fa, fb, fc = fb, fc, fb
+		}
+		tol := 0x1p-51*math.Abs(b) + xtol/2
+		m := (c - b) / 2
+		if math.Abs(m) <= tol || fb == 0 {
+			if fb <= 0 {
+				return b, nil
+			}
+			return c, nil
+		}
+		if math.Abs(e) >= tol && math.Abs(fa) > math.Abs(fb) {
+			s := fb / fa
+			var p, q float64
+			if a == c { // secant
+				p, q = 2*m*s, 1-s
+			} else { // inverse quadratic
+				r := fb / fc
+				q = fa / fc
+				p = s * (2*m*q*(q-r) - (b-a)*(r-1))
+				q = (q - 1) * (r - 1) * (s - 1)
+			}
+			if p > 0 {
+				q = -q
+			} else {
+				p = -p
+			}
+			if 2*p < math.Min(3*m*q-math.Abs(tol*q), math.Abs(e*q)) {
+				e, d = d, p/q
+			} else {
+				d, e = m, m
+			}
+		} else {
+			d, e = m, m
+		}
+		a, fa = b, fb
+		if math.Abs(d) > tol {
+			b += d
+		} else {
+			b += math.Copysign(tol, m)
+		}
+		if fb = f(b); math.IsNaN(fb) {
+			return 0, ErrNaN
+		}
+	}
+	return 0, ErrNoConverge
+}

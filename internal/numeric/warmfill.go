@@ -2,20 +2,22 @@ package numeric
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sort"
 )
 
-// Warm-started water-filling. WaterFill bisects the dual level λ from a
+// Warm-started water-filling. WaterFill searches the dual level λ from a
 // bracket derived only from the problem's extreme marginal values, and
 // inverts every coordinate's derivative from the cold guess Cap_i/2 — robust,
 // but expensive when the same problem is re-solved over and over with
 // slightly drifted weights, which is exactly the serving workload of
 // cmd/aged. WaterFillWarm re-solves from the previous solution instead:
 //
-//   - the λ search starts from a tight bracket around the previous dual
-//     level and closes it with a secant iteration (superlinear) instead of
-//     pure bisection from orders-of-magnitude-wide bounds;
+//   - the λ search brackets the previous dual level by walking ×4 outward
+//     from it, usually in one or two fills, and closes that tight bracket
+//     with the same Brent search on ln λ the cold solver uses: 8–10 fills
+//     of Σ x_i(λ) per re-solve at 3000 items;
 //   - each coordinate's inversion starts from its previous allocation and
 //     uses a log-space secant, which is exact in one step for power-law
 //     derivatives and needs a handful of evaluations otherwise;
@@ -25,9 +27,9 @@ import (
 // The warm path reproduces WaterFill's clamp decisions and its slack/budget
 // certification exactly; only the root-finding trajectory differs, so the
 // two solvers agree on the allocation to solver tolerance (the property
-// suite pins 1e-9). Any bracketing or convergence trouble is reported as an
-// error so callers can fall back to the cold solver — warm starting is an
-// optimization, never a source of silently different answers.
+// suite pins 1e-9). Any bracketing or convergence trouble is reported as
+// ErrWarmStart so callers can fall back to the cold solver — warm starting
+// is an optimization, never a source of silently different answers.
 
 // WarmState carries the reusable part of a previous water-filling solution:
 // the dual level λ (the common interior marginal value of Property 1) and
@@ -41,47 +43,18 @@ type WarmState struct {
 // on the dual level from the supplied state; callers should re-solve cold.
 var ErrWarmStart = errors.New("numeric: warm start failed to converge on the dual level")
 
-// warmMaxFills bounds the number of Σ x_i(λ) evaluations a warm solve may
-// spend before declaring the hint useless; the cold solver spends several
-// times this, so giving up early keeps the fallback cheap.
-const warmMaxFills = 120
-
 // WaterFillWarm solves the same problem as WaterFill, warm-started from a
 // previous solution, and returns the allocation together with the final
 // dual level (for the next warm start). The warm state must have a positive
 // finite Lambda and an allocation of matching length; anything else, or any
-// convergence failure, returns ErrWarmStart (or the underlying inversion
-// error) and the caller should fall back to WaterFill.
+// convergence failure, returns ErrWarmStart (wrapping the underlying error,
+// if any) and the caller should fall back to WaterFill.
 func WaterFillWarm(p WaterFillProblem, warm *WarmState) ([]float64, float64, error) {
-	n := len(p.Weights)
-	if n == 0 || len(p.Caps) != n || p.Budget < 0 || (p.Deriv == nil && p.DerivFor == nil) {
-		return nil, 0, ErrInfeasible
+	x, _, done, err := p.start()
+	if err != nil || done {
+		return x, 0, err
 	}
-	var effCap float64
-	for i, c := range p.Caps {
-		if c < 0 || p.Weights[i] < 0 {
-			return nil, 0, ErrInfeasible
-		}
-		if p.Weights[i] > 0 {
-			effCap += c
-		}
-	}
-	if p.Budget > effCap*(1+1e-9) {
-		return nil, 0, ErrInfeasible
-	}
-	x := make([]float64, n)
-	if p.Budget == 0 {
-		return x, 0, nil
-	}
-	if p.Budget >= effCap {
-		for i := range x {
-			if p.Weights[i] > 0 {
-				x[i] = p.Caps[i]
-			}
-		}
-		return x, 0, nil
-	}
-	if warm == nil || len(warm.X) != n || !(warm.Lambda > 0) || math.IsInf(warm.Lambda, 0) {
+	if warm == nil || len(warm.X) != len(x) || !(warm.Lambda > 0) || math.IsInf(warm.Lambda, 0) {
 		return nil, 0, ErrWarmStart
 	}
 
@@ -93,8 +66,8 @@ func WaterFillWarm(p WaterFillProblem, warm *WarmState) ([]float64, float64, err
 
 	// Bracket λ around the hint: fill is non-increasing in λ, so walk the
 	// violated side outward geometrically. Small drifts bracket in one or
-	// two probes; a hint that needs more than the fill budget is useless
-	// and the caller should solve cold.
+	// two probes; a hint that needs more than 60 steps is useless and the
+	// caller should solve cold.
 	lo, hi := warm.Lambda, warm.Lambda // fill(lo) ≥ Budget ≥ fill(hi) once bracketed
 	flo := fill(lo)
 	fhi := flo
@@ -114,61 +87,9 @@ func WaterFillWarm(p WaterFillProblem, warm *WarmState) ([]float64, float64, err
 		hi *= 4
 		fhi = fill(hi)
 	}
-	if math.IsNaN(flo) || math.IsNaN(fhi) {
-		return nil, 0, ErrNaN
-	}
-
-	// Close the bracket in log space with a secant iteration safeguarded by
-	// bisection: the secant step is taken from the two most recent iterates
-	// and projected into the bracket; a degenerate or out-of-bracket step
-	// falls back to the midpoint. Two consecutive machine-precision steps
-	// mean λ has converged (F is strictly monotone in the bracket).
-	ulo, uhi := math.Log(lo), math.Log(hi)
-	u0, f0 := ulo, flo-p.Budget
-	u1, f1 := uhi, fhi-p.Budget
-	stall := 0
-	for it := 0; it < warmMaxFills; it++ {
-		width := uhi - ulo
-		if mid := ulo + width/2; mid <= ulo || mid >= uhi {
-			break // bracket collapsed to machine precision
-		}
-		var u float64
-		if denom := f1 - f0; denom != 0 && !math.IsInf(denom, 0) && !math.IsNaN(denom) {
-			u = u1 - f1*(u1-u0)/denom
-		} else {
-			u = ulo + width/2
-		}
-		// Keep the step strictly interior so the bracket always shrinks.
-		if frac := width / 64; u < ulo+frac || u > uhi-frac {
-			u = ulo + width/2
-		}
-		fu := fill(math.Exp(u)) - p.Budget
-		if math.IsNaN(fu) {
-			return nil, 0, ErrNaN
-		}
-		if fu >= 0 {
-			ulo = u
-		} else {
-			uhi = u
-		}
-		step := math.Abs(u - u1)
-		u0, f0 = u1, f1
-		u1, f1 = u, fu
-		if step <= 1e-15*math.Max(1, math.Abs(u)) {
-			if stall++; stall >= 2 {
-				break
-			}
-		} else {
-			stall = 0
-		}
-	}
-	lambda := math.Exp(uhi)
-	total := fill(lambda)
-	if fillErr != nil {
-		return nil, 0, fillErr
-	}
-	if err := p.settle(x, total); err != nil {
-		return nil, 0, err
+	lambda, err := p.solveDual(fill, x, lo, hi, flo, fhi, &fillErr)
+	if err != nil {
+		return nil, 0, fmt.Errorf("%w: %w", ErrWarmStart, err)
 	}
 	return x, lambda, nil
 }

@@ -41,44 +41,15 @@ func (p WaterFillProblem) derivFor(i int) func(float64) float64 {
 // malformed.
 var ErrInfeasible = errors.New("numeric: water-filling problem infeasible")
 
-// WaterFill solves the problem by bisecting on the Lagrange multiplier λ:
-// for a trial λ each coordinate takes x_i(λ) = clamp(Deriv⁻¹(λ/w_i), 0,
+// WaterFill solves the problem by a root search on the Lagrange multiplier
+// λ: for a trial λ each coordinate takes x_i(λ) = clamp(Deriv⁻¹(λ/w_i), 0,
 // Cap_i) and λ is adjusted until Σ x_i(λ) = Budget. The returned slice
 // satisfies the balance condition of Property 1 up to the solver
 // tolerance.
 func WaterFill(p WaterFillProblem) ([]float64, error) {
-	n := len(p.Weights)
-	if n == 0 || len(p.Caps) != n || p.Budget < 0 || (p.Deriv == nil && p.DerivFor == nil) {
-		return nil, ErrInfeasible
-	}
-	// Feasibility is measured against the capacity actually reachable:
-	// zero-weight coordinates never receive anything (their caps are not
-	// usable capacity), so a budget exceeding the positive-weight cap sum
-	// has no solution respecting both the box constraints and Σ x = Budget.
-	var capSum, effCap float64
-	for i, c := range p.Caps {
-		if c < 0 || p.Weights[i] < 0 {
-			return nil, ErrInfeasible
-		}
-		capSum += c
-		if p.Weights[i] > 0 {
-			effCap += c
-		}
-	}
-	if p.Budget > effCap*(1+1e-9) {
-		return nil, ErrInfeasible
-	}
-	x := make([]float64, n)
-	if p.Budget == 0 {
-		return x, nil
-	}
-	if p.Budget >= effCap {
-		for i := range x {
-			if p.Weights[i] > 0 {
-				x[i] = p.Caps[i]
-			}
-		}
-		return x, nil
+	x, capSum, done, err := p.start()
+	if err != nil || done {
+		return x, err
 	}
 
 	// fill records the first per-coordinate inversion failure instead of
@@ -88,19 +59,17 @@ func WaterFill(p WaterFillProblem) ([]float64, error) {
 	// allocation.
 	var fillErr error
 	fill := func(lambda float64) float64 {
-		return p.fillAt(lambda, x, nil, &fillErr)
+		return p.fillAt(lambda, x, &fillErr)
 	}
 
 	// Bracket lambda: large lambda → small fill, small lambda → large fill.
 	// Derive bounds from the extreme per-coordinate marginal values.
 	var hi, lo float64 = 0, math.Inf(1)
-	anyWeight := false
-	probe := p.Budget/float64(4*n) + tiny
+	probe := p.Budget/float64(4*len(x)) + tiny
 	for i, w := range p.Weights {
 		if w <= 0 {
 			continue
 		}
-		anyWeight = true
 		deriv := p.derivFor(i)
 		if v := w * deriv(probe); v > hi && !math.IsInf(v, 1) && !math.IsNaN(v) {
 			hi = v
@@ -109,62 +78,94 @@ func WaterFill(p WaterFillProblem) ([]float64, error) {
 			lo = v
 		}
 	}
-	if !anyWeight {
-		return nil, ErrInfeasible
-	}
 	if hi == 0 {
 		hi = 1e300
 	}
 	if math.IsInf(lo, 1) || lo <= 0 {
 		lo = 1e-300
 	}
-	for fill(hi) > p.Budget {
+	// Widen ×4 until the bracket holds the sign change; one that would
+	// leave the float range is left unbracketed for Brent to report.
+	fhi := fill(hi)
+	for ; fhi > p.Budget && hi < math.MaxFloat64/4; fhi = fill(hi) {
 		hi *= 4
-		if math.IsInf(hi, 1) {
-			return nil, ErrNoConverge
-		}
 	}
-	for fill(lo) < p.Budget {
+	flo := fill(lo)
+	for ; flo < p.Budget && lo/4 > 0; flo = fill(lo) {
 		lo /= 4
-		if lo == 0 {
-			break
-		}
 	}
-	for i := 0; i < 200; i++ {
-		prod := lo * hi
-		mid := math.Sqrt(prod) // multiplier spans orders of magnitude: bisect in log space
-		if prod < 0x1p-1022 || math.IsInf(prod, 1) {
-			// lo·hi left the normal float range (dual levels beyond
-			// ~1e±154, e.g. steep step-utility transforms): the product is
-			// zero, infinite, or subnormal with only a few significant
-			// bits, so √(lo·hi) would stop the bisection early — or with
-			// the bracket wide open — and the slack pass below would
-			// silently distort the allocation to repair the budget gap.
-			// Take the geometric mean via logs instead.
-			mid = math.Exp((math.Log(lo) + math.Log(hi)) / 2)
-		}
-		if mid <= lo || mid >= hi || mid == 0 {
-			break
-		}
-		if fill(mid) > p.Budget {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	total := fill(hi)
-	if fillErr != nil {
-		return nil, fillErr
-	}
-	if err := p.settle(x, total); err != nil {
+	if _, err := p.solveDual(fill, x, lo, hi, flo, fhi, &fillErr); err != nil {
 		return nil, err
 	}
 	return x, nil
 }
 
+// start validates the problem and allocates its solution. done reports a
+// problem settled without a λ search: a zero budget, or one that saturates
+// every positive-weight coordinate. capSum is Σ Cap_i.
+func (p WaterFillProblem) start() (x []float64, capSum float64, done bool, err error) {
+	n := len(p.Weights)
+	if n == 0 || len(p.Caps) != n || p.Budget < 0 || (p.Deriv == nil && p.DerivFor == nil) {
+		return nil, 0, false, ErrInfeasible
+	}
+	// Feasibility is measured against the capacity actually reachable:
+	// zero-weight coordinates never receive anything (their caps are not
+	// usable capacity), so a budget exceeding the positive-weight cap sum
+	// has no solution respecting both the box constraints and Σ x = Budget.
+	var effCap float64
+	for i, c := range p.Caps {
+		if c < 0 || p.Weights[i] < 0 {
+			return nil, 0, false, ErrInfeasible
+		}
+		capSum += c
+		if p.Weights[i] > 0 {
+			effCap += c
+		}
+	}
+	if p.Budget > effCap*(1+1e-9) {
+		return nil, 0, false, ErrInfeasible
+	}
+	x = make([]float64, n)
+	if p.Budget > 0 && p.Budget >= effCap {
+		for i := range x {
+			if p.Weights[i] > 0 {
+				x[i] = p.Caps[i]
+			}
+		}
+	}
+	return x, capSum, p.Budget == 0 || p.Budget >= effCap, nil
+}
+
+// dualTol is the absolute tolerance of the λ search on ln λ, so λ itself
+// is resolved to ~1e-15 relative at any magnitude.
+const dualTol = 1e-15
+
+// solveDual closes a sign-bracket lo ≤ hi of fill(λ) − Budget (flo ≥
+// Budget ≥ fhi) with Brent on ln λ: the multiplier spans orders of
+// magnitude, and log space keeps dual levels far outside the normal float
+// range (steep step-utility transforms) as well-resolved as λ ≈ 1. It then
+// refills x on the Σx ≤ Budget side of the final bracket, settles the
+// rounding slack and returns the dual level.
+func (p WaterFillProblem) solveDual(fill func(float64) float64, x []float64, lo, hi, flo, fhi float64, fillErr *error) (float64, error) {
+	u, err := Brent(func(u float64) float64 { return fill(math.Exp(u)) - p.Budget },
+		math.Log(lo), math.Log(hi), flo-p.Budget, fhi-p.Budget, dualTol)
+	var lambda, total float64
+	if err == nil {
+		lambda = math.Exp(u)
+		total = fill(lambda)
+	}
+	if *fillErr != nil {
+		return 0, *fillErr
+	}
+	if err != nil {
+		return 0, err
+	}
+	return lambda, p.settle(x, total)
+}
+
 // settle distributes any residual rounding slack proportionally over
 // interior coordinates so Σ x_i = Budget holds tightly, then certifies the
-// budget constraint: if the λ-bisection stalled (flat or ill-conditioned
+// budget constraint: if the λ search stalled (flat or ill-conditioned
 // derivatives) the slack pass cannot repair an arbitrarily large gap, and
 // the result would quietly violate Σ x_i = Budget. The tolerance is loose
 // enough for honest rounding.
@@ -207,11 +208,11 @@ func (p WaterFillProblem) settle(x []float64, total float64) error {
 }
 
 // fillAt computes the per-coordinate allocation x_i(λ) = clamp(Deriv⁻¹(λ/w_i),
-// 0, Cap_i) into x and returns Σ x_i. guessAt, when non-nil, supplies the
-// starting point for the per-coordinate inversion; nil selects the cold-start
-// heuristic Cap_i/2. The first inversion failure is recorded in *fillErr so
-// callers reject allocations whose balance condition cannot be certified.
-func (p WaterFillProblem) fillAt(lambda float64, x []float64, guessAt func(i int) float64, fillErr *error) float64 {
+// 0, Cap_i) into x and returns Σ x_i, inverting each coordinate from the
+// cold-start guess Cap_i/2. The first inversion failure is recorded in
+// *fillErr so callers reject allocations whose balance condition cannot be
+// certified.
+func (p WaterFillProblem) fillAt(lambda float64, x []float64, fillErr *error) float64 {
 	var total float64
 	for i := range x {
 		w := p.Weights[i]
@@ -227,11 +228,7 @@ func (p WaterFillProblem) fillAt(lambda float64, x []float64, guessAt func(i int
 		} else if d0 := deriv(tiny); d0 <= target && !math.IsInf(d0, 1) {
 			x[i] = 0
 		} else {
-			guess := p.Caps[i] / 2
-			if guessAt != nil {
-				guess = guessAt(i)
-			}
-			v, err := InvertDecreasing(deriv, target, guess)
+			v, err := InvertDecreasing(deriv, target, p.Caps[i]/2)
 			if err != nil {
 				if *fillErr == nil {
 					*fillErr = fmt.Errorf("numeric: water-filling coordinate %d at λ=%g: %w", i, lambda, err)

@@ -76,7 +76,7 @@ func (s *session) anaSystem(u utility.Function) welfare.Homogeneous {
 // picture: the budget invariant Σx = ρS holds, the balance terms
 // d_i·ϕ(x_i) are constant across interior items, and the fixed point
 // coincides with the water-filling optimum computed by an entirely
-// different algorithm (internal/numeric bisection vs RK4 integration).
+// different algorithm (internal/numeric dual root search vs RK4 integration).
 func (s *session) checkMeanFieldFixedPoint() CheckResult {
 	res := CheckResult{Pass: true, Seed: s.cfg.Seed}
 	for _, u := range anaUtilities() {
@@ -135,8 +135,8 @@ func (s *session) checkMeanFieldFixedPoint() CheckResult {
 		// The fluid limit has no per-item cap x_i ≤ |S| (unlike
 		// RelaxedOptimal, whose caps model one copy per server), so the
 		// honest comparison is UNCAPPED water-filling on the same balance
-		// condition — computed by bisection, a wholly different algorithm
-		// than the RK4 integration it must agree with.
+		// condition — computed by a root search on the dual level, a wholly
+		// different algorithm than the RK4 integration it must agree with.
 		xt, err := numeric.WaterFill(numeric.WaterFillProblem{
 			Weights: hom.Pop.Rates,
 			Caps:    capsAt(len(x), budget),

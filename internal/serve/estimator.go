@@ -26,7 +26,10 @@ import (
 type Estimator struct {
 	rates    []float64 // d̂_i, req/s
 	halfLife float64   // seconds
-	observed uint64    // total requests folded since construction/restore
+	// observed is the running total of requests folded since
+	// construction/restore, fractional windows included; observedErr is
+	// its Neumaier compensation, so ten windows of 0.8 add up to exactly 8.
+	observed, observedErr float64
 }
 
 // NewEstimator builds an estimator over a catalog of items with the given
@@ -44,8 +47,9 @@ func NewEstimator(items int, halfLife float64) (*Estimator, error) {
 // Items returns the catalog size.
 func (e *Estimator) Items() int { return len(e.rates) }
 
-// Observed returns the total number of requests folded so far.
-func (e *Estimator) Observed() uint64 { return e.observed }
+// Observed returns the whole number of requests folded so far: the floor
+// of the running total, so fractional windows count once they add up.
+func (e *Estimator) Observed() uint64 { return uint64(e.observed + e.observedErr) }
 
 // Fold incorporates one observation window: counts[i] requests for item i
 // over window seconds. Every estimate decays by 2^{−window/halfLife} and
@@ -71,7 +75,13 @@ func (e *Estimator) Fold(counts []float64, window float64) error {
 	for i, c := range counts {
 		e.rates[i] = w*e.rates[i] + (1-w)*(c/window)
 	}
-	e.observed += uint64(total)
+	sum := e.observed + total
+	if e.observed >= total {
+		e.observedErr += e.observed - sum + total
+	} else {
+		e.observedErr += total - sum + e.observed
+	}
+	e.observed = sum
 	return nil
 }
 
@@ -93,6 +103,6 @@ func (e *Estimator) restore(rates []float64, observed uint64) error {
 		}
 	}
 	copy(e.rates, rates)
-	e.observed = observed
+	e.observed, e.observedErr = float64(observed), 0
 	return nil
 }

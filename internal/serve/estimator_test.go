@@ -28,6 +28,36 @@ func TestEstimatorConvergesToConstantRate(t *testing.T) {
 	}
 }
 
+// TestEstimatorObservedKeepsFractions is the regression for a counter that
+// truncated every window's total before adding it: ten windows of 0.8
+// requests reported 0. The running total keeps the fractions, and a
+// snapshot restore (which persists the whole number) loses less than one.
+func TestEstimatorObservedKeepsFractions(t *testing.T) {
+	e, err := NewEstimator(2, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 10; k++ {
+		if err := e.Fold([]float64{0.5, 0.3}, 0.5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := e.Observed(); got != 8 {
+		t.Fatalf("ten windows of 0.8: observed %d, want 8", got)
+	}
+	e.Fold([]float64{0.7, 0}, 0.5)
+	if got := e.Observed(); got != 8 {
+		t.Fatalf("8.7 requests: observed %d, want 8", got)
+	}
+	if err := e.restore(e.Snapshot().Rates, e.Observed()); err != nil {
+		t.Fatal(err)
+	}
+	e.Fold([]float64{0.6, 0.4}, 0.5)
+	if got := e.Observed(); got != 9 {
+		t.Fatalf("restored 8 + 1: observed %d, want 9", got)
+	}
+}
+
 func TestEstimatorHalfLifeDecay(t *testing.T) {
 	e, err := NewEstimator(1, 30)
 	if err != nil {

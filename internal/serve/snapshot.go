@@ -63,7 +63,7 @@ func (s *Server) Snapshot() (int, error) {
 		Version:     snapshotVersion,
 		Config:      s.snapConfig(),
 		Rates:       append([]float64(nil), s.est.rates...),
-		Observed:    s.est.observed,
+		Observed:    s.est.Observed(),
 		Alloc:       append([]float64(nil), s.alloc...),
 		Lambda:      s.lambda,
 		SolvedRates: append([]float64(nil), s.solvedPop.Rates...),
