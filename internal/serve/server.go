@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -183,9 +184,9 @@ type ObserveResponse struct {
 }
 
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
+	body, status, err := s.readBody(w, r)
 	if err != nil {
-		httpError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", s.cfg.MaxBody)
+		httpError(w, status, "%v", err)
 		return
 	}
 	// Decode and validate everything before taking the write lock: a bad
@@ -220,6 +221,32 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		resp.Warm = s.lastWarm
 	}
 	writeBody(w, resp)
+}
+
+// readBody reads a request body of at most MaxBody bytes. A body over
+// the cap is a 413; any other read failure, such as a body that ends
+// before its Content-Length or a client that hangs up, is a 400. A
+// declared length is read into one buffer of exactly that size.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, int, error) {
+	if r.ContentLength > s.cfg.MaxBody {
+		return nil, http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", s.cfg.MaxBody)
+	}
+	var body []byte
+	var err error
+	if r.ContentLength >= 0 {
+		body = make([]byte, r.ContentLength)
+		_, err = io.ReadFull(r.Body, body)
+	} else {
+		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
+	}
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		return nil, http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", s.cfg.MaxBody)
+	case err != nil:
+		return nil, http.StatusBadRequest, fmt.Errorf("serve: reading observe body: %w", err)
+	}
+	return body, http.StatusOK, nil
 }
 
 // resolveLocked re-solves the allocation for the demand estimate cur.

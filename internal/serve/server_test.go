@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand/v2"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -180,6 +182,8 @@ func TestServeRejectsBadRequests(t *testing.T) {
 		{"bad-index", "POST", "/v1/observe", `{"window_sec":1,"counts":{"x":1}}`, http.StatusBadRequest},
 		{"index-overflow", "POST", "/v1/observe", `{"window_sec":1,"counts":{"64":1}}`, http.StatusBadRequest},
 		{"neg-index", "POST", "/v1/observe", `{"window_sec":1,"counts":{"-1":1}}`, http.StatusBadRequest},
+		{"unknown-field", "POST", "/v1/observe", `{"window_sec":1,"counts":{"0":1},"note":"x"}`, http.StatusBadRequest},
+		{"zero-padded-index", "POST", "/v1/observe", `{"window_sec":1,"counts":{"07":1}}`, http.StatusBadRequest},
 		{"unknown-utility", "GET", "/v1/psi?utility=hyperbolic:2&y=3", "", http.StatusBadRequest},
 		{"malformed-utility", "GET", "/v1/psi?utility=step:&y=3", "", http.StatusBadRequest},
 		{"psi-no-y", "GET", "/v1/psi", "", http.StatusBadRequest},
@@ -218,6 +222,59 @@ func TestServeOversizedBodyRejected(t *testing.T) {
 	code, _ := post(t, ts.URL+"/v1/observe", big)
 	if code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body: HTTP %d, want %d", code, http.StatusRequestEntityTooLarge)
+	}
+}
+
+// TestServeTruncatedBodyRejected: a body that ends before its declared
+// Content-Length is a client error, not an oversized body, and must not
+// reach the estimator.
+func TestServeTruncatedBodyRejected(t *testing.T) {
+	_, ts := newTestServer(t, testConfig(t))
+	before := observedOf(t, ts.URL)
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	body := `{"window_sec":1,"counts":{"0":1}}`
+	fmt.Fprintf(conn, "POST /v1/observe HTTP/1.1\r\nHost: aged\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s",
+		len(body)+10, body)
+	// Hang up the sending side: the server sees the body end early.
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	msg, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "unexpected EOF") {
+		t.Fatalf("truncated body: HTTP %d %s, want %d naming the unexpected EOF", resp.StatusCode, msg, http.StatusBadRequest)
+	}
+	if after := observedOf(t, ts.URL); after != before {
+		t.Fatalf("truncated body mutated the estimator: observed %d → %d", before, after)
+	}
+}
+
+// TestServeOversizedStreamRejected: a body of undeclared length still
+// hits the MaxBody cap as a 413.
+func TestServeOversizedStreamRejected(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.MaxBody = 256
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := `{"window_sec":1,"counts":{"0":` + strings.Repeat("1", 500) + `}}`
+	req := httptest.NewRequest("POST", "/v1/observe", io.MultiReader(strings.NewReader(big)))
+	if req.ContentLength != -1 {
+		t.Fatalf("request declares Content-Length %d, want unknown", req.ContentLength)
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized stream: HTTP %d, want %d", rec.Code, http.StatusRequestEntityTooLarge)
 	}
 }
 
