@@ -30,6 +30,32 @@ func hybridTiny(t *testing.T) (Scenario, *rates.Model) {
 	return sc, m
 }
 
+// hybridBenchShape is the fluid shape of the hybrid benchmark workload
+// — 64 communities × 32 items, ρ = 3, contact budget split 70 % inside
+// the community and 30 % across — at a population and horizon small
+// enough for a unit test. The block kernel's loop order matters most
+// at this many communities, so the digest pinned here guards bit
+// identity where it is hardest to keep.
+func hybridBenchShape(t *testing.T) (Scenario, *rates.Model) {
+	t.Helper()
+	const nodes, comms, perNode = 6400, 64, 2.45
+	per := nodes / comms
+	m, err := rates.NewCommunity(rates.CommunityConfig{
+		Nodes:       nodes,
+		Communities: comms,
+		In:          0.7 * perNode / float64(per-1),
+		Out:         0.3 * perNode / float64(nodes-per),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := Default()
+	sc.Nodes, sc.Items, sc.Rho, sc.Duration = nodes, 32, 3, 80
+	sc.DemandRate = 0.04 * nodes
+	sc.Hybrid.Enabled = true
+	return sc, m
+}
+
 // TestHybridScaleReport: the hybrid branch of StructuredScale stamps its
 // provenance — fluid fraction, demotion count, probe contact volume —
 // into the report the benchmark rows are built from.
@@ -125,17 +151,25 @@ const hybridGoldenPath = "testdata/hybrid_digests.json"
 //	go test ./internal/experiment -run TestHybridDigestsPinned -update
 func TestHybridDigestsPinned(t *testing.T) {
 	sc, m := hybridTiny(t)
+	xsc, xm := hybridBenchShape(t)
 	got := make(map[string]string)
 	for _, tc := range []struct {
 		name    string
+		sc      Scenario
+		m       *rates.Model
+		u       utility.Function
 		schemes []string
 	}{
-		{"hybrid-qcr-uni", []string{SchemeQCR, SchemeUNI}},
-		{"hybrid-statics", []string{SchemeUNI, SchemePROP, SchemeDOM}},
+		{"hybrid-qcr-uni", sc, m, utility.Step{Tau: 10}, []string{SchemeQCR, SchemeUNI}},
+		{"hybrid-statics", sc, m, utility.Step{Tau: 10}, []string{SchemeUNI, SchemePROP, SchemeDOM}},
+		{"hybrid-xh-shape", xsc, xm, utility.Power{Alpha: 0}, []string{SchemeQCR, SchemeUNI}},
 	} {
-		rep, err := sc.StructuredScale(utility.Step{Tau: 10}, m, tc.schemes, 0)
+		rep, err := tc.sc.StructuredScale(tc.u, tc.m, tc.schemes, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if rep.FluidFraction == 0 || rep.Demotions != 0 {
+			t.Errorf("%s: fluid fraction %g, %d demotions: the pin must cover the fluid path", tc.name, rep.FluidFraction, rep.Demotions)
 		}
 		got[tc.name] = fmt.Sprintf("%#016x", rep.DigestFamily)
 	}
