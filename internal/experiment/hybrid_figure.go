@@ -42,20 +42,14 @@ func HybridFigure3(sc Scenario, m *rates.Model) ([]*plot.Table, error) {
 	uOpt := h.WelfareCounts(opt)
 	schemes := []string{SchemeQCR, SchemeUNI}
 
-	type trialSeries struct {
-		times, exp, obs []float64
-		tops            [5][]float64
-		fluid           float64
-		demotions       int
-	}
-	outs, err := parallel.RunTrials(sc.Trials, sc.Workers, sc.Seed, func(trial int, seed uint64) ([]*trialSeries, error) {
+	outs, err := parallel.RunTrials(sc.Trials, sc.Workers, sc.Seed, func(trial int, seed uint64) ([]*hybridSeries, error) {
 		results, err := sc.runHybridTrial(schemes, f, m, mu, uint64(trial), seed, true)
 		if err != nil {
 			return nil, err
 		}
-		series := make([]*trialSeries, len(results))
+		series := make([]*hybridSeries, len(results))
 		for k, res := range results {
-			ts := &trialSeries{
+			ts := &hybridSeries{
 				times: make([]float64, len(res.Bins)),
 				exp:   make([]float64, len(res.Bins)),
 				obs:   make([]float64, len(res.Bins)),
@@ -84,52 +78,69 @@ func HybridFigure3(sc Scenario, m *rates.Model) ([]*plot.Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	uUni := h.WelfareCounts(alloc.Uniform(sc.Items, sc.Nodes, sc.Rho))
+	return hybridFigureTables(sc.Nodes, opt, uOpt, uUni, outs)
+}
 
+// hybridSeries is one scheme's binned output from one hybrid trial.
+type hybridSeries struct {
+	times, exp, obs []float64
+	tops            [5][]float64
+	fluid           float64
+	demotions       int
+}
+
+// hybridFigureTables averages the per-trial series of HybridFigure3 (QCR
+// first, UNI second in each trial) into its four tables. A trial whose
+// bins do not line up with the first trial's is an error naming it.
+func hybridFigureTables(nodes int, opt alloc.Counts, uOpt, uUni float64, outs [][]*hybridSeries) ([]*plot.Table, error) {
 	var times []float64
-	collect := func(k int, pick func(*trialSeries) []float64) [][]float64 {
-		var out [][]float64
-		for _, trial := range outs {
-			if times == nil {
-				times = trial[k].times
-			}
-			out = append(out, pick(trial[k]))
-		}
-		return out
+	if len(outs) > 0 {
+		times = outs[0][0].times
 	}
-	mean := func(trials [][]float64) []float64 {
-		s, err := stats.MergeTrials(times, trials)
+	// The first error sticks; later columns are skipped.
+	var err error
+	add := func(tb *plot.Table, name string, y []float64) {
+		if err == nil {
+			err = tb.AddColumn(name, y)
+		}
+	}
+	mean := func(k int, pick func(*hybridSeries) []float64) []float64 {
 		if err != nil {
+			return nil
+		}
+		trials := make([][]float64, len(outs))
+		for i, trial := range outs {
+			trials[i] = pick(trial[k])
+		}
+		s, merr := stats.MergeTrials(times, trials)
+		if merr != nil {
+			err = fmt.Errorf("experiment: hybrid figure: %w", merr)
 			return nil
 		}
 		return s.Mean
 	}
-
-	qcrExp := collect(0, func(ts *trialSeries) []float64 { return ts.exp })
-	expT := &plot.Table{
-		Title:  fmt.Sprintf("Figure 3 at scale (N=%d, hybrid): expected utility U(x(t))", sc.Nodes),
-		XLabel: "time (min)",
+	table := func(title string) *plot.Table {
+		return &plot.Table{
+			Title:  fmt.Sprintf("Figure 3 at scale (N=%d, hybrid): %s", nodes, title),
+			XLabel: "time (min)",
+			X:      times,
+		}
 	}
-	expT.X = times
-	expT.AddColumn("QCR", mean(qcrExp))
-	expT.AddColumn("OPT", constant(len(times), uOpt))
-	expT.AddColumn("UNI", constant(len(times), h.WelfareCounts(alloc.Uniform(sc.Items, sc.Nodes, sc.Rho))))
 
-	obsT := &plot.Table{
-		Title:  fmt.Sprintf("Figure 3 at scale (N=%d, hybrid): observed utility", sc.Nodes),
-		XLabel: "time (min)",
-	}
-	obsT.X = times
-	obsT.AddColumn("QCR", mean(collect(0, func(ts *trialSeries) []float64 { return ts.obs })))
-	obsT.AddColumn("UNI", mean(collect(1, func(ts *trialSeries) []float64 { return ts.obs })))
+	expT := table("expected utility U(x(t))")
+	add(expT, "QCR", mean(0, func(ts *hybridSeries) []float64 { return ts.exp }))
+	add(expT, "OPT", constant(len(times), uOpt))
+	add(expT, "UNI", constant(len(times), uUni))
 
-	repT := &plot.Table{
-		Title:  fmt.Sprintf("Figure 3 at scale (N=%d, hybrid): replicas of top-5 items", sc.Nodes),
-		XLabel: "time (min)",
-	}
-	repT.X = times
+	obsT := table("observed utility")
+	add(obsT, "QCR", mean(0, func(ts *hybridSeries) []float64 { return ts.obs }))
+	add(obsT, "UNI", mean(1, func(ts *hybridSeries) []float64 { return ts.obs }))
+
+	repT := table("replicas of top-5 items")
 	for r := 0; r < 5; r++ {
-		repT.AddColumn(fmt.Sprintf("msg %d (target %d)", r+1, opt[r]),
-			mean(collect(0, func(ts *trialSeries) []float64 { return ts.tops[r][:] })))
+		add(repT, fmt.Sprintf("msg %d (target %d)", r+1, opt[r]),
+			mean(0, func(ts *hybridSeries) []float64 { return ts.tops[r] }))
 	}
 
 	provT := &plot.Table{Title: "Hybrid provenance per trial", XLabel: "trial"}
@@ -142,8 +153,10 @@ func HybridFigure3(sc Scenario, m *rates.Model) ([]*plot.Table, error) {
 		fluid[i] = trial[0].fluid
 		demo[i] = float64(trial[0].demotions + trial[1].demotions)
 	}
-	provT.AddColumn("fluid_fraction", fluid)
-	provT.AddColumn("demotions", demo)
-
+	add(provT, "fluid_fraction", fluid)
+	add(provT, "demotions", demo)
+	if err != nil {
+		return nil, err
+	}
 	return []*plot.Table{expT, obsT, repT, provT}, nil
 }

@@ -6,8 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
+	"impatience/internal/alloc"
 	"impatience/internal/rates"
 	"impatience/internal/utility"
 )
@@ -231,6 +233,48 @@ func TestHybridFigure3Pipeline(t *testing.T) {
 		}
 		if prov.Columns[1].Y[i] != 0 {
 			t.Errorf("trial %d demoted", i)
+		}
+	}
+}
+
+// TestHybridFigureTablesRejectMismatchedTrials: a trial whose bin count
+// differs from the first trial's must fail the figure with an error
+// naming that trial, not yield a table with a missing or empty column.
+func TestHybridFigureTablesRejectMismatchedTrials(t *testing.T) {
+	series := func(bins int) *hybridSeries {
+		ts := &hybridSeries{
+			times: make([]float64, bins),
+			exp:   make([]float64, bins),
+			obs:   make([]float64, bins),
+		}
+		for r := range ts.tops {
+			ts.tops[r] = make([]float64, bins)
+		}
+		return ts
+	}
+	opt := alloc.Counts{5, 4, 3, 2, 1}
+	good := [][]*hybridSeries{{series(4), series(4)}, {series(4), series(4)}}
+	tables, err := hybridFigureTables(100, opt, 1, 0.5, good)
+	if err != nil {
+		t.Fatalf("matched trials: %v", err)
+	}
+	if n := len(tables[0].Columns) + len(tables[1].Columns) + len(tables[2].Columns); n != 10 {
+		t.Errorf("matched trials gave %d series columns, want 10", n)
+	}
+	for _, tc := range []struct {
+		name string
+		outs [][]*hybridSeries
+	}{
+		{"qcr-short", [][]*hybridSeries{{series(4), series(4)}, {series(4), series(4)}, {series(3), series(4)}}},
+		{"uni-long", [][]*hybridSeries{{series(4), series(4)}, {series(4), series(4)}, {series(4), series(5)}}},
+	} {
+		_, err := hybridFigureTables(100, opt, 1, 0.5, tc.outs)
+		if err == nil {
+			t.Errorf("%s: mismatched trial accepted", tc.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), "trial 2") {
+			t.Errorf("%s: error %q does not name trial 2", tc.name, err)
 		}
 	}
 }

@@ -115,145 +115,207 @@ func (b BlockSystem) psiScale() float64 {
 	return 1
 }
 
-// meetRate returns M_k, the total meeting rate of one community-k node.
-func (b BlockSystem) meetRate(k int) float64 {
-	var m float64
-	for l, n := range b.Sizes {
-		peers := float64(n)
+// BlockKernel evaluates a block system's drift and welfare. States are
+// flat, x[k*Items()+i], and so is the kernel's scratch: one contiguous
+// row of Items() entries per community. What depends only on the contact
+// structure — M_k, µ_eff,k and the landing weights w_kl — is computed
+// once; the demand rows are read live, so a caller may rewrite
+// b.Demand in place between evaluations.
+//
+// Both matrix passes (λ_k· = Σ_l β_kl·holders_l· and the landing flux
+// writes_l· = Σ_k w_kl·burst_k·) are row combinations: whole rows of
+// Items() entries, several source rows per pass. Every floating-point
+// sum runs in the order of the per-cell formulas — over l ascending for
+// λ_ki, over k ascending for the landing flux, over i ascending for the
+// totals — so the results are bit-identical to evaluating cell by cell.
+// A kernel is not safe for concurrent use.
+type BlockKernel struct {
+	b     BlockSystem
+	items int
+	nTot  float64
+	scale float64
+	meet  []float64 // M_k: total meeting rate of one community-k node
+	muEff []float64 // M_k/N
+	capL  []float64 // ρ·N_l: community l's cache budget
+	every []int     // 0, 1, …, C−1: every community is a λ source
+	// landFrom[landOff[l]:landOff[l+1]] lists, ascending, the
+	// communities k with w_kl = β_kl·peers_l/M_k > 0 (M_k > 0), and
+	// landW the same span of weights.
+	landOff  []int
+	landFrom []int
+	landW    []float64
+
+	holders []float64 // max(x, minReplicas), row-major like x
+	burst   []float64 // replica creation per requesting community, like x
+	lam     []float64 // λ_k·: one community's hold-rate row
+	writes  []float64 // creation flux landing in one community
+}
+
+// Kernel builds the evaluation kernel of b. The system should be valid
+// (see Validate).
+func (b BlockSystem) Kernel() *BlockKernel {
+	c, items := len(b.Sizes), b.Items()
+	kn := &BlockKernel{
+		b:       b,
+		items:   items,
+		nTot:    float64(b.Nodes()),
+		scale:   b.psiScale(),
+		meet:    make([]float64, c),
+		muEff:   make([]float64, c),
+		capL:    make([]float64, c),
+		every:   make([]int, c),
+		landOff: make([]int, c+1),
+		holders: make([]float64, c*items),
+		burst:   make([]float64, c*items),
+		lam:     make([]float64, items),
+		writes:  make([]float64, items),
+	}
+	peers := func(k, l int) float64 {
 		if l == k {
-			peers--
+			return float64(b.Sizes[l] - 1)
 		}
-		m += b.Block[k][l] * peers
+		return float64(b.Sizes[l])
 	}
-	return m
-}
-
-// At indexes the flat state vector: replica count of item i in
-// community k.
-func (b BlockSystem) At(x []float64, k, i int) float64 { return x[k*b.Items()+i] }
-
-// HoldRate returns λ_ki: the rate at which one community-k node meets
-// holders of item i under state x.
-func (b BlockSystem) HoldRate(x []float64, k, i int) float64 {
-	var lam float64
-	items := b.Items()
-	for l := range b.Sizes {
-		lam += b.Block[k][l] * math.Max(x[l*items+i], minReplicas)
+	for k := 0; k < c; k++ {
+		var mk float64
+		for l := 0; l < c; l++ {
+			mk += b.Block[k][l] * peers(k, l)
+		}
+		kn.meet[k] = mk
+		kn.muEff[k] = mk / kn.nTot
+		kn.capL[k] = float64(b.Rho * b.Sizes[k])
+		kn.every[k] = k
 	}
-	return lam
-}
-
-// Derivs evaluates the block dynamics; the state layout is
-// x[k*Items()+i].
-func (b BlockSystem) Derivs(t float64, x, dst []float64) {
-	b.derivsInto(t, x, dst, make([]float64, len(dst)), make([]float64, len(dst)))
-}
-
-// derivs returns a Derivs closure with reusable flux and holder
-// buffers, so the solver's six evaluations per step do not allocate.
-func (b BlockSystem) derivs() numeric.Derivs {
-	var buf, holders []float64
-	return func(t float64, x, dst []float64) {
-		if len(buf) != len(dst) {
-			buf = make([]float64, len(dst))
-			holders = make([]float64, len(dst))
-		} else {
-			for i := range buf {
-				buf[i] = 0
+	// Replicas minted for a k-request land where k's meetings land.
+	kn.landFrom = make([]int, 0, c*c)
+	kn.landW = make([]float64, 0, c*c)
+	for l := 0; l < c; l++ {
+		for k := 0; k < c; k++ {
+			if kn.meet[k] <= 0 {
+				continue
+			}
+			if w := b.Block[k][l] * peers(k, l) / kn.meet[k]; w > 0 {
+				kn.landFrom = append(kn.landFrom, k)
+				kn.landW = append(kn.landW, w)
 			}
 		}
-		b.derivsInto(t, x, dst, buf, holders)
+		kn.landOff[l+1] = len(kn.landFrom)
+	}
+	return kn
+}
+
+// combineRows sets out = Σ_j coef[j]·src[idx[j]·n : (idx[j]+1)·n] with
+// n = len(out), accumulating in j order from zero. Four source rows go
+// per pass so each out[i] stays in a register; the sum per entry is the
+// same sequence of additions as one row at a time.
+func combineRows(out, src []float64, idx []int, coef []float64) {
+	n := len(out)
+	clear(out)
+	j := 0
+	for ; j+4 <= len(idx); j += 4 {
+		c0, c1, c2, c3 := coef[j], coef[j+1], coef[j+2], coef[j+3]
+		r0 := src[idx[j]*n:][:len(out)]
+		r1 := src[idx[j+1]*n:][:len(out)]
+		r2 := src[idx[j+2]*n:][:len(out)]
+		r3 := src[idx[j+3]*n:][:len(out)]
+		for i, s := range out {
+			s += c0 * r0[i]
+			s += c1 * r1[i]
+			s += c2 * r2[i]
+			s += c3 * r3[i]
+			out[i] = s
+		}
+	}
+	for ; j < len(idx); j++ {
+		c, r := coef[j], src[idx[j]*n:][:len(out)]
+		for i := range out {
+			out[i] += c * r[i]
+		}
 	}
 }
 
-// derivsInto evaluates the drift. holders is scratch of len(x); it is
-// filled with the item-major transpose of max(x, minReplicas) so the
-// O(C) hold-rate sum in the hot (k, i) loop reads one contiguous run
-// instead of striding by Items() and re-clamping per term. The sum
-// order over l is unchanged, so the result is bit-identical to going
-// through HoldRate.
-func (b BlockSystem) derivsInto(_ float64, x, dst, writesInto, holders []float64) {
-	c := len(b.Sizes)
-	items := b.Items()
-	nTot := float64(b.Nodes())
-	scale := b.psiScale()
-	for l := 0; l < c; l++ {
-		for i := 0; i < items; i++ {
-			holders[i*c+l] = math.Max(x[l*items+i], minReplicas)
+// clampHolders fills holders with max(x, minReplicas). The compare
+// keeps math.Max's result for a positive floor, NaN included.
+func (kn *BlockKernel) clampHolders(x []float64) {
+	for i, v := range x[:len(kn.holders)] {
+		if v < minReplicas {
+			v = minReplicas
+		}
+		kn.holders[i] = v
+	}
+}
+
+// holdRow fills lam with λ_k· = Σ_l β_kl·holders_l·.
+func (kn *BlockKernel) holdRow(k int) []float64 {
+	combineRows(kn.lam, kn.holders, kn.every, kn.b.Block[k])
+	return kn.lam
+}
+
+// Derivs evaluates the drift into dst (numeric.Derivs).
+func (kn *BlockKernel) Derivs(_ float64, x, dst []float64) {
+	b, items, c := kn.b, kn.items, len(kn.meet)
+	kn.clampHolders(x)
+	for k := 0; k < c; k++ {
+		if kn.meet[k] <= 0 {
+			continue // k meets nobody: it lands no replicas
+		}
+		muEff := kn.muEff[k]
+		lam := kn.holdRow(k)
+		burst := kn.burst[k*items:][:len(lam)]
+		for i, d := range b.Demand[k][:len(lam)] {
+			var v float64
+			if d != 0 {
+				xhat := lam[i] / muEff
+				if xhat < minReplicas {
+					xhat = minReplicas
+				}
+				v = d * kn.scale * utility.Psi(b.Utility, muEff, kn.nTot, kn.nTot/xhat)
+				// A zero burst adds +0 to the landing flux, which
+				// leaves its (never −0) bits alone; NaN still propagates.
+				if v <= 0 {
+					v = 0
+				}
+			}
+			burst[i] = v
 		}
 	}
-	// writesInto[l*items+i]: replica-creation flux landing in community l.
-	for k := 0; k < c; k++ {
-		mk := b.meetRate(k)
-		if mk <= 0 {
-			continue
+	row := kn.writes
+	for l := 0; l < c; l++ {
+		lo, hi := kn.landOff[l], kn.landOff[l+1]
+		combineRows(row, kn.burst, kn.landFrom[lo:hi], kn.landW[lo:hi])
+		var total float64
+		for _, v := range row {
+			total += v
 		}
-		muEff := mk / nTot
-		row := b.Block[k]
-		for i := 0; i < items; i++ {
-			d := b.Demand[k][i]
+		capL := kn.capL[l]
+		out, held := dst[l*items:][:len(row)], kn.holders[l*items:][:len(row)]
+		for i, v := range row {
+			out[i] = v - held[i]/capL*total
+		}
+	}
+}
+
+// Welfare evaluates the aggregate welfare rate Σ_k U_k(x), with U_k the
+// pure-P2P closed form under the block-model hold rate:
+// Σ_i d_ki·[x_ki/N_k·h(0⁺) + (1−x_ki/N_k)·E h(Exp(λ_ki))].
+func (kn *BlockKernel) Welfare(x []float64) float64 {
+	b, items := kn.b, kn.items
+	kn.clampHolders(x)
+	h0 := b.Utility.H0()
+	var u float64
+	for k, n := range b.Sizes {
+		lam := kn.holdRow(k)
+		nk := float64(n)
+		xk := x[k*items : (k+1)*items]
+		var uk float64
+		for i, d := range b.Demand[k] {
 			if d == 0 {
 				continue
 			}
-			var lam float64
-			for l, h := range holders[i*c : i*c+c] {
-				lam += row[l] * h
-			}
-			xhat := lam / muEff
-			burst := d * scale * utility.Psi(b.Utility, muEff, nTot, nTot/math.Max(xhat, minReplicas))
-			if burst <= 0 {
-				continue
-			}
-			// Replicas land where k's meetings land.
-			for l := 0; l < c; l++ {
-				peers := float64(b.Sizes[l])
-				if l == k {
-					peers--
-				}
-				w := b.Block[k][l] * peers / mk
-				if w > 0 {
-					writesInto[l*items+i] += burst * w
-				}
-			}
+			frac := math.Min(math.Max(xk[i], 0)/nk, 1)
+			uk += d * (frac*h0 + (1-frac)*b.Utility.ExpectedGain(lam[i]))
 		}
-	}
-	for l := 0; l < c; l++ {
-		capL := float64(b.Rho * b.Sizes[l])
-		var total float64
-		for i := 0; i < items; i++ {
-			total += writesInto[l*items+i]
-		}
-		for i := 0; i < items; i++ {
-			xi := math.Max(x[l*items+i], minReplicas)
-			dst[l*items+i] = writesInto[l*items+i] - xi/capL*total
-		}
-	}
-}
-
-// WelfareOf evaluates community k's welfare rate under state x: the
-// pure-P2P closed form with the block-model hold rate,
-// Σ_i d_ki·[x_ki/N_k·h(0⁺) + (1−x_ki/N_k)·E h(Exp(λ_ki))].
-func (b BlockSystem) WelfareOf(x []float64, k int) float64 {
-	items := b.Items()
-	nk := float64(b.Sizes[k])
-	var u float64
-	for i := 0; i < items; i++ {
-		d := b.Demand[k][i]
-		if d == 0 {
-			continue
-		}
-		frac := math.Min(math.Max(x[k*items+i], 0)/nk, 1)
-		g := b.Utility.ExpectedGain(b.HoldRate(x, k, i))
-		u += d * (frac*b.Utility.H0() + (1-frac)*g)
-	}
-	return u
-}
-
-// Welfare evaluates the aggregate welfare rate Σ_k U_k(x).
-func (b BlockSystem) Welfare(x []float64) float64 {
-	var u float64
-	for k := range b.Sizes {
-		u += b.WelfareOf(x, k)
+		u += uk
 	}
 	return u
 }
@@ -292,14 +354,22 @@ func (b BlockSystem) Stepper(x0 []float64, t0, step float64) (*numeric.Stepper, 
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
-	if len(x0) != len(b.Sizes)*b.Items() {
+	return b.Kernel().Stepper(x0, t0, step)
+}
+
+// Stepper returns an adaptive integrator of the kernel's drift
+// positioned at (t0, x0), after validating x0. The stepper evaluates
+// through kn, so a caller holding both must not evaluate kn while the
+// stepper advances.
+func (kn *BlockKernel) Stepper(x0 []float64, t0, step float64) (*numeric.Stepper, error) {
+	if len(x0) != len(kn.holders) {
 		return nil, fmt.Errorf("%w: state has %d entries, want %d communities × %d items",
-			ErrSystem, len(x0), len(b.Sizes), b.Items())
+			ErrSystem, len(x0), len(kn.meet), kn.items)
 	}
 	for i, v := range x0 {
 		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
 			return nil, fmt.Errorf("%w: x0[%d]=%g", ErrSystem, i, v)
 		}
 	}
-	return numeric.NewStepper(b.derivs(), x0, t0, solverOpts(step, true)), nil
+	return numeric.NewStepper(kn.Derivs, x0, t0, solverOpts(step, true)), nil
 }

@@ -49,7 +49,7 @@ func TestBlockMassConservation(t *testing.T) {
 	x[0] += 5
 	x[1] -= 5
 	dst := make([]float64, len(x))
-	b.Derivs(0, x, dst)
+	b.Kernel().Derivs(0, x, dst)
 	items := b.Items()
 	for k := range b.Sizes {
 		var sum float64
@@ -141,5 +141,57 @@ func TestBlockValidateTable(t *testing.T) {
 	}
 	if _, err := b.Stepper(make([]float64, 3), 0, 0); !errors.Is(err, ErrSystem) {
 		t.Errorf("short state accepted: %v", err)
+	}
+}
+
+// TestBlockStepperAdvanceAllocs: once primed, advancing the block
+// stepper allocates nothing — the drift kernel owns its scratch.
+func TestBlockStepperAdvanceAllocs(t *testing.T) {
+	b := twoCommunities(utility.Step{Tau: 10})
+	st, err := b.Stepper(b.UniformStart(), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := 0.0
+	advance := func() {
+		target += 5
+		if err := st.AdvanceTo(target); err != nil {
+			t.Fatal(err)
+		}
+	}
+	advance()
+	if avg := testing.AllocsPerRun(50, advance); avg != 0 {
+		t.Errorf("AdvanceTo allocates %.2f objects per call, want 0", avg)
+	}
+	if st.Stats().Steps == 0 {
+		t.Error("stepper took no steps")
+	}
+}
+
+// BenchmarkBlockKernelDerivs times one drift evaluation at the hybrid
+// benchmark's fluid shape: 64 communities × 32 items, power utility.
+func BenchmarkBlockKernelDerivs(b *testing.B) {
+	const c, items = 64, 32
+	sys := BlockSystem{Utility: utility.Power{Alpha: 0}, Rho: 3}
+	for k := 0; k < c; k++ {
+		sys.Sizes = append(sys.Sizes, 1562)
+		row := make([]float64, c)
+		for l := range row {
+			row[l] = 1e-5
+		}
+		row[k] = 1e-3
+		sys.Block = append(sys.Block, row)
+		d := make([]float64, items)
+		for i := range d {
+			d[i] = 10 / float64(i+1)
+		}
+		sys.Demand = append(sys.Demand, d)
+	}
+	x := sys.UniformStart()
+	dst := make([]float64, len(x))
+	kn := sys.Kernel()
+	b.ReportAllocs()
+	for b.Loop() {
+		kn.Derivs(0, x, dst)
 	}
 }

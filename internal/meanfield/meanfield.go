@@ -122,13 +122,16 @@ func solverOpts(step float64, clamp bool) numeric.RKOpts {
 // clampFloor applies the sticky-replica floor: the fluid limit keeps
 // x_i > 0 exactly, but a finite step can overshoot, and a negative
 // replica count is meaningless (and poisons downstream welfare
-// evaluation).
-func clampFloor(x []float64) {
+// evaluation). It reports whether any entry moved.
+func clampFloor(x []float64) bool {
+	moved := false
 	for i := range x {
 		if x[i] < minReplicas {
 			x[i] = minReplicas
+			moved = true
 		}
 	}
+	return moved
 }
 
 // Run integrates the dynamics from x0 for horizon time units with the

@@ -28,9 +28,10 @@ type RKOpts struct {
 	// spinning.
 	MaxSteps int
 	// Clamp, when non-nil, is applied to the state after every accepted
-	// step (e.g. a positivity floor). Clamping invalidates the FSAL
-	// derivative reuse for the next step.
-	Clamp func(x []float64)
+	// step (e.g. a positivity floor) and reports whether it moved the
+	// state. Only a step it moved pays a fresh first-stage derivative;
+	// otherwise the FSAL derivative is reused as on an unclamped step.
+	Clamp func(x []float64) bool
 }
 
 // RKStats reports the work an integration performed.
@@ -111,6 +112,11 @@ func (s *Stepper) State() []float64 { return s.x }
 // Stats returns cumulative work counters.
 func (s *Stepper) Stats() RKStats { return s.stats }
 
+// Invalidate drops the cached first-stage derivative, so the next step
+// evaluates it afresh. Call it after changing anything the derivative
+// function reads other than the state.
+func (s *Stepper) Invalidate() { s.fsal = false }
+
 // initStep picks the first step size: the configured seed, or a
 // conservative guess from the state/derivative norms.
 func (s *Stepper) initStep(span float64) float64 {
@@ -185,11 +191,7 @@ func (s *Stepper) AdvanceTo(target float64) error {
 			copy(s.x, s.ynew)
 			// FSAL: the last stage is the derivative at the new state.
 			s.k[0], s.k[6] = s.k[6], s.k[0]
-			s.fsal = true
-			if s.o.Clamp != nil {
-				s.o.Clamp(s.x)
-				s.fsal = false // the clamp may have moved the state
-			}
+			s.fsal = s.o.Clamp == nil || !s.o.Clamp(s.x)
 			s.stats.Steps++
 			if !last {
 				s.h = h * fac

@@ -105,10 +105,12 @@ func TestRK45ClampApplied(t *testing.T) {
 	floor := 0.25
 	got, _, err := RK45(f, []float64{1}, 0, 10, RKOpts{
 		RTol: 1e-6,
-		Clamp: func(x []float64) {
+		Clamp: func(x []float64) bool {
 			if x[0] < floor {
 				x[0] = floor
+				return true
 			}
+			return false
 		},
 	})
 	if err != nil {
@@ -116,6 +118,105 @@ func TestRK45ClampApplied(t *testing.T) {
 	}
 	if got[0] != floor {
 		t.Errorf("clamped state = %g, want %g", got[0], floor)
+	}
+}
+
+// TestRK45NoOpClampKeepsFSAL: a clamp that reports it left the state
+// alone must not cost the FSAL reuse — the integration is bit-identical
+// to an unclamped one, work counters included.
+func TestRK45NoOpClampKeepsFSAL(t *testing.T) {
+	f := func(_ float64, x, dst []float64) { dst[0], dst[1] = -x[0], x[0]-0.5*x[1] }
+	x0 := []float64{1, 0}
+	o := RKOpts{RTol: 1e-8, ATol: 1e-12}
+	want, ws, err := RK45(f, x0, 0, 5, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	o.Clamp = func([]float64) bool { calls++; return false }
+	got, gs, err := RK45(f, x0, 0, 5, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != gs.Steps {
+		t.Errorf("clamp ran %d times over %d accepted steps", calls, gs.Steps)
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Errorf("x[%d] = %v with a no-op clamp, %v without", i, got[i], want[i])
+		}
+	}
+	if gs != ws {
+		t.Errorf("stats %+v with a no-op clamp, %+v without", gs, ws)
+	}
+}
+
+// TestRK45MovingClampForcesReevaluation: after a clamp that moved the
+// state, the next step must evaluate the derivative at the clamped
+// state instead of reusing the FSAL derivative of the unclamped one.
+func TestRK45MovingClampForcesReevaluation(t *testing.T) {
+	const floor = 0.25
+	atFloor := 0
+	f := func(_ float64, x, dst []float64) {
+		if x[0] == floor {
+			atFloor++
+		}
+		dst[0] = -x[0] - 1
+	}
+	moved := 0
+	_, st, err := RK45(f, []float64{1}, 0, 3, RKOpts{
+		RTol: 1e-6,
+		Clamp: func(x []float64) bool {
+			if x[0] < floor {
+				x[0] = floor
+				moved++
+				return true
+			}
+			return false
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if moved == 0 {
+		t.Fatal("clamp never moved the state")
+	}
+	// Every move but a final one is followed by a fresh evaluation at
+	// exactly the clamped state.
+	if atFloor < moved-1 || atFloor == 0 {
+		t.Errorf("derivative evaluated %d times at the clamped state after %d moves", atFloor, moved)
+	}
+	// One initial evaluation, six per attempt, one more per moved step
+	// that another step follows.
+	if want := 1 + 6*(st.Steps+st.Rejected) + atFloor; st.Evals != want {
+		t.Errorf("%d evaluations, want %d (%+v)", st.Evals, want, st)
+	}
+}
+
+// TestStepperInvalidate: after a change to what the derivative reads,
+// Invalidate makes the next step start from a fresh derivative — the
+// same bits as a stepper that never reuses one.
+func TestStepperInvalidate(t *testing.T) {
+	rate := 1.0
+	f := func(_ float64, x, dst []float64) { dst[0] = -rate * x[0] }
+	o := RKOpts{RTol: 1e-8, ATol: 1e-12}
+	got := NewStepper(f, []float64{1}, 0, o)
+	o.Clamp = func([]float64) bool { return true } // re-evaluate every step
+	want := NewStepper(f, []float64{1}, 0, o)
+	for _, s := range []*Stepper{got, want} {
+		if err := s.AdvanceTo(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rate = 3
+	got.Invalidate()
+	for _, s := range []*Stepper{got, want} {
+		if err := s.AdvanceTo(2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if g, w := got.State()[0], want.State()[0]; math.Float64bits(g) != math.Float64bits(w) {
+		t.Errorf("x(2) = %v after Invalidate, %v re-evaluating every step", g, w)
 	}
 }
 

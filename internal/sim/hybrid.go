@@ -244,9 +244,10 @@ type hybridRun struct {
 	duration float64
 
 	b       meanfield.BlockSystem
-	stepper *numeric.Stepper // nil for static policies
-	xs      []float64        // fluid state at the last checkpoint
-	belief  []float64        // fluid demand belief (global d_i)
+	kern    *meanfield.BlockKernel // drift and welfare, with their scratch
+	stepper *numeric.Stepper       // integrates through kern; nil for static policies
+	xs      []float64              // fluid state at the last checkpoint
+	belief  []float64              // fluid demand belief (global d_i)
 
 	nodes, items, comms int
 	sizes               []int
@@ -275,6 +276,7 @@ type hybridRun struct {
 	binInt    float64 // ∫ U dt over the current bin
 	winGain   []float64
 	winArr    []float64 // per item: probe arrivals this window
+	samples   []float64 // per probe: window gain rate (scratch)
 	binGain   float64
 	binFuls   int
 	binIdx    int
@@ -358,10 +360,13 @@ func newHybridRun(cfg *Config, m *rates.Model, duration float64, hy HybridOption
 	if err != nil {
 		return nil, err
 	}
+	if err := b.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrHybrid, err)
+	}
 
 	h := &hybridRun{
 		cfg: cfg, m: m, hy: hy, duration: duration,
-		b: b, xs: append([]float64(nil), x0...), belief: belief,
+		b: b, kern: b.Kernel(), xs: append([]float64(nil), x0...), belief: belief,
 		nodes: nodes, items: items, comms: comms, sizes: sizes,
 		measureStart: cfg.WarmupFrac * duration,
 		winArr:       make([]float64, items),
@@ -371,13 +376,11 @@ func newHybridRun(cfg *Config, m *rates.Model, duration float64, hy HybridOption
 	h.pushBelief()
 
 	if _, ok := cfg.Policy.(*core.QCR); ok {
-		st, err := b.Stepper(x0, 0, 0)
+		st, err := h.kern.Stepper(x0, 0, 0)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrHybrid, err)
 		}
 		h.stepper = st
-	} else if err := b.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrHybrid, err)
 	}
 
 	// Community meeting rates and partner CDFs.
@@ -437,6 +440,7 @@ func newHybridRun(cfg *Config, m *rates.Model, duration float64, hy HybridOption
 	}
 	h.open = make([][]openReq, total)
 	h.winGain = make([]float64, total)
+	h.samples = make([]float64, total)
 
 	h.rng = rand.New(rand.NewPCG(cfg.Seed, hy.ContactSeed^0x9e3779b97f4a7c15))
 	h.setPop(cfg.Pop.Rates)
@@ -448,7 +452,7 @@ func newHybridRun(cfg *Config, m *rates.Model, duration float64, hy HybridOption
 	h.tally.BoundaryNodes = total
 	h.tally.FluidNodes = nodes - total
 	h.tally.FluidFraction = float64(nodes-total) / float64(nodes)
-	h.uPrev = h.b.Welfare(h.xs)
+	h.uPrev = h.kern.Welfare(h.xs)
 	return h, nil
 }
 
@@ -513,8 +517,9 @@ func hybridStart(cfg *Config, m *rates.Model, items int) ([]float64, error) {
 
 // pushBelief writes the global demand belief into the per-community
 // fluid demand rows (uniform profile: community share N_k/N). The rows
-// are the same slices the stepper's drift closure reads, so the update
-// is visible without rebuilding the system.
+// are the same slices the stepper's drift kernel reads, so the update
+// is visible without rebuilding the system; the stepper only has to
+// drop its cached derivative.
 func (h *hybridRun) pushBelief() {
 	nodes := float64(h.nodes)
 	for k, n := range h.b.Sizes {
@@ -523,6 +528,9 @@ func (h *hybridRun) pushBelief() {
 		for i, d := range h.belief {
 			row[i] = d * share
 		}
+	}
+	if h.stepper != nil {
+		h.stepper.Invalidate()
 	}
 }
 
@@ -642,11 +650,14 @@ func (h *hybridRun) drive() error {
 }
 
 // checkpoint advances the fluid to t1 and accrues the welfare
-// integrals by the trapezoid rule over [t0, t1].
+// integrals by the trapezoid rule over [t0, t1]. A static run's state
+// never moves, so its welfare is uPrev (window refreshes that when the
+// demand belief moves).
 func (h *hybridRun) checkpoint(t0, t1 float64) error {
 	if t1 <= t0 {
 		return nil
 	}
+	u := h.uPrev
 	if h.stepper != nil {
 		if err := h.stepper.AdvanceTo(t1); err != nil {
 			// An integration failure is a fidelity problem, not a user
@@ -656,8 +667,8 @@ func (h *hybridRun) checkpoint(t0, t1 float64) error {
 			return nil
 		}
 		copy(h.xs, h.stepper.State())
+		u = h.kern.Welfare(h.xs)
 	}
-	u := h.b.Welfare(h.xs)
 	area := (h.uPrev + u) / 2 * (t1 - t0)
 	if t0 >= h.measureStart {
 		h.totalInt += area
@@ -779,7 +790,7 @@ func (h *hybridRun) window(t0, t1 float64) {
 				h.belief[i] = (1-alpha)*h.belief[i] + alpha*obs
 			}
 			h.pushBelief()
-			h.uPrev = h.b.Welfare(h.xs) // belief moved: restart the trapezoid
+			h.uPrev = h.kern.Welfare(h.xs) // belief moved: restart the trapezoid
 		}
 	}
 	var arrivals float64
@@ -796,11 +807,10 @@ func (h *hybridRun) window(t0, t1 float64) {
 	// implies at that arrival rate. Such windows are skipped, not
 	// counted: the controller stays silent where it has no power.
 	if t0 >= h.measureStart && h.probes >= 2 && arrivals >= minWindowArrivals {
-		samples := make([]float64, h.probes)
-		for p := range samples {
-			samples[p] = h.winGain[p] / winLen
+		for p := range h.samples {
+			h.samples[p] = h.winGain[p] / winLen
 		}
-		iv := stats.MeanCI(samples, h.hy.Conf)
+		iv := stats.MeanCI(h.samples, h.hy.Conf)
 		pred := h.winInt / winLen / float64(h.nodes)
 		diff := math.Abs(iv.Center - pred)
 		tol := h.hy.Slack*iv.Halfwidth + h.hy.Floor*math.Abs(pred)

@@ -356,3 +356,88 @@ func TestHybridErrIdentity(t *testing.T) {
 		t.Errorf("error %v does not wrap ErrHybrid", err)
 	}
 }
+
+// TestHybridCheckpointWindowAllocs: a QCR fluid run's checkpoint and
+// controller window allocate nothing — the welfare kernel owns its
+// scratch and the window reuses its per-probe sample buffer. The cycle
+// feeds every item a probe arrival and the last item a burst of them,
+// so both the controller's CI check and the belief feedback run.
+func TestHybridCheckpointWindowAllocs(t *testing.T) {
+	const n, duration = 200, 800.0
+	m := hybridModel(t, n)
+	cfg, scale := hybridQCRConfig(t, n, m.MeanPairRate())
+	hy := HybridOptions{ContactSeed: 5, ReactionScale: scale}.withDefaults(duration)
+	h, err := newHybridRun(&cfg, m, duration, hy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.hy.Breach = math.MaxInt // keep the (allocating) demotion message out of the loop
+	dt := hy.Window / 16
+	now := 0.0
+	cycle := func() {
+		for range 16 {
+			if err := h.checkpoint(now, now+dt); err != nil {
+				t.Fatal(err)
+			}
+			now += dt
+		}
+		for i := range h.winArr {
+			h.winArr[i] = 1
+		}
+		h.winArr[len(h.winArr)-1] = 40
+		for p := range h.winGain {
+			h.winGain[p] = float64(p % 3)
+		}
+		h.window(now-hy.Window, now)
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(8, cycle); avg != 0 {
+		t.Errorf("checkpoint+window cycle allocates %.2f objects, want 0", avg)
+	}
+	if h.demoted || h.tally.Windows == 0 {
+		t.Errorf("controller never checked a window (demoted=%v, tally %+v)", h.demoted, h.tally)
+	}
+	if last := len(h.belief) - 1; h.belief[last] == cfg.Pop.Rates[last] {
+		t.Error("belief feedback never ran")
+	}
+}
+
+// TestHybridBeliefPushRefreshesDrift: when window feedback moves the
+// demand belief, the stepper must not reuse a first-stage derivative
+// computed under the old demand. A run whose stepper is told explicitly
+// to drop it must agree bit for bit.
+func TestHybridBeliefPushRefreshesDrift(t *testing.T) {
+	const n, duration = 200, 800.0
+	m := hybridModel(t, n)
+	build := func() *hybridRun {
+		cfg, scale := hybridQCRConfig(t, n, m.MeanPairRate())
+		hy := HybridOptions{ContactSeed: 5, ReactionScale: scale}.withDefaults(duration)
+		h, err := newHybridRun(&cfg, m, duration, hy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	got, want := build(), build()
+	dt := duration / 32
+	for _, h := range []*hybridRun{got, want} {
+		if err := h.checkpoint(0, dt); err != nil {
+			t.Fatal(err)
+		}
+		for i := range h.belief {
+			h.belief[i] *= 1 + float64(i%3)
+		}
+		h.pushBelief()
+	}
+	want.stepper.Invalidate()
+	for _, h := range []*hybridRun{got, want} {
+		if err := h.checkpoint(dt, 2*dt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for j := range got.xs {
+		if math.Float64bits(got.xs[j]) != math.Float64bits(want.xs[j]) {
+			t.Fatalf("x[%d] = %v after the belief push, %v with the derivative dropped", j, got.xs[j], want.xs[j])
+		}
+	}
+}

@@ -114,13 +114,18 @@ func (iv Interval) String() string {
 // callers treating "inside the interval" as a pass never pass on starved
 // data by accident — they fail the shrinkage gate instead.
 func MeanCI(xs []float64, conf float64) Interval {
-	s := Summarize(xs)
-	iv := Interval{Center: s.Mean, Conf: conf, Halfwidth: math.Inf(1), DF: float64(s.N - 1)}
-	if s.N < 2 {
+	n := len(xs)
+	iv := Interval{Conf: conf, Halfwidth: math.Inf(1), DF: float64(n - 1)}
+	if n == 0 {
+		return iv
+	}
+	var sd float64
+	iv.Center, sd = moments(xs)
+	if n < 2 {
 		return iv
 	}
 	t := TQuantile(0.5+conf/2, iv.DF)
-	iv.Halfwidth = t * s.Stddev / math.Sqrt(float64(s.N))
+	iv.Halfwidth = t * sd / math.Sqrt(float64(n))
 	return iv
 }
 

@@ -23,9 +23,7 @@ func Summarize(xs []float64) Summary {
 		return Summary{}
 	}
 	s := Summary{N: len(xs), Min: math.Inf(1), Max: math.Inf(-1)}
-	var sum float64
 	for _, x := range xs {
-		sum += x
 		if x < s.Min {
 			s.Min = x
 		}
@@ -33,19 +31,30 @@ func Summarize(xs []float64) Summary {
 			s.Max = x
 		}
 	}
-	s.Mean = sum / float64(s.N)
-	var ss float64
-	for _, x := range xs {
-		d := x - s.Mean
-		ss += d * d
-	}
-	if s.N > 1 {
-		s.Stddev = math.Sqrt(ss / float64(s.N-1))
-	}
+	s.Mean, s.Stddev = moments(xs)
 	s.P5 = Percentile(xs, 0.05)
 	s.P50 = Percentile(xs, 0.50)
 	s.P95 = Percentile(xs, 0.95)
 	return s
+}
+
+// moments returns the mean and the sample standard deviation (0 below
+// two observations) of a non-empty sample, without allocating.
+func moments(xs []float64) (mean, stddev float64) {
+	var sum float64
+	for _, x := range xs {
+		sum += x
+	}
+	mean = sum / float64(len(xs))
+	var ss float64
+	for _, x := range xs {
+		d := x - mean
+		ss += d * d
+	}
+	if len(xs) > 1 {
+		stddev = math.Sqrt(ss / float64(len(xs)-1))
+	}
+	return mean, stddev
 }
 
 // Percentile returns the p-quantile (0 ≤ p ≤ 1) with linear interpolation
