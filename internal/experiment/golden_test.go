@@ -107,6 +107,10 @@ func goldenFamilies() []goldenFamily {
 			[]string{SchemeQCR, SchemeUNI}, false, nil)},
 		{"xd-faults", digestSchemes(sc, sc.HomogeneousTraces(), utility.Step{Tau: 10},
 			[]string{SchemeQCR, SchemeOPT}, true, faultPlan)},
+		// The comparison figures' homogeneous scheme mix: QCR against the
+		// OPT and UNI competitors under the step utility.
+		{"homogeneous", digestSchemes(sc, sc.HomogeneousTraces(), utility.Step{Tau: 10},
+			[]string{SchemeQCR, SchemeOPT, SchemeUNI}, false, nil)},
 	}, goldenFamily{"xa-adversary", digestSchemes(sc, sc.HomogeneousTraces(), utility.Power{Alpha: 0},
 		[]string{SchemeQCR, SchemeQCRH, SchemeOPT}, true, adversaryPlan(sc))})
 }
