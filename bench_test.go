@@ -435,77 +435,6 @@ func BenchmarkTrialEngine1Workers(b *testing.B) { benchTrialEngine(b, 1) }
 func BenchmarkTrialEngine4Workers(b *testing.B) { benchTrialEngine(b, 4) }
 func BenchmarkTrialEngine8Workers(b *testing.B) { benchTrialEngine(b, 8) }
 
-// BenchmarkBatchVsSequential pits the two trial executors against each
-// other on the identical comparison workload: the sequential path
-// materializes each trial's trace and simulates the schemes one at a
-// time over it; the batch path steps every scheme in lockstep over a
-// single shared contact stream (two streaming passes, no contact list).
-// The -benchmem bytes/op gap is the materialized trace the batch path
-// never builds. Outputs are bit-identical — TestBatchMatchesSequentialDigests
-// in internal/experiment pins that — so this measures cost, not different
-// work. cmd/agebench runs the same ladder across worker counts and
-// records it in BENCH_batch.json.
-func BenchmarkBatchVsSequential(b *testing.B) {
-	sc := benchScenario()
-	sc.Trials = 8
-	sc.Duration = 1000
-	sc.Workers = 1
-	schemes := []string{experiment.SchemeQCR, experiment.SchemeOPT, experiment.SchemeUNI}
-	u := utility.Step{Tau: 10}
-	b.Run("sequential", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := sc.RunComparisonSequential(u, sc.HomogeneousTraces(), schemes); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("batch", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := sc.RunComparison(u, sc.HomogeneousSources(), schemes); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkStreamingVsMaterialized compares the two contact paths end to
-// end on the same QCR workload: generate-then-simulate over a
-// materialized trace versus the fused streaming pipeline (contacts drawn
-// lazily inside sim.Run). The -benchmem bytes/op gap is the contact
-// list the streaming path never builds; cmd/agebench records the same
-// comparison per-contact in BENCH_contacts.json.
-func BenchmarkStreamingVsMaterialized(b *testing.B) {
-	sc := experiment.Default()
-	sc.Nodes = 300
-	sc.Mu = 0.01
-	sc.Duration = 1500
-	u := utility.Step{Tau: 60}
-	b.Run("materialized", func(b *testing.B) {
-		gen := sc.HomogeneousTraces()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tr, err := gen(sc.Seed)
-			if err != nil {
-				b.Fatal(err)
-			}
-			// nil rates: QCR tunes from µ alone, no static competitor here.
-			if _, err := sc.RunScheme(experiment.SchemeQCR, u, tr, nil, sc.Mu, 0, false); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("streaming", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := sc.StreamingScale(u, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkReactionComparison pits tuned ψ against path replication and
 // constant reactions.
 func BenchmarkReactionComparison(b *testing.B) {

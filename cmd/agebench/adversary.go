@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"testing"
 
 	"impatience/internal/adversary"
 	"impatience/internal/experiment"
@@ -9,10 +10,45 @@ import (
 	"impatience/internal/utility"
 )
 
+// pathResult is one benchmarked cell's per-op stats.
+type pathResult struct {
+	Iterations  int   `json:"iterations"`
+	NsPerOp     int64 `json:"ns_per_op"`
+	AllocsPerOp int64 `json:"allocs_per_op"`
+	BytesPerOp  int64 `json:"bytes_per_op"`
+}
+
+// measurePath benchmarks one cell and reports its per-op stats.
+func measurePath(run func() error) (pathResult, error) {
+	var benchErr error
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := run(); err != nil {
+				benchErr = err
+				b.FailNow()
+			}
+		}
+	})
+	if benchErr != nil {
+		return pathResult{}, benchErr
+	}
+	if r.N == 0 {
+		return pathResult{}, fmt.Errorf("benchmark did not run")
+	}
+	return pathResult{
+		Iterations:  r.N,
+		NsPerOp:     r.NsPerOp(),
+		AllocsPerOp: r.AllocsPerOp(),
+		BytesPerOp:  r.AllocedBytesPerOp(),
+	}, nil
+}
+
 // adversaryEntry measures one (scheme, workload) cell of the adversary
-// ladder: a full single-trial simulation over a fixed materialized trace,
-// normalized to the cost per contact so the hardened reaction's overhead
-// is comparable across scenario scales.
+// ladder: a full single-trial simulation over a fixed contact sequence
+// (its empirical-rate pass included), normalized to the cost per contact
+// so the hardened reaction's overhead is comparable across scenario
+// scales.
 type adversaryEntry struct {
 	Scheme    string     `json:"scheme"`
 	Adversary bool       `json:"adversary"`
@@ -54,20 +90,21 @@ func runAdversary(short bool, out string) error {
 		Seed:          sc.Seed * 50021,
 	}
 
-	gen := sc.HomogeneousTraces()
-	tr, err := gen(sc.Seed)
+	src, err := sc.HomogeneousSources()(sc.Seed)
 	if err != nil {
 		return err
 	}
-	rates := trace.EmpiricalRates(tr)
-	mu := rates.Mean()
-	if mu <= 0 {
+	tr, err := trace.Collect(src)
+	if err != nil {
+		return err
+	}
+	if len(tr.Contacts) == 0 {
 		return fmt.Errorf("adversary benchmark trace has no contacts")
 	}
 
 	schemes := []string{experiment.SchemeQCR, experiment.SchemeQCRH}
 	report := adversaryReport{
-		Benchmark:      "AdversaryOverhead/RunSchemeFaults",
+		Benchmark:      "AdversaryOverhead/RunSchemesBatch",
 		provenance:     stamp(short),
 		scenarioParams: paramsOf(sc, schemes),
 		Contacts:       len(tr.Contacts),
@@ -85,7 +122,7 @@ func runAdversary(short bool, out string) error {
 				plan = &experiment.FaultPlan{Adversary: &cfg}
 			}
 			res, err := measurePath(func() error {
-				_, err := sc.RunSchemeFaults(scheme, u, tr, rates, mu, 0, false, plan)
+				_, err := sc.RunSchemesBatch([]string{scheme}, u, tr.Source(), 0, 0, false, plan)
 				return err
 			})
 			if err != nil {

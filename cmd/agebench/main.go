@@ -1,6 +1,7 @@
 // Command agebench measures the parallel trial engine, the contact
-// pipeline, and the batch executor, recording each as a machine-readable
-// regression artifact.
+// pipeline, the adversary layer, the structured-rates scale ladder, the
+// hybrid engine and the serving stack, recording each as a
+// machine-readable regression artifact.
 //
 // The trial-engine benchmark runs the scheme-comparison pipeline (trace
 // generation, QCR/OPT/UNI simulation, trial-order aggregation) at a
@@ -13,14 +14,6 @@
 // N ∈ {100, 1000, 5000}, runs the fused N = 5000 scale demo through the
 // simulator, and writes BENCH_contacts.json with ns/contact,
 // bytes/contact and the demo's peak heap versus the materialized floor.
-//
-// The batch benchmark (BatchVsSequential) runs the identical comparison
-// workload through both executors — the legacy sequential path that
-// materializes each trial's trace and simulates the schemes one at a
-// time, and the stream-fused batch path that steps every scheme in
-// lockstep over a single shared contact stream — verifies their outputs
-// are bit-identical, and writes BENCH_batch.json with the per-worker
-// ns/op, bytes/op and allocs/op ratios.
 //
 // The adversary benchmark measures the per-contact cost of the
 // misbehavior layer and the hardened QCR reaction: vanilla and hardened
@@ -36,16 +29,6 @@
 // time, contacts/sec, speedup versus one shard, a digest-invariance
 // verdict per cell, and the setup bytes-per-node that pins the O(N + C²)
 // state bound.
-//
-// The kernel benchmark (-kernel-only) measures the devirtualized contact
-// kernel before/after on the same binary: each rung of a community
-// ladder at N ∈ {10³, 10⁴, 10⁵} runs with Config.ReferenceKernel (the
-// pre-optimization path: Next-per-contact streaming, interface utility
-// dispatch, hooks always invoked) and on the fast path (batched
-// streaming, monomorphic utility kernels, dispatch-free meeting loop),
-// verifies the two produce bit-identical Result digests, and writes
-// BENCH_kernel.json with ns/contact for both modes. In full mode the
-// Static event-path rows are gated at a minimum speedup.
 //
 // CI uploads all of these files so regressions — in throughput, scaling,
 // or memory — are visible across commits.
@@ -191,23 +174,19 @@ func main() {
 	workers := flag.Int("workers", 0, "measure only this worker count on every ladder (0 = full ladder)")
 	out := flag.String("out", "BENCH_trials.json", "output path for the trial-engine JSON report")
 	contactsOut := flag.String("contacts-out", "BENCH_contacts.json", "output path for the contact-pipeline JSON report (empty = skip)")
-	batchOut := flag.String("batch-out", "BENCH_batch.json", "output path for the batch-vs-sequential JSON report (empty = skip)")
 	adversaryOut := flag.String("adversary-out", "BENCH_adversary.json", "output path for the hardened-vs-vanilla QCR JSON report (empty = skip)")
 	scaleOut := flag.String("scale-out", "BENCH_scale.json", "output path for the million-node scale-ladder JSON report (empty = skip)")
 	hybridOut := flag.String("hybrid-out", "BENCH_hybrid.json", "output path for the hybrid-vs-event-sim JSON report (empty = skip)")
 	serveOut := flag.String("serve-out", "BENCH_serve.json", "output path for the serving-stack JSON report (empty = skip)")
-	kernelOut := flag.String("kernel-out", "BENCH_kernel.json", "output path for the devirtualized-kernel JSON report (empty = skip)")
 	trialsOnly := flag.Bool("trials-only", false, "run only the trial-engine benchmark")
 	contactsOnly := flag.Bool("contacts-only", false, "run only the contact-pipeline benchmark")
-	batchOnly := flag.Bool("batch-only", false, "run only the batch-vs-sequential benchmark")
 	adversaryOnly := flag.Bool("adversary-only", false, "run only the adversary-overhead benchmark")
 	scaleOnly := flag.Bool("scale-only", false, "run only the structured-rates scale ladder")
 	hybridOnly := flag.Bool("hybrid-only", false, "run only the hybrid-vs-event-sim benchmark")
 	serveOnly := flag.Bool("serve-only", false, "run only the serving-stack benchmark")
-	kernelOnly := flag.Bool("kernel-only", false, "run only the devirtualized-kernel before/after ladder")
 	flag.Parse()
 
-	only := *trialsOnly || *contactsOnly || *batchOnly || *adversaryOnly || *scaleOnly || *hybridOnly || *serveOnly || *kernelOnly
+	only := *trialsOnly || *contactsOnly || *adversaryOnly || *scaleOnly || *hybridOnly || *serveOnly
 	if !only || *trialsOnly {
 		if err := run(*short, *workers, *out); err != nil {
 			fmt.Fprintln(os.Stderr, "agebench:", err)
@@ -216,12 +195,6 @@ func main() {
 	}
 	if (!only || *contactsOnly) && *contactsOut != "" {
 		if err := runContacts(*short, *contactsOut); err != nil {
-			fmt.Fprintln(os.Stderr, "agebench:", err)
-			os.Exit(1)
-		}
-	}
-	if (!only || *batchOnly) && *batchOut != "" {
-		if err := runBatch(*short, *workers, *batchOut); err != nil {
 			fmt.Fprintln(os.Stderr, "agebench:", err)
 			os.Exit(1)
 		}
@@ -246,12 +219,6 @@ func main() {
 	}
 	if (!only || *serveOnly) && *serveOut != "" {
 		if err := runServe(*short, *serveOut); err != nil {
-			fmt.Fprintln(os.Stderr, "agebench:", err)
-			os.Exit(1)
-		}
-	}
-	if (!only || *kernelOnly) && *kernelOut != "" {
-		if err := runKernel(*short, *kernelOut); err != nil {
 			fmt.Fprintln(os.Stderr, "agebench:", err)
 			os.Exit(1)
 		}

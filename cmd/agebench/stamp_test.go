@@ -64,11 +64,11 @@ func TestAllReportsEmbedProvenance(t *testing.T) {
 			return true
 		})
 	}
-	// All eight emitters: trials, contacts, batch, adversary, scale,
-	// hybrid, serve, kernel. A count below that means a report struct
-	// lost its `json:"benchmark"` discriminator and escaped this gate.
-	if reports < 8 {
-		t.Fatalf("found %d report structs, want ≥ 8 — did a BENCH writer lose its benchmark field?", reports)
+	// All six emitters: trials, contacts, adversary, scale, hybrid,
+	// serve. A count below that means a report struct lost its
+	// `json:"benchmark"` discriminator and escaped this gate.
+	if reports < 6 {
+		t.Fatalf("found %d report structs, want ≥ 6 — did a BENCH writer lose its benchmark field?", reports)
 	}
 }
 
@@ -86,12 +86,10 @@ func TestReportsEmbedProvenanceReflect(t *testing.T) {
 	for name, report := range map[string]any{
 		"trials":    benchReport{provenance: p},
 		"contacts":  contactsReport{provenance: p},
-		"batch":     batchReport{provenance: p},
 		"adversary": adversaryReport{provenance: p},
 		"scale":     scaleReport{provenance: p},
 		"hybrid":    hybridReport{provenance: p},
 		"serve":     serveReport{provenance: p},
-		"kernel":    kernelReport{provenance: p},
 	} {
 		v := reflect.ValueOf(report)
 		f := v.FieldByName("provenance")

@@ -288,8 +288,7 @@ func run(o options) error {
 	rng := rand.New(rand.NewPCG(o.seed, o.seed^0xa9e51))
 	switch o.traceKind {
 	case "homogeneous":
-		gen := sc.HomogeneousTraces()
-		tr, err = gen(o.seed)
+		tr, err = homogeneousTraces(sc)(o.seed)
 	case "conference":
 		cfg := synth.DefaultConference()
 		cfg.Nodes = o.nodes
@@ -333,10 +332,11 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	res, err := sc.RunSchemeFaults(schemeName, u, tr, rates, muEff, 0, false, plan)
+	results, err := sc.RunSchemesBatch([]string{schemeName}, u, tr.Source(), 0, 0, false, plan)
 	if err != nil {
 		return err
 	}
+	res := results[0]
 
 	fmt.Printf("scheme          %s\n", schemeName)
 	fmt.Printf("utility         %s\n", u.Name())
@@ -505,10 +505,23 @@ func (o options) traceGen(sc experiment.Scenario) (experiment.TraceGen, int, err
 	}, nodes, nil
 }
 
+// homogeneousTraces materializes the scenario's homogeneous contact
+// streams: the synthetic trace kinds and trace files share one
+// materialized path (day/night modulation, the contact count report).
+func homogeneousTraces(sc experiment.Scenario) experiment.TraceGen {
+	return func(seed uint64) (*trace.Trace, error) {
+		src, err := sc.HomogeneousSources()(seed)
+		if err != nil {
+			return nil, err
+		}
+		return trace.Collect(src)
+	}
+}
+
 func (o options) baseTraceGen(sc experiment.Scenario) (experiment.TraceGen, int, error) {
 	switch o.traceKind {
 	case "homogeneous":
-		return sc.HomogeneousTraces(), o.nodes, nil
+		return homogeneousTraces(sc), o.nodes, nil
 	case "conference":
 		cfg := synth.DefaultConference()
 		cfg.Nodes = o.nodes
@@ -559,15 +572,11 @@ func runTrials(o options, u utility.Function, sc experiment.Scenario) error {
 		}
 		s := sc
 		s.Duration = tr.Duration
-		rates := trace.EmpiricalRates(tr)
-		mu := rates.Mean()
-		if mu <= 0 {
-			return out{}, fmt.Errorf("trace has no contacts")
-		}
-		res, err := s.RunSchemeFaults(schemeName, u, tr, rates, mu, uint64(trial), false, plan)
+		results, err := s.RunSchemesBatch([]string{schemeName}, u, tr.Source(), 0, uint64(trial), false, plan)
 		if err != nil {
 			return out{}, err
 		}
+		res := results[0]
 		return out{util: res.AvgUtilityRate, fulfilled: res.Fulfillments, outstanding: res.Outstanding}, nil
 	})
 	if err != nil {

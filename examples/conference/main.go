@@ -86,7 +86,7 @@ func run() error {
 	fmt.Printf("%-6s %16s %12s\n", "scheme", "utility (gain/min)", "loss vs OPT")
 	for _, e := range entries {
 		cfg := impatience.SimConfig{
-			Rho: rho, Utility: u, Pop: pop, Trace: tr, Policy: e.policy, Seed: 11,
+			Rho: rho, Utility: u, Pop: pop, Contacts: tr.Source(), Policy: e.policy, Seed: 11,
 		}
 		switch {
 		case e.place != nil:

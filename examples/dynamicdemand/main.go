@@ -47,7 +47,7 @@ func run() error {
 
 	play := func(policy impatience.ReplicationPolicy, initial impatience.AllocationCounts) (*impatience.SimResult, error) {
 		cfg := impatience.SimConfig{
-			Rho: rho, Utility: u, Pop: oldPop, Trace: tr, Policy: policy, Seed: 30,
+			Rho: rho, Utility: u, Pop: oldPop, Contacts: tr.Source(), Policy: policy, Seed: 30,
 			BinWidth: duration / 30, RecordCounts: true,
 			DemandSwitch: &newPop, DemandSwitchTime: duration / 2,
 			WarmupFrac: -1, // measure everything; we inspect the series

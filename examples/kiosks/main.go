@@ -72,7 +72,7 @@ func run() error {
 		Seed:           4,
 	}
 	res, err := impatience.Simulate(impatience.SimConfig{
-		Rho: rho, Utility: u, Pop: pop, Trace: tr, Policy: qcr,
+		Rho: rho, Utility: u, Pop: pop, Contacts: tr.Source(), Policy: qcr,
 		ServerCount: kiosks, Seed: 5,
 	})
 	if err != nil {

@@ -65,14 +65,14 @@ func run() error {
 		Seed:           7,
 	}
 	resQCR, err := impatience.Simulate(impatience.SimConfig{
-		Rho: rho, Utility: u, Pop: pop, Trace: tr, Policy: qcr, Seed: 8,
+		Rho: rho, Utility: u, Pop: pop, Contacts: tr.Source(), Policy: qcr, Seed: 8,
 	})
 	if err != nil {
 		return err
 	}
 
 	resUNI, err := impatience.Simulate(impatience.SimConfig{
-		Rho: rho, Utility: u, Pop: pop, Trace: tr,
+		Rho: rho, Utility: u, Pop: pop, Contacts: tr.Source(),
 		Policy:   impatience.StaticPolicy{Label: "uni"},
 		Initial:  impatience.UniformAllocation(items, nodes, rho),
 		NoSticky: true, Seed: 9,

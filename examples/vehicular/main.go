@@ -64,7 +64,7 @@ func run() error {
 				policy, initial = impatience.StaticPolicy{Label: scheme}, impatience.DomAllocation(pop.Rates, tr.Nodes, rho)
 			}
 			sc := impatience.SimConfig{
-				Rho: rho, Utility: u, Pop: pop, Trace: tr, Policy: policy, Seed: 31,
+				Rho: rho, Utility: u, Pop: pop, Contacts: tr.Source(), Policy: policy, Seed: 31,
 			}
 			if initial != nil {
 				sc.Initial = initial

@@ -61,7 +61,7 @@ func run() error {
 
 	play := func(policy impatience.ReplicationPolicy, initial impatience.AllocationCounts) (float64, error) {
 		cfg := impatience.SimConfig{
-			Rho: cacheSlots, Utility: u, Pop: pop, Trace: tr,
+			Rho: cacheSlots, Utility: u, Pop: pop, Contacts: tr.Source(),
 			Policy: policy, Seed: 99,
 		}
 		if initial != nil {

@@ -31,7 +31,7 @@
 //		MandateRouting: true,
 //	}
 //	res, _ := impatience.Simulate(impatience.SimConfig{
-//		Rho: 5, Utility: u, Pop: pop, Trace: tr, Policy: qcr,
+//		Rho: 5, Utility: u, Pop: pop, Contacts: tr.Source(), Policy: qcr,
 //	})
 //	fmt.Println(res.AvgUtilityRate, hom.WelfareCounts(opt))
 //

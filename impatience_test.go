@@ -42,7 +42,7 @@ func TestEndToEnd(t *testing.T) {
 		Seed:           3,
 	}
 	res, err := impatience.Simulate(impatience.SimConfig{
-		Rho: rho, Utility: u, Pop: pop, Trace: tr, Policy: qcr, Seed: 4,
+		Rho: rho, Utility: u, Pop: pop, Contacts: tr.Source(), Policy: qcr, Seed: 4,
 	})
 	if err != nil {
 		t.Fatalf("Simulate: %v", err)

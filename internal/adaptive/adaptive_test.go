@@ -98,7 +98,7 @@ func TestAdaptivePolicyConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	resA, err := sim.Run(sim.Config{
-		Rho: rho, Utility: truth, Pop: pop, Trace: tr, Policy: adaptivePolicy,
+		Rho: rho, Utility: truth, Pop: pop, Contacts: tr.Source(), Policy: adaptivePolicy,
 		Seed: 10, WarmupFrac: 0.3,
 	})
 	if err != nil {
@@ -109,7 +109,7 @@ func TestAdaptivePolicyConvergence(t *testing.T) {
 		MandateRouting: true, StrictSource: true, MaxMandates: 5, Seed: 9,
 	}
 	resO, err := sim.Run(sim.Config{
-		Rho: rho, Utility: truth, Pop: pop, Trace: tr, Policy: oracle,
+		Rho: rho, Utility: truth, Pop: pop, Contacts: tr.Source(), Policy: oracle,
 		Seed: 10, WarmupFrac: 0.3,
 	})
 	if err != nil {

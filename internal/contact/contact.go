@@ -16,52 +16,14 @@ import (
 // Generate draws a continuous-time trace of the given duration from the
 // rate matrix: the superposition of all pairwise Poisson processes, which
 // is itself Poisson with the total rate, with each event assigned to a
-// pair proportionally to its intensity.
+// pair proportionally to its intensity. It is the pair-CDF sampler
+// (ReplayStream) drawing from rng, collected into a Trace.
 func Generate(rm *trace.RateMatrix, duration float64, rng *rand.Rand) (*trace.Trace, error) {
-	if duration <= 0 {
-		return nil, fmt.Errorf("contact: duration %g not positive", duration)
-	}
-	// Entry-wise validation, not just a total check: a matrix mixing
-	// negative and positive rates can have a positive total while its CDF
-	// is non-monotonic, in which case the sampling loop below would
-	// silently assign events to the wrong pairs.
-	total, err := validRates(rm)
+	s, err := newCDFSampler(rm, duration, rng)
 	if err != nil {
 		return nil, err
 	}
-	tr := &trace.Trace{Nodes: rm.Nodes, Duration: duration}
-	if total <= 0 {
-		// The documented zero-contact trace: no rate, no process.
-		return tr, nil
-	}
-	// Cumulative distribution over pair indices for event assignment.
-	rates := rm.Rates()
-	cum := make([]float64, len(rates))
-	run := 0.0
-	for i, r := range rates {
-		run += r
-		cum[i] = run / total
-	}
-	cum[len(cum)-1] = 1
-	// Precompute the pair (a,b) for each dense pair index.
-	pairA := make([]int, len(rates))
-	pairB := make([]int, len(rates))
-	for a := 0; a < rm.Nodes; a++ {
-		for b := a + 1; b < rm.Nodes; b++ {
-			idx := trace.PairIndex(rm.Nodes, a, b)
-			pairA[idx], pairB[idx] = a, b
-		}
-	}
-	t := 0.0
-	for {
-		t += rng.ExpFloat64() / total
-		if t > duration {
-			break
-		}
-		idx := searchCDF(cum, rng.Float64())
-		tr.Contacts = append(tr.Contacts, trace.Contact{T: t, A: pairA[idx], B: pairB[idx]})
-	}
-	return tr, nil
+	return trace.Collect(s)
 }
 
 // GenerateHomogeneous draws a continuous-time trace where every pair
@@ -119,18 +81,4 @@ func GenerateDiscrete(rm *trace.RateMatrix, duration, delta float64, rng *rand.R
 		}
 	}
 	return tr, nil
-}
-
-// searchCDF returns the smallest index i with cdf[i] >= u.
-func searchCDF(cdf []float64, u float64) int {
-	lo, hi := 0, len(cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }

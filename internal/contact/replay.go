@@ -1,12 +1,11 @@
-// ReplayStream: the streaming twin of the legacy materialized generator.
+// ReplayStream: the pair-CDF sampler of the continuous-time model.
 //
-// The figure harness's golden digests pin the contact sequence Generate
-// draws — ExpFloat64 for the superposed inter-contact gap, then one
-// uniform probed through the pair CDF — so the batch executor cannot
+// The figure harness's golden digests pin the contact sequence this
+// sampler draws — ExpFloat64 for the superposed inter-contact gap, then
+// one uniform probed through the pair CDF — so the batch executor cannot
 // switch those experiments to the alias-sampling Stream (a different RNG
-// stream means different contacts and different goldens). ReplayStream
-// closes the gap: it consumes randomness in exactly Generate's order and
-// therefore yields bit-identical contacts for the same seed, while never
+// stream means different contacts and different goldens). Generate is
+// this sampler collected into a Trace; ReplayStream streams it without
 // materializing the contact list. Its state is the pair CDF plus the
 // idx → (a, b) tables — O(N²), independent of duration — and it is
 // trace.Reopenable, so one trial can be streamed twice (empirical rates,
@@ -20,14 +19,13 @@ import (
 	"impatience/internal/trace"
 )
 
-// ReplayStream streams the continuous-time contact process with the
-// legacy generator's sampling discipline. It implements trace.Source and
-// trace.Reopenable.
+// ReplayStream streams the continuous-time contact process through the
+// pair CDF. It implements trace.Source and trace.Reopenable.
 type ReplayStream struct {
 	nodes        int
 	duration     float64
 	total        float64
-	cum          []float64 // pair CDF, built exactly like Generate's
+	cum          []float64 // pair CDF
 	pairA, pairB []int32   // dense pair index → endpoints
 	seed1, seed2 uint64
 	rng          *rand.Rand
@@ -38,25 +36,40 @@ type ReplayStream struct {
 // NewReplayStream builds a replayable streaming generator over the rate
 // matrix, drawing from rand.New(rand.NewPCG(seed1, seed2)). For equal
 // (matrix, duration, seeds) its contact sequence is bit-identical to
-// Generate's output with the same PCG — the equivalence the batch
-// digest tests pin. A zero-total matrix yields the empty process;
-// negative, NaN or infinite rates are rejected.
+// Generate's output with the same PCG. A zero-total matrix yields the
+// empty process; negative, NaN or infinite rates are rejected.
 func NewReplayStream(rm *trace.RateMatrix, duration float64, seed1, seed2 uint64) (*ReplayStream, error) {
+	s, err := newCDFSampler(rm, duration, rand.New(rand.NewPCG(seed1, seed2)))
+	if err != nil {
+		return nil, err
+	}
+	s.seed1, s.seed2 = seed1, seed2
+	return s, nil
+}
+
+// newCDFSampler builds the pair CDF and pair tables over the rate matrix
+// and draws from rng.
+func newCDFSampler(rm *trace.RateMatrix, duration float64, rng *rand.Rand) (*ReplayStream, error) {
 	if duration <= 0 {
 		return nil, fmt.Errorf("contact: duration %g not positive", duration)
 	}
+	// Entry-wise validation, not just a total check: a matrix mixing
+	// negative and positive rates can have a positive total while its CDF
+	// is non-monotonic, in which case the sampler would silently assign
+	// events to the wrong pairs.
 	total, err := validRates(rm)
 	if err != nil {
 		return nil, err
 	}
-	s := &ReplayStream{nodes: rm.Nodes, duration: duration, total: total, seed1: seed1, seed2: seed2}
+	s := &ReplayStream{nodes: rm.Nodes, duration: duration, total: total, rng: rng}
 	if total <= 0 {
+		// The documented zero-contact process: no rate, no events.
 		s.done = true
 		return s, nil
 	}
-	// The CDF accumulation mirrors Generate term for term: float summation
-	// order decides the exact bucket boundaries, and a boundary moved by
-	// one ulp would re-assign contacts and break bit-identity.
+	// Float summation order decides the exact bucket boundaries; a
+	// boundary moved by one ulp would re-assign contacts and move every
+	// digest pinned on this sampler.
 	rates := rm.Rates()
 	s.cum = make([]float64, len(rates))
 	run := 0.0
@@ -73,13 +86,12 @@ func NewReplayStream(rm *trace.RateMatrix, duration float64, seed1, seed2 uint64
 			s.pairA[idx], s.pairB[idx] = int32(a), int32(b)
 		}
 	}
-	s.rng = rand.New(rand.NewPCG(seed1, seed2))
 	return s, nil
 }
 
 // NewHomogeneousReplayStream is NewReplayStream over the homogeneous
-// setting (every pair at rate mu) — the streaming twin of
-// GenerateHomogeneous.
+// setting (every pair at rate mu), drawing GenerateHomogeneous's
+// contacts.
 func NewHomogeneousReplayStream(nodes int, mu, duration float64, seed1, seed2 uint64) (*ReplayStream, error) {
 	return NewReplayStream(trace.UniformRates(nodes, mu), duration, seed1, seed2)
 }
@@ -90,25 +102,18 @@ func (s *ReplayStream) Nodes() int { return s.nodes }
 // Duration implements trace.Source.
 func (s *ReplayStream) Duration() float64 { return s.duration }
 
-// Next implements trace.Source: one exponential gap of the superposed
-// process, one CDF probe for the pair — Generate's draws, in Generate's
-// order. Zero allocations.
+// Next implements trace.Source: one draw of NextBatch. Zero allocations.
 func (s *ReplayStream) Next() (trace.Contact, bool) {
-	if s.done {
+	var c [1]trace.Contact
+	if s.NextBatch(c[:]) == 0 {
 		return trace.Contact{}, false
 	}
-	s.t += s.rng.ExpFloat64() / s.total
-	if s.t > s.duration {
-		s.done = true
-		return trace.Contact{}, false
-	}
-	idx := searchCDF(s.cum, s.rng.Float64())
-	return trace.Contact{T: s.t, A: int(s.pairA[idx]), B: int(s.pairB[idx])}, true
+	return c[0], true
 }
 
-// NextBatch implements trace.BulkSource: Generate's draws in Generate's
-// order, filled into the caller's buffer without the per-contact
-// interface dispatch.
+// NextBatch implements trace.BulkSource and is the sampler's one draw
+// loop: per contact, one exponential gap of the superposed process, then
+// one uniform probed through the pair CDF.
 func (s *ReplayStream) NextBatch(buf []trace.Contact) int {
 	if s.done {
 		return 0
@@ -127,6 +132,20 @@ func (s *ReplayStream) NextBatch(buf []trace.Contact) int {
 	}
 	s.t = t
 	return n
+}
+
+// searchCDF returns the smallest index i with cdf[i] >= u.
+func searchCDF(cdf []float64, u float64) int {
+	lo, hi := 0, len(cdf)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if cdf[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // Reopen implements trace.Reopenable: the copy re-derives its RNG from

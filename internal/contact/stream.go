@@ -9,11 +9,12 @@
 // Determinism: a stream is a pure function of (rate matrix, duration,
 // RNG seed), so streaming runs are reproducible exactly like
 // materialized ones. The RNG *stream* of NewStream differs from
-// Generate's (one uniform per contact instead of a CDF probe), which is
-// why Generate keeps its legacy sampling loop: the repository's golden
-// digests pin the materialized path bit-for-bit. NewDiscreteStream, by
-// contrast, consumes randomness in exactly Generate­Discrete's order and
-// yields bit-identical contacts for the same seed.
+// Generate's (an alias draw per contact instead of a CDF probe), which is
+// why Generate and ReplayStream keep the pair-CDF sampler: the
+// repository's golden digests pin its contacts bit-for-bit.
+// NewDiscreteStream, by contrast, consumes randomness in exactly
+// Generate­Discrete's order and yields bit-identical contacts for the
+// same seed.
 package contact
 
 import (

@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 
+	"impatience/internal/contact"
 	"impatience/internal/sim"
 	"impatience/internal/trace"
 	"impatience/internal/utility"
@@ -25,12 +26,13 @@ func (g TraceGen) Sourced() SourceGen {
 	}
 }
 
-// HomogeneousSources is the streaming twin of HomogeneousTraces: the same
-// seed derivation and the same RNG draws (see contact.NewReplayStream)
-// yield the bit-identical contact sequence, lazily, in O(N²) memory.
+// HomogeneousSources generates memoryless homogeneous contacts (§6.2),
+// lazily in O(N²) memory and reopenable for multi-pass trials (rates,
+// then the batch sim): the replay stream draws the same contacts as
+// contact.GenerateHomogeneous with rand.NewPCG(seed, seed^0xabcdef).
 func (sc Scenario) HomogeneousSources() SourceGen {
 	return func(seed uint64) (trace.Source, error) {
-		return contactReplay(sc.Nodes, sc.Mu, sc.Duration, seed, seed^0xabcdef)
+		return contact.NewHomogeneousReplayStream(sc.Nodes, sc.Mu, sc.Duration, seed, seed^0xabcdef)
 	}
 }
 
@@ -50,9 +52,8 @@ func asReopenable(src trace.Source) (trace.Reopenable, error) {
 	return tr.Source(), nil
 }
 
-// batchConfigs builds the per-scheme simulation configs for one trial —
-// each exactly the config runScheme would run, minus the contact input
-// the batch executor supplies.
+// batchConfigs builds the per-scheme simulation configs for one trial,
+// minus the contact input the batch executor supplies.
 func (sc Scenario) batchConfigs(schemes []string, u utility.Function, rates *trace.RateMatrix, mu float64, trial uint64, series bool, plan *FaultPlan) ([]sim.Config, error) {
 	cfgs := make([]sim.Config, len(schemes))
 	for k, scheme := range schemes {
@@ -83,9 +84,8 @@ func (sc Scenario) runBatchOn(schemes []string, u utility.Function, rates *trace
 // sequence) drives the lockstep multi-scheme simulation. mu ≤ 0 selects
 // the empirical mean rate (heterogeneous traces); a positive mu is used
 // as the ψ plug-in rate directly (the homogeneous figures pass sc.Mu).
-// Per-scheme results are bit-identical to running runScheme per scheme
-// over the materialized trace — the equivalence TestBatchMatchesSequential
-// pins against the golden digests.
+// Per-scheme results are bit-identical to a single sim.Run of the same
+// config over the same contacts; the golden digests pin them.
 func (sc Scenario) RunSchemesBatch(schemes []string, u utility.Function, src trace.Source, mu float64, trial uint64, series bool, plan *FaultPlan) ([]*sim.Result, error) {
 	if src.Nodes() != sc.Nodes {
 		return nil, fmt.Errorf("experiment: trace has %d nodes, scenario %d", src.Nodes(), sc.Nodes)

@@ -7,7 +7,6 @@ import (
 	"impatience/internal/faults"
 	"impatience/internal/parallel"
 	"impatience/internal/plot"
-	"impatience/internal/sim"
 	"impatience/internal/stats"
 	"impatience/internal/trace"
 	"impatience/internal/utility"
@@ -36,13 +35,6 @@ type FaultPlan struct {
 // retried at up to five later meetings before the mandate is abandoned.
 func (sc Scenario) Hardening(fc *faults.Config) *FaultPlan {
 	return &FaultPlan{Faults: fc, MandateTTL: 4 / sc.Mu, MaxAttempts: 5}
-}
-
-// RunSchemeFaults is RunScheme with fault injection: the plan's fault
-// config is handed to the simulator and its hardening knobs to QCR-family
-// policies. A nil plan is exactly RunScheme.
-func (sc Scenario) RunSchemeFaults(scheme string, u utility.Function, tr *trace.Trace, rates *trace.RateMatrix, mu float64, trial uint64, series bool, plan *FaultPlan) (*sim.Result, error) {
-	return sc.runScheme(scheme, u, tr, rates, mu, trial, series, plan)
 }
 
 // degradationSweep runs QCR vs the static OPT/UNI competitors at each

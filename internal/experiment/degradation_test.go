@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"impatience/internal/faults"
-	"impatience/internal/trace"
+	"impatience/internal/sim"
 	"impatience/internal/utility"
 )
 
@@ -19,26 +19,27 @@ func degradeScenario() Scenario {
 	return sc
 }
 
-func TestRunSchemeFaultsNilPlanMatchesRunScheme(t *testing.T) {
+// TestEmptyFaultPlanMatchesNilPlan: a plan with no faults and no
+// adversary is the idealized run, bit for bit.
+func TestEmptyFaultPlanMatchesNilPlan(t *testing.T) {
 	sc := degradeScenario()
 	u := utility.Step{Tau: 10}
-	tr, err := sc.HomogeneousTraces()(sc.Seed)
-	if err != nil {
-		t.Fatal(err)
+	run := func(plan *FaultPlan) *sim.Result {
+		t.Helper()
+		src, err := sc.HomogeneousSources()(sc.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sc.RunSchemesBatch([]string{SchemeQCR}, u, src, 0, 0, false, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res[0]
 	}
-	rates := trace.EmpiricalRates(tr)
-	mu := rates.Mean()
-	a, err := sc.RunScheme(SchemeQCR, u, tr, rates, mu, 0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := sc.RunSchemeFaults(SchemeQCR, u, tr, rates, mu, 0, false, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.AvgUtilityRate != b.AvgUtilityRate || a.Fulfillments != b.Fulfillments {
-		t.Errorf("nil-plan RunSchemeFaults diverged from RunScheme: %g/%d vs %g/%d",
-			a.AvgUtilityRate, a.Fulfillments, b.AvgUtilityRate, b.Fulfillments)
+	a, b := run(nil), run(&FaultPlan{})
+	if a.Digest() != b.Digest() {
+		t.Errorf("empty plan diverged from nil plan: %g/%d vs %g/%d",
+			b.AvgUtilityRate, b.Fulfillments, a.AvgUtilityRate, a.Fulfillments)
 	}
 }
 
@@ -138,13 +139,12 @@ func TestMassFailureRecoveryValidation(t *testing.T) {
 	}
 	// Invalid fault config surfaces from the simulator's validation.
 	u := utility.Step{Tau: 10}
-	tr, err := sc.HomogeneousTraces()(sc.Seed)
+	src, err := sc.HomogeneousSources()(sc.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rates := trace.EmpiricalRates(tr)
 	bad := &FaultPlan{Faults: &faults.Config{PLoss: 2}}
-	if _, err := sc.RunSchemeFaults(SchemeQCR, u, tr, rates, rates.Mean(), 0, false, bad); err == nil {
+	if _, err := sc.RunSchemesBatch([]string{SchemeQCR}, u, src, 0, 0, false, bad); err == nil {
 		t.Error("p_loss=2 accepted")
 	}
 }

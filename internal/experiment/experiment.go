@@ -108,14 +108,6 @@ func (sc Scenario) Pop() demand.Popularity {
 // be deterministic in the seed.
 type TraceGen func(seed uint64) (*trace.Trace, error)
 
-// HomogeneousTraces generates memoryless homogeneous contacts (§6.2).
-func (sc Scenario) HomogeneousTraces() TraceGen {
-	return func(seed uint64) (*trace.Trace, error) {
-		rng := rand.New(rand.NewPCG(seed, seed^0xabcdef))
-		return contactGen(sc.Nodes, sc.Mu, sc.Duration, rng)
-	}
-}
-
 // ConferenceTraces generates Infocom'06-like traces (§6.3). The scenario
 // duration is overridden by the trace's three days.
 func ConferenceTraces(cfg synth.ConferenceConfig) TraceGen {
@@ -266,27 +258,9 @@ func (sc Scenario) hardenProfile(u utility.Function, mu float64) *core.Hardening
 	return h
 }
 
-// RunScheme runs one scheme for one trial on a given trace and returns
-// the simulation result. mu is the ψ plug-in rate (mean empirical rate
-// for heterogeneous traces).
-func (sc Scenario) RunScheme(scheme string, u utility.Function, tr *trace.Trace, rates *trace.RateMatrix, mu float64, trial uint64, series bool) (*sim.Result, error) {
-	return sc.runScheme(scheme, u, tr, rates, mu, trial, series, nil)
-}
-
-func (sc Scenario) runScheme(scheme string, u utility.Function, tr *trace.Trace, rates *trace.RateMatrix, mu float64, trial uint64, series bool, plan *FaultPlan) (*sim.Result, error) {
-	cfg, err := sc.schemeConfig(scheme, u, rates, mu, trial, series, plan)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Trace = tr
-	return sim.Run(cfg)
-}
-
 // schemeConfig builds one scheme's simulation config for one trial,
-// leaving the contact input (Trace or Contacts) for the caller to wire:
-// runScheme replays a materialized trace, the batch executor streams one
-// shared source through every scheme's config. Both paths run the exact
-// same config — seeds included — so they are bit-identical.
+// leaving the contact input to the batch executor, which streams one
+// shared source through every scheme's config.
 func (sc Scenario) schemeConfig(scheme string, u utility.Function, rates *trace.RateMatrix, mu float64, trial uint64, series bool, plan *FaultPlan) (sim.Config, error) {
 	pop := sc.Pop()
 	cfg := sim.Config{
@@ -345,8 +319,7 @@ type Comparison struct {
 // and aggregates utilities and losses vs OPT. Each trial is one shared
 // pass of the batch executor (sim.RunBatch): the source is streamed once
 // for the empirical rates and once, in lockstep, for every scheme — no
-// materialized contact list, bit-identical to the sequential path
-// (RunComparisonSequential). Trials execute on the parallel trial engine
+// materialized contact list. Trials execute on the parallel trial engine
 // (sc.Workers workers); aggregation happens in trial order, so results
 // do not depend on scheduling.
 func (sc Scenario) RunComparison(u utility.Function, gen SourceGen, schemes []string) (*Comparison, error) {
@@ -380,53 +353,8 @@ func (sc Scenario) RunComparison(u utility.Function, gen SourceGen, schemes []st
 	return aggregateComparison(schemes, hasOPT, outs), nil
 }
 
-// RunComparisonSequential is the legacy comparison path: each trial
-// materializes its trace and replays the full contact slice once per
-// scheme. It is kept as the A/B baseline for the batch executor — the
-// digest-equality tests and cmd/agebench's BenchmarkBatchVsSequential
-// ladder measure RunComparison against it; their outputs are
-// bit-identical by construction.
-func (sc Scenario) RunComparisonSequential(u utility.Function, gen TraceGen, schemes []string) (*Comparison, error) {
-	hasOPT := false
-	for _, s := range schemes {
-		if s == SchemeOPT {
-			hasOPT = true
-		}
-	}
-	outs, err := parallel.RunTrials(sc.Trials, sc.Workers, sc.Seed, func(trial int, seed uint64) (cmpTrial, error) {
-		tr, err := gen(seed)
-		if err != nil {
-			return cmpTrial{}, err
-		}
-		if tr.Nodes != sc.Nodes {
-			return cmpTrial{}, fmt.Errorf("experiment: trace has %d nodes, scenario %d", tr.Nodes, sc.Nodes)
-		}
-		rates := trace.EmpiricalRates(tr)
-		mu := rates.Mean()
-		if mu <= 0 {
-			return cmpTrial{}, fmt.Errorf("experiment: empty trace")
-		}
-		out := cmpTrial{utility: make([]float64, len(schemes))}
-		for k, scheme := range schemes {
-			res, err := sc.RunScheme(scheme, u, tr, rates, mu, uint64(trial), false)
-			if err != nil {
-				return cmpTrial{}, fmt.Errorf("experiment: %s: %w", scheme, err)
-			}
-			out.utility[k] = res.AvgUtilityRate
-			if scheme == SchemeOPT {
-				out.uOpt = res.AvgUtilityRate
-			}
-		}
-		return out, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return aggregateComparison(schemes, hasOPT, outs), nil
-}
-
 // cmpTrial is one trial's per-scheme utilities (indexed like the schemes
-// slice) plus OPT's own, shared by the batch and sequential comparisons.
+// slice) plus OPT's own.
 type cmpTrial struct {
 	utility []float64
 	uOpt    float64

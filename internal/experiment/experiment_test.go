@@ -34,24 +34,25 @@ func TestScaled(t *testing.T) {
 	}
 }
 
-func TestHomogeneousTracesDeterministic(t *testing.T) {
+func TestHomogeneousSourcesDeterministic(t *testing.T) {
 	sc := tiny()
-	gen := sc.HomogeneousTraces()
-	a, err := gen(5)
-	if err != nil {
-		t.Fatal(err)
+	gen := func(seed uint64) *trace.Trace {
+		t.Helper()
+		src, err := sc.HomogeneousSources()(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := trace.Collect(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
 	}
-	b, err := gen(5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := gen(5), gen(5)
 	if len(a.Contacts) != len(b.Contacts) {
 		t.Error("trace generation nondeterministic")
 	}
-	c, err := gen(6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := gen(6)
 	if len(a.Contacts) == len(c.Contacts) && len(a.Contacts) > 0 && a.Contacts[0] == c.Contacts[0] {
 		t.Error("different seeds produced identical traces")
 	}
@@ -60,12 +61,14 @@ func TestHomogeneousTracesDeterministic(t *testing.T) {
 func TestBuildStaticAllSchemes(t *testing.T) {
 	sc := tiny()
 	pop := sc.Pop()
-	gen := sc.HomogeneousTraces()
-	tr, err := gen(1)
+	src, err := sc.HomogeneousSources()(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rates := trace.EmpiricalRates(tr)
+	rates, err := trace.EmpiricalRatesFrom(src)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, scheme := range AllCompetitors {
 		counts, placement, err := buildStatic(sc, scheme, utility.Step{Tau: 10}, pop, rates)
 		if err != nil {

@@ -9,7 +9,6 @@ import (
 	"impatience/internal/faults"
 	"impatience/internal/parallel"
 	"impatience/internal/synth"
-	"impatience/internal/trace"
 	"impatience/internal/utility"
 )
 
@@ -45,27 +44,26 @@ type goldenFamily struct {
 	run  func(trial int, seed uint64) (uint64, error)
 }
 
-// digestSchemes builds a per-trial runner that simulates each scheme on
-// the trial's trace (exactly as the figure pipelines do) and folds the
-// result digests together.
-func digestSchemes(sc Scenario, gen TraceGen, u utility.Function, schemes []string, series bool, plan func(trial int) *FaultPlan) func(trial int, seed uint64) (uint64, error) {
+// digestSchemes builds a per-trial runner that simulates every scheme on
+// the trial's contact stream in one lockstep batch (exactly as the figure
+// pipelines do, with the empirical mean rate as the ψ plug-in) and folds
+// the result digests together.
+func digestSchemes(sc Scenario, gen SourceGen, u utility.Function, schemes []string, series bool, plan func(trial int) *FaultPlan) func(trial int, seed uint64) (uint64, error) {
 	return func(trial int, seed uint64) (uint64, error) {
-		tr, err := gen(seed)
+		src, err := gen(seed)
 		if err != nil {
 			return 0, err
 		}
-		rates := trace.EmpiricalRates(tr)
-		mu := rates.Mean()
+		var p *FaultPlan
+		if plan != nil {
+			p = plan(trial)
+		}
+		results, err := sc.RunSchemesBatch(schemes, u, src, 0, uint64(trial), series, p)
+		if err != nil {
+			return 0, err
+		}
 		var acc uint64
-		for _, scheme := range schemes {
-			var p *FaultPlan
-			if plan != nil {
-				p = plan(trial)
-			}
-			res, err := sc.RunSchemeFaults(scheme, u, tr, rates, mu, uint64(trial), series, p)
-			if err != nil {
-				return 0, err
-			}
+		for _, res := range results {
 			acc = mixDigest(acc, res.Digest())
 		}
 		return acc, nil
@@ -95,23 +93,23 @@ func goldenFamilies() []goldenFamily {
 	}
 
 	return append([]goldenFamily{
-		{"fig3-routing", digestSchemes(sc, sc.HomogeneousTraces(), utility.Power{Alpha: 0},
+		{"fig3-routing", digestSchemes(sc, sc.HomogeneousSources(), utility.Power{Alpha: 0},
 			[]string{SchemeQCR, SchemeQCRWOM}, true, nil)},
-		{"fig4-power", digestSchemes(sc, sc.HomogeneousTraces(), utility.Power{Alpha: -1},
+		{"fig4-power", digestSchemes(sc, sc.HomogeneousSources(), utility.Power{Alpha: -1},
 			[]string{SchemeQCR, SchemeOPT, SchemeUNI}, false, nil)},
-		{"fig4-step", digestSchemes(sc, sc.HomogeneousTraces(), utility.Step{Tau: 10},
+		{"fig4-step", digestSchemes(sc, sc.HomogeneousSources(), utility.Step{Tau: 10},
 			[]string{SchemeQCR, SchemeSQRT, SchemePROP, SchemeDOM}, false, nil)},
-		{"fig5-conference", digestSchemes(scConf, ConferenceTraces(conf), utility.Step{Tau: 60},
+		{"fig5-conference", digestSchemes(scConf, ConferenceTraces(conf).Sourced(), utility.Step{Tau: 60},
 			[]string{SchemeQCR, SchemeOPT}, false, nil)},
-		{"fig6-vehicular", digestSchemes(scVeh, VehicularTraces(veh), utility.Exponential{Nu: 0.1},
+		{"fig6-vehicular", digestSchemes(scVeh, VehicularTraces(veh).Sourced(), utility.Exponential{Nu: 0.1},
 			[]string{SchemeQCR, SchemeUNI}, false, nil)},
-		{"xd-faults", digestSchemes(sc, sc.HomogeneousTraces(), utility.Step{Tau: 10},
+		{"xd-faults", digestSchemes(sc, sc.HomogeneousSources(), utility.Step{Tau: 10},
 			[]string{SchemeQCR, SchemeOPT}, true, faultPlan)},
 		// The comparison figures' homogeneous scheme mix: QCR against the
 		// OPT and UNI competitors under the step utility.
-		{"homogeneous", digestSchemes(sc, sc.HomogeneousTraces(), utility.Step{Tau: 10},
+		{"homogeneous", digestSchemes(sc, sc.HomogeneousSources(), utility.Step{Tau: 10},
 			[]string{SchemeQCR, SchemeOPT, SchemeUNI}, false, nil)},
-	}, goldenFamily{"xa-adversary", digestSchemes(sc, sc.HomogeneousTraces(), utility.Power{Alpha: 0},
+	}, goldenFamily{"xa-adversary", digestSchemes(sc, sc.HomogeneousSources(), utility.Power{Alpha: 0},
 		[]string{SchemeQCR, SchemeQCRH, SchemeOPT}, true, adversaryPlan(sc))})
 }
 

@@ -22,7 +22,8 @@ import (
 // homogeneous contact stream (generation and simulation in one pass,
 // nothing materialized). seed drives the contact stream and must come
 // from parallel.TrialSeed so trials are scheduling-independent; the
-// simulator's own streams are seeded exactly like RunScheme's. With
+// simulator's own streams are seeded exactly like the comparison
+// figures' (schemeConfig). With
 // recordDelays the result carries the per-item delay samples and gains
 // the oracle checks against the closed-form welfare terms.
 func (sc Scenario) RunStaticStream(u utility.Function, initial alloc.Counts, trial int, seed uint64, recordDelays bool) (*sim.Result, error) {

@@ -4,6 +4,8 @@ import (
 	"math/rand/v2"
 	"runtime"
 
+	"impatience/internal/contact"
+
 	"impatience/internal/sim"
 	"impatience/internal/trace"
 	"impatience/internal/utility"
@@ -21,14 +23,14 @@ const contactBytes = 24
 type SourceGen func(seed uint64) (trace.Source, error)
 
 // HomogeneousSource streams memoryless homogeneous contacts: same model
-// as HomogeneousTraces, fused with the simulator instead of materialized.
+// as HomogeneousSources, fused with the simulator and never reopened.
 // The streaming generator has its own RNG stream (see internal/contact),
 // so trials are seed-deterministic but deliberately not contact-identical
 // to the materialized generator.
 func (sc Scenario) HomogeneousSource() SourceGen {
 	return func(seed uint64) (trace.Source, error) {
 		rng := rand.New(rand.NewPCG(seed, seed^0xabcdef))
-		return contactSource(sc.Nodes, sc.Mu, sc.Duration, rng)
+		return contact.NewHomogeneousStream(sc.Nodes, sc.Mu, sc.Duration, rng)
 	}
 }
 

@@ -3,20 +3,15 @@ package oracle
 // Analytic differentials: checks that run in milliseconds and compare
 // independent computations of the same theoretical object — the
 // mean-field fixed point vs water-filling on Property 1, the
-// greedy/relaxed welfare sandwich of Theorem 2, and the streaming vs
-// materialized contact pipelines.
+// greedy/relaxed welfare sandwich of Theorem 2.
 
 import (
 	"fmt"
 	"math"
-	"math/rand/v2"
 
-	"impatience/internal/contact"
-	"impatience/internal/core"
 	"impatience/internal/demand"
 	"impatience/internal/meanfield"
 	"impatience/internal/numeric"
-	"impatience/internal/sim"
 	"impatience/internal/utility"
 	"impatience/internal/welfare"
 )
@@ -210,83 +205,6 @@ func (s *session) checkGreedyRelaxedSandwich() CheckResult {
 		res.Details = append(res.Details, lineHi, lineLo, lineGap)
 		res.Pass = res.Pass && okHi && okLo && okGap
 		res.Effect = maxf(res.Effect, maxf((ug-urel)/(sandwichRelTol*scale), gap/sandwichGapMax))
-	}
-	return res
-}
-
-// checkStreamVsMaterialized runs the identical contact sequence through
-// the two simulator front ends — a materialized trace (Config.Trace) and
-// its streaming Source — under both a static policy and QCR, and
-// requires bit-identical digests: the streaming pipeline must be a pure
-// refactoring of the materialized one.
-func (s *session) checkStreamVsMaterialized() CheckResult {
-	res := CheckResult{Pass: true, Seed: s.cfg.Seed}
-	const nodes, mu, dur = 40, 0.05, 1500.0
-	seed := rungSeed(s.cfg.Seed^0x57e4, nodes)
-	tr, err := contact.GenerateHomogeneous(nodes, mu, dur, rand.New(rand.NewPCG(seed, seed^0xabcdef)))
-	if err != nil {
-		return infraFail(res, err)
-	}
-	pop := demand.Pareto(24, 1, 1.5)
-	hom := welfare.Homogeneous{
-		Utility: utility.Step{Tau: 8}, Pop: pop, Mu: mu,
-		Servers: nodes, Clients: nodes, PureP2P: true,
-	}
-	opt, err := hom.GreedyOptimal(3)
-	if err != nil {
-		return infraFail(res, err)
-	}
-	policies := []struct {
-		name string
-		mk   func() (core.Policy, bool) // policy, noSticky
-	}{
-		{"static", func() (core.Policy, bool) { return core.Static{Label: "opt"}, true }},
-		{"qcr", func() (core.Policy, bool) {
-			return &core.QCR{
-				Reaction:       core.TunedReaction(utility.Step{Tau: 8}, mu, nodes, 0.1),
-				MandateRouting: true,
-				Seed:           seed ^ 0x11,
-			}, false
-		}},
-	}
-	for _, pc := range policies {
-		run := func(streaming bool) (*sim.Result, error) {
-			pol, noSticky := pc.mk()
-			cfg := sim.Config{
-				Rho:        3,
-				Utility:    utility.Step{Tau: 8},
-				Pop:        pop,
-				Policy:     pol,
-				NoSticky:   noSticky,
-				Seed:       seed ^ 0x77,
-				WarmupFrac: 0.2,
-			}
-			if noSticky {
-				cfg.Initial = opt
-			}
-			if streaming {
-				cfg.Contacts = tr.Source()
-			} else {
-				cfg.Trace = tr
-			}
-			return sim.Run(cfg)
-		}
-		mat, err := run(false)
-		if err != nil {
-			return infraFail(res, fmt.Errorf("%s materialized: %w", pc.name, err))
-		}
-		str, err := run(true)
-		if err != nil {
-			return infraFail(res, fmt.Errorf("%s streaming: %w", pc.name, err))
-		}
-		ok, line := assertLine(mat.Digest() == str.Digest(),
-			"%s: stream digest %#x == materialized %#x (%d meetings)",
-			pc.name, str.Digest(), mat.Digest(), mat.Meetings)
-		res.Details = append(res.Details, line)
-		res.Pass = res.Pass && ok
-		if !ok {
-			res.Effect = math.Inf(1)
-		}
 	}
 	return res
 }

@@ -14,11 +14,13 @@
 //     rate as µ̄/N), so the gate demonstrates mean-field convergence
 //     rather than hiding behind a fixed fudge factor. Delay samples are
 //     KS-tested against the exponential meeting model.
-//   - Differential checks: streaming vs materialized contact paths
-//     (digest equality), QCR steady-state replica counts vs the relaxed
-//     optimum of Property 1, the mean-field fixed point vs water-filling
-//     on the balance condition, and the greedy/relaxed welfare sandwich
-//     U(⌊x̃⌋) ≤ U(greedy) ≤ U(x̃).
+//   - Differential checks: QCR steady-state replica counts vs the
+//     relaxed optimum of Property 1, the mean-field fixed point vs
+//     water-filling on the balance condition, and the greedy/relaxed
+//     welfare sandwich U(⌊x̃⌋) ≤ U(greedy) ≤ U(x̃).
+//   - Metamorphic relations: the simulator on transformed inputs (time
+//     rescaled by 2) must reproduce its own results bit-exactly, on
+//     every contact generator and entry point.
 //   - A negative control: Config.BreakAllocation simulates the uniform
 //     allocation while asserting the optimal allocation's closed form;
 //     the harness must fail, proving the gates have statistical power.
@@ -145,7 +147,7 @@ func (s *session) checks() []check {
 	cs := []check{
 		{"meanfield-fixed-point", s.checkMeanFieldFixedPoint},
 		{"greedy-relaxed-sandwich", s.checkGreedyRelaxedSandwich},
-		{"stream-vs-materialized", s.checkStreamVsMaterialized},
+		{"metamorphic", s.checkMetamorphic},
 		{"welfare-ladder", s.checkWelfareLadder},
 		{"per-item-welfare", s.checkPerItemWelfare},
 		{"delay-distribution-ks", s.checkDelayKS},

@@ -28,7 +28,7 @@ func TestQuickSuitePasses(t *testing.T) {
 		t.Errorf("default seed = %d, want 1", rep.Seed)
 	}
 	want := []string{
-		"meanfield-fixed-point", "greedy-relaxed-sandwich", "stream-vs-materialized",
+		"meanfield-fixed-point", "greedy-relaxed-sandwich", "metamorphic",
 		"welfare-ladder", "per-item-welfare", "delay-distribution-ks", "qcr-replica-balance",
 	}
 	if len(rep.Checks) != len(want) {
@@ -107,7 +107,7 @@ func TestNegativeControl(t *testing.T) {
 	// and must keep passing — the control breaks one layer, not the world.
 	for _, c := range rep.Checks {
 		switch c.Name {
-		case "meanfield-fixed-point", "greedy-relaxed-sandwich", "stream-vs-materialized", "qcr-replica-balance":
+		case "meanfield-fixed-point", "greedy-relaxed-sandwich", "metamorphic", "qcr-replica-balance":
 			if !c.Pass {
 				t.Errorf("%s failed under the negative control; it should be unaffected", c.Name)
 			}

@@ -12,7 +12,6 @@ import (
 
 	"impatience/internal/experiment"
 	"impatience/internal/parallel"
-	"impatience/internal/trace"
 	"impatience/internal/utility"
 	"impatience/internal/welfare"
 )
@@ -60,25 +59,21 @@ func (s *session) checkQCRBalance() CheckResult {
 		if err != nil {
 			return infraFail(res, fmt.Errorf("N=%d: relaxed optimal: %w", n, err))
 		}
-		gen := sc.HomogeneousTraces()
+		gen := sc.HomogeneousSources()
 		type out struct {
 			avg  []float64
 			rate float64
 		}
 		outs, err := parallel.RunTrials(sc.Trials, s.cfg.Workers, sc.Seed, func(trial int, seed uint64) (out, error) {
-			tr, err := gen(seed)
+			src, err := gen(seed)
 			if err != nil {
 				return out{}, err
 			}
-			rates := trace.EmpiricalRates(tr)
-			mu := rates.Mean()
-			if mu <= 0 {
-				return out{}, fmt.Errorf("empty trace")
-			}
-			res, err := sc.RunScheme(scheme, u, tr, rates, mu, uint64(trial), true)
+			results, err := sc.RunSchemesBatch([]string{scheme}, u, src, 0, uint64(trial), true, nil)
 			if err != nil {
 				return out{}, err
 			}
+			res := results[0]
 			o := out{avg: make([]float64, sc.Items), rate: res.AvgUtilityRate}
 			bins := 0
 			for _, b := range res.Bins {

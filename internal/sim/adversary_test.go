@@ -211,29 +211,29 @@ func TestHardenedQCRTamesInflation(t *testing.T) {
 
 // TestRunBatchMatchesSequentialWithAdversaries: the misbehavior layer —
 // counter inflation, free-riders, and the popularity-churn schedule —
-// behaves bit-identically under the lockstep batch executor and the
-// sequential path.
+// behaves bit-identically when its runner steps in lockstep next to
+// other adversarial runners and when it runs alone.
 func TestRunBatchMatchesSequentialWithAdversaries(t *testing.T) {
 	tr := smallTrace(t, 20, 0.05, 600, 11)
-	mk := func() Config {
-		cfg := adversarialConfig(t, 13)
-		cfg.Trace = nil // the batch executor supplies the shared stream
+	mk := func(seed uint64) Config {
+		cfg := adversarialConfig(t, seed)
+		cfg.Contacts = nil // the batch executor supplies the shared stream
 		return cfg
 	}
-	seqCfg := mk()
-	seqCfg.Trace = tr
+	seqCfg := mk(13)
+	seqCfg.Contacts = tr.Source()
 	seq, err := Run(seqCfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	batch, err := RunBatch([]Config{mk()}, tr.Source())
+	batch, err := RunBatch([]Config{mk(14), mk(13), mk(15)}, tr.Source())
 	if err != nil {
 		t.Fatalf("RunBatch: %v", err)
 	}
-	if seq.Digest() != batch[0].Digest() {
-		t.Fatal("adversarial batch run diverged from the sequential path")
+	if seq.Digest() != batch[1].Digest() {
+		t.Fatal("adversarial batch run diverged from the single run")
 	}
-	if batch[0].Adversary == nil || batch[0].Adversary.DemandShifts != 2 {
-		t.Fatalf("batch tally = %+v, want 2 demand shifts", batch[0].Adversary)
+	if batch[1].Adversary == nil || batch[1].Adversary.DemandShifts != 2 {
+		t.Fatalf("batch tally = %+v, want 2 demand shifts", batch[1].Adversary)
 	}
 }

@@ -14,9 +14,9 @@ import (
 // allocation, a live QCR, and a fault-ridden hardened QCR (churn, lossy
 // meetings with truncated transfers, mandate drops) with the full
 // recording surface (delays, bins, counts) enabled. Policies are
-// stateful, so every call constructs fresh ones. Trace/Contacts are left
-// unset — the batch executor supplies the shared stream; the sequential
-// comparison sets them per call.
+// stateful, so every call constructs fresh ones. Contacts is left unset
+// — the batch executor supplies the shared stream; the single-run
+// comparison sets it per call.
 func batchSchemes(t *testing.T) []Config {
 	t.Helper()
 	static := baseConfig(t, nil, core.Static{Label: "uni"})
@@ -60,7 +60,7 @@ func batchSchemes(t *testing.T) []Config {
 
 // TestRunBatchMatchesSequential is the batch executor's correctness
 // anchor: M runners stepped in lockstep over one shared stream must be
-// bit-identical — same Digest — to M sequential Runs each replaying the
+// bit-identical — same Digest — to M single Runs each replaying the
 // materialized trace on its own. Covers static, QCR, and a fault
 // timeline with truncated meetings; run under -race in CI.
 func TestRunBatchMatchesSequential(t *testing.T) {
@@ -68,7 +68,7 @@ func TestRunBatchMatchesSequential(t *testing.T) {
 
 	want := make([]uint64, len(batchSchemes(t)))
 	for i, cfg := range batchSchemes(t) {
-		cfg.Trace = tr
+		cfg.Contacts = tr.Source()
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("sequential Run %d: %v", i, err)
@@ -117,12 +117,6 @@ func TestRunBatchValidation(t *testing.T) {
 		t.Error("nil source accepted")
 	}
 
-	withTrace := batchSchemes(t)
-	withTrace[1].Trace = tr
-	if _, err := RunBatch(withTrace, tr.Source()); err == nil {
-		t.Error("batch config with Trace set accepted")
-	}
-
 	withStream := batchSchemes(t)
 	withStream[0].Contacts = tr.Source()
 	if _, err := RunBatch(withStream, tr.Source()); err == nil {
@@ -168,19 +162,9 @@ func TestBatchStepZeroAllocSteadyState(t *testing.T) {
 					BinWidth:     duration / 64,
 				}
 			}
-			cfgs := []Config{mk(5), mk(6)}
-			runners := make([]*runner, len(cfgs))
-			for i := range cfgs {
-				cfg := cfgs[i]
-				if err := validateBatch(&cfg, nodes, duration); err != nil {
-					t.Fatalf("validateBatch: %v", err)
-				}
-				r, err := buildRunner(&cfg, nodes, duration)
-				if err != nil {
-					t.Fatalf("buildRunner: %v", err)
-				}
-				r.checked = true
-				runners[i] = r
+			runners, err := newRunners([]Config{mk(5), mk(6)}, (&trace.Trace{Nodes: nodes, Duration: duration}).Source())
+			if err != nil {
+				t.Fatalf("newRunners: %v", err)
 			}
 			var pairs []trace.Contact
 			for a := 0; a < nodes; a++ {
@@ -229,15 +213,15 @@ func BenchmarkUtilityFor(b *testing.B) {
 		Utility:   utility.Step{Tau: 10},
 		Utilities: utils,
 		Pop:       demand.Uniform(items, 1),
-		Trace:     &trace.Trace{Nodes: 8, Duration: 100},
 		Policy:    core.Static{Label: "uni"},
 		NoSticky:  true,
 		Seed:      1,
 	}
-	r, err := newRunner(&cfg)
+	runners, err := newRunners([]Config{cfg}, (&trace.Trace{Nodes: 8, Duration: 100}).Source())
 	if err != nil {
-		b.Fatalf("newRunner: %v", err)
+		b.Fatalf("newRunners: %v", err)
 	}
+	r := runners[0]
 	b.Run("cached", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			utilitySink = r.s.utilityFor(i % items)

@@ -26,7 +26,7 @@ func TestDedicatedBasics(t *testing.T) {
 	tr := smallTrace(t, nodes, 0.08, 2000, 31)
 	cfg := Config{
 		Rho: rho, Utility: utility.NegLog{}, Pop: demand.Pareto(items, 1, 1),
-		Trace: tr, Policy: core.Static{}, Seed: 7,
+		Contacts: tr.Source(), Policy: core.Static{}, Seed: 7,
 		ServerCount: servers,
 		Initial:     alloc.Uniform(items, servers, rho),
 		NoSticky:    true,
@@ -65,7 +65,7 @@ func TestDedicatedRejectsDemandAtServers(t *testing.T) {
 	profile := demand.UniformProfile(3, 6) // gives demand to servers 0..1 too
 	cfg := Config{
 		Rho: 1, Utility: utility.Step{Tau: 5}, Pop: demand.Uniform(3, 1),
-		Profile: profile, Trace: tr, Policy: core.Static{}, Seed: 1,
+		Profile: profile, Contacts: tr.Source(), Policy: core.Static{}, Seed: 1,
 		ServerCount: 2, NoSticky: true, Initial: alloc.Counts{1, 1, 0},
 	}
 	if _, err := Run(cfg); err == nil {
@@ -77,7 +77,7 @@ func TestDedicatedPureP2PUtilityGateLifted(t *testing.T) {
 	tr := smallTrace(t, 10, 0.05, 200, 34)
 	cfg := Config{
 		Rho: 2, Utility: utility.Power{Alpha: 1.5}, Pop: demand.Uniform(4, 1),
-		Trace: tr, Policy: core.Static{}, Seed: 1,
+		Contacts: tr.Source(), Policy: core.Static{}, Seed: 1,
 	}
 	if _, err := Run(cfg); err == nil {
 		t.Error("unbounded utility accepted in pure P2P")
@@ -107,7 +107,7 @@ func TestDedicatedObservedMatchesEq3(t *testing.T) {
 	counts := alloc.Sqrt(pop.Rates, servers, rho)
 	cfg := Config{
 		Rho: rho, Utility: utility.Exponential{Nu: 0.2}, Pop: pop,
-		Trace: tr, Policy: core.Static{}, Seed: 36,
+		Contacts: tr.Source(), Policy: core.Static{}, Seed: 36,
 		ServerCount: servers, Initial: counts, NoSticky: true,
 	}
 	res, err := Run(cfg)
@@ -141,7 +141,7 @@ func TestDedicatedQCRReplicates(t *testing.T) {
 	}
 	cfg := Config{
 		Rho: rho, Utility: utility.NegLog{}, Pop: demand.Pareto(items, 1, 2),
-		Trace: tr, Policy: q, Seed: 38,
+		Contacts: tr.Source(), Policy: q, Seed: 38,
 		ServerCount: servers,
 	}
 	res, err := Run(cfg)

@@ -26,7 +26,7 @@ func TestQCRScaleDiagnostics(t *testing.T) {
 	for _, scale := range []float64{1, 0.3, 0.1, 0.03} {
 		q := &core.QCR{Reaction: core.TunedReaction(f, mu, nodes, scale), MandateRouting: true, Seed: 2}
 		cfg := Config{
-			Rho: rho, Utility: f, Pop: pop, Trace: tr, Policy: q, Seed: 3,
+			Rho: rho, Utility: f, Pop: pop, Contacts: tr.Source(), Policy: q, Seed: 3,
 			BinWidth: 250, RecordCounts: true, WarmupFrac: 0.3,
 		}
 		res, err := Run(cfg)
@@ -39,7 +39,7 @@ func TestQCRScaleDiagnostics(t *testing.T) {
 	}
 	// Static OPT for comparison.
 	cfgO := Config{
-		Rho: rho, Utility: f, Pop: pop, Trace: tr, Seed: 3, WarmupFrac: 0.3,
+		Rho: rho, Utility: f, Pop: pop, Contacts: tr.Source(), Seed: 3, WarmupFrac: 0.3,
 		Policy: core.Static{Label: "opt"}, Initial: opt, NoSticky: true,
 	}
 	resO, err := Run(cfgO)

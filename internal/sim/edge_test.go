@@ -52,7 +52,7 @@ func TestQueryCounterSemantics(t *testing.T) {
 		Utility:    utility.Step{Tau: 50},
 		Pop:        pop,
 		Profile:    profile,
-		Trace:      tr,
+		Contacts:   tr.Source(),
 		Policy:     rec,
 		Initial:    alloc.Counts{1, 0}, // single copy of item 0...
 		NoSticky:   true,
@@ -97,7 +97,7 @@ func TestGainUsesRequestAge(t *testing.T) {
 	profile := demand.Profile{P: [][]float64{{1, 0}}}
 	cfg := Config{
 		Rho: 1, Utility: utility.Power{Alpha: 0} /* h(t) = -t */, Pop: pop,
-		Profile: profile, Trace: tr, Policy: core.Static{},
+		Profile: profile, Contacts: tr.Source(), Policy: core.Static{},
 		NoSticky: true, Seed: 3, WarmupFrac: -1,
 	}
 	p := alloc.NewPlacement(1, 2, 1)
@@ -131,7 +131,7 @@ func TestWriteFailsWhenAllSlotsSticky(t *testing.T) {
 	q := &core.QCR{Reaction: core.PathReplication(5), MandateRouting: true, Seed: 1}
 	cfg := Config{
 		Rho: 1, Utility: utility.Step{Tau: 100}, Pop: demand.Uniform(2, 5),
-		Trace: tr, Policy: q, Seed: 2, WarmupFrac: -1,
+		Contacts: tr.Source(), Policy: q, Seed: 2, WarmupFrac: -1,
 	}
 	res, err := Run(cfg)
 	if err != nil {
@@ -151,7 +151,7 @@ func TestStickyPlacementExceedingCapacity(t *testing.T) {
 	tr := &trace.Trace{Nodes: 2, Duration: 10}
 	cfg := Config{
 		Rho: 1, Utility: utility.Step{Tau: 1}, Pop: demand.Uniform(3, 1),
-		Trace: tr, Policy: core.Static{}, Seed: 1,
+		Contacts: tr.Source(), Policy: core.Static{}, Seed: 1,
 	}
 	if _, err := Run(cfg); err == nil {
 		t.Error("3 sticky items on 2 single-slot nodes accepted")
@@ -165,7 +165,7 @@ func TestInitialPlacementValidation(t *testing.T) {
 	p.Set(0, 0, true)
 	cfg := Config{
 		Rho: 1, Utility: utility.Step{Tau: 1}, Pop: demand.Uniform(1, 1),
-		Trace: tr, Policy: core.Static{}, Seed: 1,
+		Contacts: tr.Source(), Policy: core.Static{}, Seed: 1,
 		InitialPlacement: p, // NoSticky not set → must fail
 	}
 	if _, err := Run(cfg); err == nil {
@@ -199,7 +199,7 @@ func TestMultipleOutstandingRequestsSameItem(t *testing.T) {
 	p.Set(0, 1, true)
 	cfg := Config{
 		Rho: 1, Utility: utility.Step{Tau: 10000}, Pop: pop, Profile: profile,
-		Trace: tr, Policy: rec, NoSticky: true, InitialPlacement: p,
+		Contacts: tr.Source(), Policy: rec, NoSticky: true, InitialPlacement: p,
 		Seed: 9, WarmupFrac: -1,
 	}
 	res, err := Run(cfg)
@@ -241,7 +241,7 @@ func TestWarmupExcludesEarlyGains(t *testing.T) {
 	mk := func(warmup float64) *Result {
 		res, err := Run(Config{
 			Rho: 1, Utility: utility.Step{Tau: 1e6}, Pop: pop, Profile: profile,
-			Trace: tr, Policy: core.Static{}, NoSticky: true, InitialPlacement: p,
+			Contacts: tr.Source(), Policy: core.Static{}, NoSticky: true, InitialPlacement: p,
 			Seed: 4, WarmupFrac: warmup,
 		})
 		if err != nil {

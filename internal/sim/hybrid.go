@@ -186,7 +186,6 @@ func hybridFallback(cfg Config, m *rates.Model, duration float64, hy HybridOptio
 	if err != nil {
 		return nil, err
 	}
-	cfg.Trace = nil
 	cfg.Contacts = src
 	res, err := Run(cfg)
 	if err != nil {
@@ -200,10 +199,9 @@ func hybridFallback(cfg Config, m *rates.Model, duration float64, hy HybridOptio
 
 // RunHybrid simulates cfg over the structured rate model m for the
 // given duration on the hybrid engine. The configuration must leave
-// Trace and Contacts nil — the engine builds its own contact process
-// (and, on fallback, the model's sharded source seeded by
-// hy.ContactSeed). The returned Result always carries a non-nil Hybrid
-// tally.
+// Contacts nil — the engine builds its own contact process (and, on
+// fallback, the model's sharded source seeded by hy.ContactSeed). The
+// returned Result always carries a non-nil Hybrid tally.
 func RunHybrid(cfg Config, m *rates.Model, duration float64, hy HybridOptions) (*Result, error) {
 	if m == nil {
 		return nil, fmt.Errorf("%w: nil rate model", ErrHybrid)
@@ -211,8 +209,8 @@ func RunHybrid(cfg Config, m *rates.Model, duration float64, hy HybridOptions) (
 	if duration <= 0 || math.IsNaN(duration) || math.IsInf(duration, 0) {
 		return nil, fmt.Errorf("%w: duration %g", ErrHybrid, duration)
 	}
-	if cfg.Trace != nil || cfg.Contacts != nil {
-		return nil, fmt.Errorf("%w: the engine builds its own contact process; leave Trace and Contacts nil", ErrHybrid)
+	if cfg.Contacts != nil {
+		return nil, fmt.Errorf("%w: the engine builds its own contact process; leave Contacts nil", ErrHybrid)
 	}
 	if cfg.Policy == nil {
 		return nil, fmt.Errorf("%w: nil policy", ErrHybrid)
@@ -370,7 +368,7 @@ func newHybridRun(cfg *Config, m *rates.Model, duration float64, hy HybridOption
 		nodes: nodes, items: items, comms: comms, sizes: sizes,
 		measureStart: cfg.WarmupFrac * duration,
 		winArr:       make([]float64, items),
-		uk:           kernelFor(cfg.Utility, cfg.ReferenceKernel),
+		uk:           kernelFor(cfg.Utility),
 		tally:        &HybridTally{},
 	}
 	h.pushBelief()

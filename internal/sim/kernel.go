@@ -5,7 +5,7 @@
 // streaming, lockstep batching), profiles of the fused per-contact kernel
 // show the remaining cost is dispatch: one utility.Function interface
 // call per fulfillment (and per immediate local hit), plus the virtual
-// policy hooks. newRunner therefore resolves each item's delay-utility
+// policy hooks. buildRunner therefore resolves each item's delay-utility
 // once into a flat utilKernel — the family tag plus its constants — and
 // the hot path evaluates h through a tag switch on a struct it already
 // has in cache, instead of an itab load and an indirect call per event.
@@ -14,8 +14,8 @@
 // the same operation order* as the corresponding utility method (the
 // expressions are copied verbatim), so results are byte-identical and
 // every golden digest family is preserved. Utilities outside the four
-// closed-form families — and every item when Config.ReferenceKernel is
-// set — keep the interface call via the ukGeneric fallback arm.
+// closed-form families keep the interface call via the ukGeneric
+// fallback arm.
 package sim
 
 import (
@@ -28,8 +28,8 @@ import (
 type utilKind uint8
 
 const (
-	// ukGeneric evaluates through the utility.Function interface: custom
-	// utilities, and every item under Config.ReferenceKernel.
+	// ukGeneric evaluates through the utility.Function interface: every
+	// utility outside the four closed-form families.
 	ukGeneric utilKind = iota
 	ukStep             // utility.Step: a is τ
 	ukExp              // utility.Exponential: a is ν
@@ -47,14 +47,9 @@ type utilKernel struct {
 	fn   utility.Function // resolved function; fallback and provenance
 }
 
-// kernelFor resolves f into its fast path. reference forces the generic
-// arm, which is how the kernel benchmark measures the pre-devirtualized
-// cost of the identical run.
-func kernelFor(f utility.Function, reference bool) utilKernel {
+// kernelFor resolves f into its fast path.
+func kernelFor(f utility.Function) utilKernel {
 	k := utilKernel{kind: ukGeneric, fn: f}
-	if reference {
-		return k
-	}
 	switch u := f.(type) {
 	case utility.Step:
 		k.kind, k.a, k.h0 = ukStep, u.Tau, 1

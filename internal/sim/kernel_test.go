@@ -12,13 +12,52 @@ import (
 	"impatience/internal/utility"
 )
 
+// The kernel equivalence tests compare the devirtualized contact kernel
+// against a reference run of the same inputs that defeats each of its
+// shortcuts through test-only wrappers: opaqueUtility lands every
+// delay-utility on the ukGeneric interface arm (the utility methods are
+// the reference the closed-form arms copy), hookedPolicy keeps the hooks
+// of a passive policy running, and nextOnlySource makes the executors
+// draw one Next call per contact instead of bulk fills.
+
+// opaqueUtility hides a utility's concrete type from kernelFor's type
+// switch.
+type opaqueUtility struct{ utility.Function }
+
+// hookedPolicy hides core.PassivePolicy, so the runner invokes every
+// (no-op) hook instead of eliding it.
+type hookedPolicy struct{ core.Policy }
+
+// nextOnlySource hides trace.BulkSource (and every other optional
+// interface), so trace.FillBatch falls back to Next.
+type nextOnlySource struct{ trace.Source }
+
+// asReference rewires cfg onto the reference path. Only passive policies
+// are wrapped: the others already run every hook, and wrapping would hide
+// their optional interfaces (mandate counts, fault awareness).
+func asReference(cfg *Config) {
+	if cfg.Utility != nil {
+		cfg.Utility = opaqueUtility{cfg.Utility}
+	}
+	if cfg.Utilities != nil {
+		us := make([]utility.Function, len(cfg.Utilities))
+		for i, f := range cfg.Utilities {
+			if f != nil {
+				us[i] = opaqueUtility{f}
+			}
+		}
+		cfg.Utilities = us
+	}
+	if core.IsPassive(cfg.Policy) {
+		cfg.Policy = hookedPolicy{cfg.Policy}
+	}
+}
+
 // TestKernelReferenceEquivalence is the correctness anchor of the
-// devirtualized contact kernel: Config.ReferenceKernel replays the
-// pre-optimization path (Next-per-contact streaming, interface utility
-// dispatch, hooks always invoked), so for every policy, utility family
-// and contact path the fast kernel's Result digest must be bit-identical
-// to the reference run's. Each sub-test builds both configs from the
-// same inputs and compares digests.
+// devirtualized contact kernel: for every policy, utility family and
+// executor the fast kernel's Result digest must be bit-identical to the
+// reference run's. Each sub-test builds both configs from the same
+// inputs and compares digests.
 func TestKernelReferenceEquivalence(t *testing.T) {
 	policies := []struct {
 		name string
@@ -57,40 +96,48 @@ func TestKernelReferenceEquivalence(t *testing.T) {
 		}},
 	}
 	tr := smallTrace(t, 12, 0.05, 800, 9)
+	// Each path runs one config over a fresh source (sources drain);
+	// wrap is the identity on the fast side and nextOnlySource on the
+	// reference side.
 	paths := []struct {
 		name string
-		run  func(t *testing.T, cfg Config) *Result
+		run  func(t *testing.T, cfg Config, wrap func(trace.Source) trace.Source) *Result
 	}{
-		{"materialized", func(t *testing.T, cfg Config) *Result {
-			cfg.Trace = tr
+		{"materialized", func(t *testing.T, cfg Config, wrap func(trace.Source) trace.Source) *Result {
+			cfg.Contacts = wrap(tr.Source())
 			res, err := Run(cfg)
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
 			return res
 		}},
-		{"streaming", func(t *testing.T, cfg Config) *Result {
-			// A fresh stream per run: its RNG state mutates as it drains.
+		{"streaming", func(t *testing.T, cfg Config, wrap func(trace.Source) trace.Source) *Result {
 			src, err := contact.NewHomogeneousStream(12, 0.05, 800, newRNG(9))
 			if err != nil {
 				t.Fatalf("NewHomogeneousStream: %v", err)
 			}
-			cfg.Trace, cfg.Contacts = nil, src
+			cfg.Contacts = wrap(src)
 			res, err := Run(cfg)
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
 			return res
 		}},
-		{"batch", func(t *testing.T, cfg Config) *Result {
+		{"batch", func(t *testing.T, cfg Config, wrap func(trace.Source) trace.Source) *Result {
 			src, err := contact.NewReplayStream(trace.UniformRates(12, 0.05), 800, 9, 12)
 			if err != nil {
 				t.Fatalf("NewReplayStream: %v", err)
 			}
-			cfg.Trace, cfg.Contacts = nil, nil
-			res, err := RunBatch([]Config{cfg}, src)
+			res, err := RunBatch([]Config{cfg}, wrap(src))
 			if err != nil {
 				t.Fatalf("RunBatch: %v", err)
+			}
+			return res[0]
+		}},
+		{"sharded", func(t *testing.T, cfg Config, wrap func(trace.Source) trace.Source) *Result {
+			res, err := RunBatchSharded([]Config{cfg}, wrap(tr.Source()), 2)
+			if err != nil {
+				t.Fatalf("RunBatchSharded: %v", err)
 			}
 			return res[0]
 		}},
@@ -99,16 +146,17 @@ func TestKernelReferenceEquivalence(t *testing.T) {
 		for _, uc := range utilities {
 			for _, path := range paths {
 				t.Run(pc.name+"/"+uc.name+"/"+path.name, func(t *testing.T) {
-					mk := func(reference bool) Config {
+					mk := func() Config {
 						cfg := baseConfig(t, nil, pc.pol())
 						cfg.BinWidth = 80
 						cfg.RecordCounts = true
 						uc.mod(&cfg)
-						cfg.ReferenceKernel = reference
 						return cfg
 					}
-					ref := path.run(t, mk(true))
-					fast := path.run(t, mk(false))
+					refCfg := mk()
+					asReference(&refCfg)
+					ref := path.run(t, refCfg, func(s trace.Source) trace.Source { return nextOnlySource{s} })
+					fast := path.run(t, mk(), func(s trace.Source) trace.Source { return s })
 					if ref.Digest() != fast.Digest() {
 						t.Errorf("fast kernel digest %#x != reference %#x", fast.Digest(), ref.Digest())
 					}
@@ -118,21 +166,29 @@ func TestKernelReferenceEquivalence(t *testing.T) {
 	}
 }
 
+// runReference runs cfg on the reference path: wrapped utilities and
+// policy, Next-per-contact source.
+func runReference(t *testing.T, cfg Config) *Result {
+	t.Helper()
+	asReference(&cfg)
+	cfg.Contacts = nextOnlySource{cfg.Contacts}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("Run (reference): %v", err)
+	}
+	return res
+}
+
 // TestKernelReferenceEquivalenceAdversary pins the non-passive side of
 // the dispatch elision: with every misbehavior class active the hooks
 // and role lookups must still run (passivity is off), and the fast
 // kernel must remain bit-identical to the reference path.
 func TestKernelReferenceEquivalenceAdversary(t *testing.T) {
-	run := func(reference bool) *Result {
-		cfg := adversarialConfig(t, 3)
-		cfg.ReferenceKernel = reference
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		return res
+	ref := runReference(t, adversarialConfig(t, 3))
+	fast, err := Run(adversarialConfig(t, 3))
+	if err != nil {
+		t.Fatalf("Run: %v", err)
 	}
-	ref, fast := run(true), run(false)
 	if ref.Digest() != fast.Digest() {
 		t.Errorf("fast kernel digest %#x != reference %#x under adversary", fast.Digest(), ref.Digest())
 	}
@@ -149,18 +205,17 @@ func TestKernelReferenceEquivalenceAdversary(t *testing.T) {
 // suppressed-reaction branch, which the passive fast path must never
 // skip (passivity requires no adversary).
 func TestKernelFreeRiderEquivalence(t *testing.T) {
-	run := func(reference bool) *Result {
+	mk := func() Config {
 		tr := smallTrace(t, 15, 0.05, 500, 4)
 		cfg := baseConfig(t, tr, core.Static{Label: "uni"})
 		cfg.Adversary = &adversary.Config{FreeRiderFrac: 1, Seed: 3}
-		cfg.ReferenceKernel = reference
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		return res
+		return cfg
 	}
-	ref, fast := run(true), run(false)
+	ref := runReference(t, mk())
+	fast, err := Run(mk())
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
 	if ref.Digest() != fast.Digest() {
 		t.Errorf("fast kernel digest %#x != reference %#x with free-riders", fast.Digest(), ref.Digest())
 	}
@@ -185,15 +240,15 @@ func TestBatchedStreamZeroAllocSteadyState(t *testing.T) {
 		Rho:        3,
 		Utility:    utility.Step{Tau: 10},
 		Pop:        demand.Pareto(items, 1, 2),
-		Contacts:   src,
 		Policy:     core.Static{Label: "uni"},
 		Seed:       5,
 		WarmupFrac: -1,
 	}
-	r, err := newRunner(&cfg)
+	runners, err := newRunners([]Config{cfg}, src)
 	if err != nil {
-		t.Fatalf("newRunner: %v", err)
+		t.Fatalf("newRunners: %v", err)
 	}
+	r := runners[0]
 	buf := make([]trace.Contact, contactBatchSize)
 	batchOne := func() {
 		n := trace.FillBatch(src, buf)
@@ -240,15 +295,15 @@ func TestShardedSourceZeroAllocSteadyState(t *testing.T) {
 		Rho:        3,
 		Utility:    utility.Step{Tau: 10},
 		Pop:        demand.Pareto(items, 1, 2),
-		Contacts:   src,
 		Policy:     core.Static{Label: "uni"},
 		Seed:       5,
 		WarmupFrac: -1,
 	}
-	r, err := newRunner(&cfg)
+	runners, err := newRunners([]Config{cfg}, src)
 	if err != nil {
-		t.Fatalf("newRunner: %v", err)
+		t.Fatalf("newRunners: %v", err)
 	}
+	r := runners[0]
 	buf := make([]trace.Contact, contactBatchSize)
 	batchOne := func() {
 		n := trace.FillBatch(src, buf)

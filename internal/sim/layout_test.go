@@ -27,7 +27,6 @@ func TestSetupBytesPerNode(t *testing.T) {
 		Rho:     2,
 		Utility: utility.Step{Tau: 10},
 		Pop:     demand.Uniform(items, 0.04*nodes),
-		Trace:   &trace.Trace{Nodes: nodes, Duration: 4},
 		Policy: &core.QCR{
 			Reaction:       core.PathReplication(1),
 			MandateRouting: true,
@@ -36,12 +35,13 @@ func TestSetupBytesPerNode(t *testing.T) {
 		},
 		Seed: 1,
 	}
+	src := (&trace.Trace{Nodes: nodes, Duration: 4}).Source()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	r, err := newRunner(&cfg)
+	r, err := newRunners([]Config{cfg}, src)
 	runtime.ReadMemStats(&after)
 	if err != nil {
-		t.Fatalf("newRunner: %v", err)
+		t.Fatalf("newRunners: %v", err)
 	}
 	runtime.KeepAlive(r)
 	perNode := float64(after.TotalAlloc-before.TotalAlloc) / nodes

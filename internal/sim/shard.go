@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -57,26 +56,11 @@ func RunBatchSharded(cfgs []Config, contacts trace.Source, shards int) ([]*Resul
 	if shards <= 1 {
 		return RunBatch(cfgs, contacts)
 	}
-	if len(cfgs) == 0 {
-		return nil, fmt.Errorf("sim: empty batch")
-	}
-	if contacts == nil {
-		return nil, fmt.Errorf("sim: nil contact source")
+	runners, err := newRunners(cfgs, contacts)
+	if err != nil {
+		return nil, err
 	}
 	nodes, duration := contacts.Nodes(), contacts.Duration()
-	runners := make([]*runner, len(cfgs))
-	for i := range cfgs {
-		cfg := cfgs[i] // private copy, as Run takes cfg by value
-		if err := validateBatch(&cfg, nodes, duration); err != nil {
-			return nil, fmt.Errorf("sim: batch config %d: %w", i, err)
-		}
-		r, err := buildRunner(&cfg, nodes, duration)
-		if err != nil {
-			return nil, fmt.Errorf("sim: batch config %d: %w", i, err)
-		}
-		r.checked = true // the producer validates each contact once
-		runners[i] = r
-	}
 
 	workers := shards
 	if workers > len(cfgs) {
@@ -180,7 +164,7 @@ func RunBatchSharded(cfgs []Config, contacts trace.Source, shards int) ([]*Resul
 				for idx := w; idx < len(runners); idx += workers {
 					res, err := runners[idx].finish()
 					if err != nil {
-						fail = &shardError{ord: math.MaxInt64, class: idx, err: fmt.Errorf("sim: batch config %d: %w", idx, err)}
+						fail = &shardError{ord: math.MaxInt64, class: idx, err: batchErr(idx, len(runners), err)}
 						break
 					}
 					results[idx] = res

@@ -102,8 +102,8 @@ func TestRunBatchShardedInvariance(t *testing.T) {
 }
 
 // TestRunBatchShardedMatchesSequential anchors the sharded executor to
-// the original per-config Run loop: materialize the structured contact
-// stream once, replay it through individual sequential Runs, and require
+// the per-config Run loop: materialize the structured contact stream
+// once, replay it through individual single Runs, and require
 // digest equality with the sharded batch over the streaming source.
 func TestRunBatchShardedMatchesSequential(t *testing.T) {
 	cfgs, src := shardScenario(t, 43)
@@ -114,7 +114,7 @@ func TestRunBatchShardedMatchesSequential(t *testing.T) {
 	want := make([]uint64, len(cfgs))
 	seqCfgs, _ := shardScenario(t, 43)
 	for i, cfg := range seqCfgs {
-		cfg.Trace = tr
+		cfg.Contacts = tr.Source()
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("sequential Run %d: %v", i, err)
@@ -164,10 +164,10 @@ func TestRunBatchShardedErrors(t *testing.T) {
 	if _, err := RunBatchSharded(cfgs, nil, 4); err == nil {
 		t.Error("nil source accepted")
 	}
-	withTrace, src2 := shardScenario(t, 5)
-	withTrace[1].Trace = smallTrace(t, 14, 0.05, 200, 3)
-	if _, err := RunBatchSharded(withTrace, reopenFresh(t, src2), 4); err == nil {
-		t.Error("batch config with Trace set accepted")
+	withContacts, src2 := shardScenario(t, 5)
+	withContacts[1].Contacts = smallTrace(t, 14, 0.05, 200, 3).Source()
+	if _, err := RunBatchSharded(withContacts, reopenFresh(t, src2), 4); err == nil {
+		t.Error("batch config with Contacts set accepted")
 	}
 
 	disordered := func() trace.Source {

@@ -45,18 +45,15 @@ type Config struct {
 	Utilities []utility.Function
 	Pop       demand.Popularity
 	Profile   demand.Profile // optional; uniform if zero value
-	// Trace drives meetings and the run duration (the materialized path).
-	// Exactly one of Trace and Contacts must be set; a Trace is
-	// equivalent to Contacts: tr.Source() and is kept as the fast path
-	// the golden digest tests pin bit-for-bit.
-	Trace *trace.Trace
-	// Contacts streams the meetings instead of materializing them:
+	// Contacts drives meetings and the run duration in Run: a
+	// materialized trace as tr.Source(), or a lazily drawn process whose
 	// generation fuses with simulation, so a huge-duration run holds the
 	// source's O(N²) rate state rather than the O(N²·µ·T) contact list.
-	// Streaming sources must honor the trace.Source contract
-	// (time-ordered, in-range contacts); every streamed contact is
-	// re-checked cheaply as it is consumed, and sources implementing
-	// trace.ErrSource have their terminal error propagated.
+	// Sources must honor the trace.Source contract (time-ordered,
+	// in-range contacts); every contact is checked cheaply as it is
+	// consumed, and sources implementing trace.ErrSource have their
+	// terminal error propagated. Batch configs leave it nil: the batch's
+	// shared source drives every runner.
 	Contacts trace.Source
 	Policy   core.Policy // replication policy (core.Static for fixed allocations)
 
@@ -76,19 +73,6 @@ type Config struct {
 	NoSticky bool
 
 	Seed uint64
-
-	// ReferenceKernel disables the devirtualized contact kernel and runs
-	// the pre-batching reference hot path instead: contacts are consumed
-	// one Source.Next interface call at a time, every delay-utility is
-	// evaluated through the utility.Function interface, and the policy
-	// hooks are always invoked — even when they are provable no-ops. The
-	// two kernels are bit-identical by construction (the fast paths
-	// compute the same float expressions in the same order and only elide
-	// calls to guaranteed no-ops), which the kernel benchmark's in-run
-	// digest-equality gate and the sim digest tests pin. It exists for
-	// that before/after measurement and for equivalence tests; production
-	// callers leave it false.
-	ReferenceKernel bool
 
 	// WarmupFrac is the fraction of the run excluded from the average
 	// utility (the allocation needs time to converge). 0 means the
@@ -230,8 +214,7 @@ type state struct {
 	// resolved to a flat family-tagged kernel (see kernel.go), so the
 	// per-fulfillment h(age) and h(0⁺) evaluations in fulfillSide,
 	// handleArrival, crash and the horizon accounting are a tag switch
-	// instead of an interface call. Under Config.ReferenceKernel every
-	// kernel is the generic arm, i.e. exactly the old interface path.
+	// instead of an interface call.
 	uks []utilKernel
 	// The caches, flat: node n's slots are slots[n·ρ : (n+1)·ρ] for
 	// n < servers (dedicated clients have none). Slot order is the order
@@ -466,15 +449,14 @@ func (s *state) applyFault(ev faults.Event, res *Result) {
 }
 
 // runner is one simulation in flight: the live caches plus every loop
-// variable of the event loop, factored out of Run so the per-contact hot
-// path (step) is a plain method — the allocation regression tests drive
-// it contact by contact, and both the materialized and the streaming
-// contact paths share it verbatim.
+// variable of the event loop, factored out of the executors so the
+// per-contact hot path (step) is a plain method — the allocation
+// regression tests drive it contact by contact, and the serial and
+// sharded executors share it verbatim.
 type runner struct {
 	cfg *Config
 	s   *state
 	res *Result
-	mat *trace.Trace // materialized path; nil when streaming Contacts
 
 	proc     *demand.Process
 	next     demand.Request
@@ -497,24 +479,16 @@ type runner struct {
 
 	totalFulfilled, totalImmediate int // whole-run counts for overhead
 
-	nodes    int
 	duration float64
-	prevT    float64 // last consumed contact time (streaming sanity check)
-	// checked marks the contact feed as already contract-validated —
-	// either a materialized trace (validated up front) or the batch
-	// executor's shared stream (checked once per contact by the driver,
-	// not once per runner) — so step skips the per-contact re-check.
-	checked bool
 	// passive elides the policy hooks: set when the policy declares both
-	// its hooks no-ops (core.IsPassive), the adversary layer is off (its
-	// tallies piggyback on the hook call sites), and the reference kernel
-	// is not forced. Eliding a call to a guaranteed no-op is invisible to
-	// every Result field — the fast/reference digest tests pin it.
+	// its hooks no-ops (core.IsPassive) and the adversary layer is off
+	// (its tallies piggyback on the hook call sites). Eliding a call to a
+	// guaranteed no-op is invisible to every Result field — the kernel
+	// equivalence tests pin it against a policy that hides passivity.
 	passive bool
 	// hasBins gates the per-contact flushTo call: with no time series the
 	// call is a guaranteed no-op (flushTo returns immediately when
-	// BinWidth ≤ 0), but it is not inlinable, so the fast path skips it
-	// entirely. Reference mode keeps the call to replay the old shape.
+	// BinWidth ≤ 0), but it is not inlinable, so step skips it entirely.
 	hasBins bool
 }
 
@@ -525,80 +499,21 @@ type runner struct {
 // executor's chunk size.
 const contactBatchSize = 4096
 
-// Run executes the simulation: set-up, one step per contact in time
-// order, then the horizon accounting. The two contact paths are
-// behavior-identical — a materialized trace is simply the pre-validated
-// fast path, which the golden digest tests pin bit-for-bit.
+// Run executes one simulation over cfg.Contacts: set-up, one step per
+// contact in time order, then the horizon accounting. It is exactly a
+// one-config RunBatch over that source.
 func Run(cfg Config) (*Result, error) {
-	r, err := newRunner(&cfg)
+	src := cfg.Contacts
+	cfg.Contacts = nil
+	res, err := RunBatch([]Config{cfg}, src)
 	if err != nil {
 		return nil, err
 	}
-	if r.mat != nil {
-		for _, c := range r.mat.Contacts {
-			if err := r.step(c); err != nil {
-				return nil, err
-			}
-		}
-	} else if err := r.drain(cfg.Contacts); err != nil {
-		return nil, err
-	}
-	return r.finish()
-}
-
-// drain consumes a streaming contact source to exhaustion: batches of
-// contactBatchSize through the trace.BulkSource seam on the fast path
-// (buffering only — the source draws the identical contact sequence, so
-// digests are unchanged), one Next interface call per contact under
-// Config.ReferenceKernel. A terminal source error is propagated either
-// way.
-func (r *runner) drain(src trace.Source) error {
-	if r.cfg.ReferenceKernel {
-		for {
-			c, ok := src.Next()
-			if !ok {
-				break
-			}
-			if err := r.step(c); err != nil {
-				return err
-			}
-		}
-	} else {
-		buf := make([]trace.Contact, contactBatchSize)
-		for {
-			n := trace.FillBatch(src, buf)
-			if n == 0 {
-				break
-			}
-			for i := range buf[:n] {
-				if err := r.step(buf[i]); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	if es, ok := src.(trace.ErrSource); ok {
-		if err := es.Err(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// newRunner validates the configuration and builds the initial caches,
-// demand process, fault timeline and time-series bookkeeping.
-func newRunner(cfg *Config) (*runner, error) {
-	nodes, duration, err := validate(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return buildRunner(cfg, nodes, duration)
+	return res[0], nil
 }
 
 // buildRunner constructs the runner for an already-validated config and
-// resolved (nodes, duration). It is shared by the single-run entry point
-// (newRunner) and the batch executor, whose runners all take their
-// dimensions from the one shared contact source.
+// the shared source's (nodes, duration).
 func buildRunner(cfg *Config, nodes int, duration float64) (*runner, error) {
 	items := cfg.Pop.Items()
 	servers := nodes
@@ -630,7 +545,7 @@ func buildRunner(cfg *Config, nodes int, duration float64) (*runner, error) {
 	s.uks = make([]utilKernel, items)
 	for i := range s.ufns {
 		s.ufns[i] = resolveUtility(cfg, i)
-		s.uks[i] = kernelFor(s.ufns[i], cfg.ReferenceKernel)
+		s.uks[i] = kernelFor(s.ufns[i])
 	}
 	if err := s.initCaches(); err != nil {
 		return nil, err
@@ -729,14 +644,11 @@ func buildRunner(cfg *Config, nodes int, duration float64) (*runner, error) {
 		cfg:      cfg,
 		s:        s,
 		res:      res,
-		mat:      cfg.Trace,
-		checked:  cfg.Trace != nil,
 		proc:     proc,
 		switched: cfg.DemandSwitch == nil,
 		shifts:   shifts,
 		fevents:  fevents,
 		binIdx:   -1,
-		nodes:    nodes,
 		duration: duration,
 	}
 	if cfg.BinWidth > 0 {
@@ -746,8 +658,8 @@ func buildRunner(cfg *Config, nodes int, duration float64) (*runner, error) {
 		r.bins = make([]Bin, 0, int(duration/cfg.BinWidth)+2)
 	}
 	r.mc, r.hasMandates = cfg.Policy.(mandateCounter)
-	r.passive = core.IsPassive(cfg.Policy) && s.adv == nil && !cfg.ReferenceKernel
-	r.hasBins = cfg.BinWidth > 0 || cfg.ReferenceKernel
+	r.passive = core.IsPassive(cfg.Policy) && s.adv == nil
+	r.hasBins = cfg.BinWidth > 0
 	r.next, r.ok = proc.Next()
 	return r, nil
 }
@@ -946,26 +858,16 @@ func (r *runner) advanceTo(horizon float64) error {
 	}
 }
 
-// step consumes one contact: the fused per-contact hot path shared by the
-// materialized and streaming paths. In steady state (no new (node, item)
-// request queues, no time series) it performs zero heap allocations —
-// pinned by the AllocsPerRun regression test.
+// step consumes one contact, already contract-checked by the executor:
+// the fused per-contact hot path every executor shares. In steady state
+// (no new (node, item) request queues, no time series) it performs zero
+// heap allocations — pinned by the AllocsPerRun regression test.
 func (r *runner) step(c trace.Contact) error {
-	if !r.checked {
-		// Streamed contacts cannot be validated up front; check each one
-		// as it is consumed (comparisons only, nothing allocated).
-		if err := trace.CheckStreamContact(c, r.prevT, r.nodes, r.duration); err != nil {
-			return err
-		}
-		r.prevT = c.T
-	}
 	// Inline advanceTo's first-iteration test: when no churn event and no
 	// arrival is due before this contact — the common case at realistic
 	// demand — the (non-inlinable) call is skipped outright. The guard is
-	// exactly the loop's own exit condition, so behavior is identical;
-	// reference mode keeps the unconditional call of the old shape.
-	if r.cfg.ReferenceKernel ||
-		(r.fi < len(r.fevents) && r.fevents[r.fi].T <= c.T) || (r.ok && r.next.T <= c.T) {
+	// exactly the loop's own exit condition, so behavior is identical.
+	if (r.fi < len(r.fevents) && r.fevents[r.fi].T <= c.T) || (r.ok && r.next.T <= c.T) {
 		if err := r.advanceTo(c.T); err != nil {
 			return err
 		}
@@ -984,28 +886,20 @@ func (r *runner) step(c trace.Contact) error {
 		s.truncated = true
 		s.tally.TruncatedMeetings++
 	}
-	if r.cfg.ReferenceKernel {
-		// Reference mode replays the pre-devirtualized call shape exactly:
-		// unconditional fulfillSide calls and the virtual OnMeeting hook.
+	// A side with no outstanding requests has nothing to fulfill; skipping
+	// the call also skips its adversary role lookups. With a passive
+	// policy OnMeeting is a no-op and the virtual call is elided. Both
+	// cuts are behavior-identical: fulfillSide on an empty list returns
+	// before any mutation, and passivity is only set when no adversary
+	// tallies can mutate at hook call sites.
+	if !s.reqs.Empty(c.A) {
 		r.fulfillSide(c.A, c.B, c.T)
+	}
+	if !s.reqs.Empty(c.B) {
 		r.fulfillSide(c.B, c.A, c.T)
+	}
+	if !r.passive {
 		r.cfg.Policy.OnMeeting(s, c.A, c.B, c.T)
-	} else {
-		// A side with no outstanding requests has nothing to fulfill;
-		// skipping the call also skips its adversary role lookups. With a
-		// passive policy OnMeeting is a no-op and the virtual call is
-		// elided. Both cuts are behavior-identical: fulfillSide on an empty
-		// list returns before any mutation, and passivity is only set when
-		// no adversary tallies can mutate at hook call sites.
-		if !s.reqs.Empty(c.A) {
-			r.fulfillSide(c.A, c.B, c.T)
-		}
-		if !s.reqs.Empty(c.B) {
-			r.fulfillSide(c.B, c.A, c.T)
-		}
-		if !r.passive {
-			r.cfg.Policy.OnMeeting(s, c.A, c.B, c.T)
-		}
 	}
 	s.truncated = false
 	return nil
@@ -1099,61 +993,10 @@ func (r *runner) finish() (*Result, error) {
 // mandateCounter is implemented by policies that track pending mandates.
 type mandateCounter interface{ TotalMandates() int }
 
-// validate checks the configuration and resolves the population size and
-// run duration from whichever contact input (Trace or Contacts) is set.
-func validate(cfg *Config) (nodes int, duration float64, err error) {
-	switch {
-	case cfg.Trace == nil && cfg.Contacts == nil:
-		return 0, 0, fmt.Errorf("sim: nil trace (set Trace or Contacts)")
-	case cfg.Trace != nil && cfg.Contacts != nil:
-		return 0, 0, fmt.Errorf("sim: both Trace and Contacts set; pick one")
-	}
-	if cfg.Trace != nil {
-		if err := cfg.Trace.Validate(); err != nil {
-			return 0, 0, err
-		}
-		nodes, duration = cfg.Trace.Nodes, cfg.Trace.Duration
-	} else {
-		// A stream cannot be validated up front; its dimensions can.
-		// Contacts themselves are checked one at a time as consumed.
-		nodes, duration = cfg.Contacts.Nodes(), cfg.Contacts.Duration()
-		if err := checkSourceDims(nodes, duration); err != nil {
-			return 0, 0, err
-		}
-	}
-	return nodes, duration, validateShared(cfg, nodes, duration)
-}
-
-// checkSourceDims sanity-checks the dimensions reported by an
-// unvalidated contact stream. (A materialized Trace skips this: its own
-// Validate governs, and it legitimately allows single-node traces.)
-func checkSourceDims(nodes int, duration float64) error {
-	if nodes < 2 {
-		return fmt.Errorf("sim: contact source has %d nodes, need ≥ 2", nodes)
-	}
-	if !(duration > 0) { // catches NaN too
-		return fmt.Errorf("sim: contact source duration %g", duration)
-	}
-	return nil
-}
-
-// validateBatch checks one batch config against the shared contact
-// source's dimensions. Batch configs must leave both contact inputs
-// unset: the executor owns the one stream every runner consumes.
-func validateBatch(cfg *Config, nodes int, duration float64) error {
-	if cfg.Trace != nil || cfg.Contacts != nil {
-		return fmt.Errorf("sim: batch config must leave Trace and Contacts unset (the shared source drives every runner)")
-	}
-	if err := checkSourceDims(nodes, duration); err != nil {
-		return err
-	}
-	return validateShared(cfg, nodes, duration)
-}
-
-// validateShared holds every configuration check that does not depend on
-// which contact input supplies the dimensions, shared by the single-run
-// and batch entry points. It also normalizes cfg.WarmupFrac in place.
-func validateShared(cfg *Config, nodes int, duration float64) error {
+// validate checks one configuration against the shared contact source's
+// (already checked) dimensions. It also normalizes cfg.WarmupFrac in
+// place.
+func validate(cfg *Config, nodes int) error {
 	switch {
 	case cfg.Utility == nil && len(cfg.Utilities) == 0:
 		return fmt.Errorf("sim: nil utility")

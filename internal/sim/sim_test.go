@@ -26,16 +26,21 @@ func smallTrace(t *testing.T, nodes int, mu, duration float64, seed uint64) *tra
 	return tr
 }
 
+// baseConfig builds a small run over a fresh view of tr; a nil tr leaves
+// Contacts unset for the batch executors.
 func baseConfig(t *testing.T, tr *trace.Trace, pol core.Policy) Config {
 	t.Helper()
-	return Config{
+	cfg := Config{
 		Rho:     3,
 		Utility: utility.Step{Tau: 10},
 		Pop:     demand.Pareto(10, 1, 2),
-		Trace:   tr,
 		Policy:  pol,
 		Seed:    1,
 	}
+	if tr != nil {
+		cfg.Contacts = tr.Source()
+	}
+	return cfg
 }
 
 func TestValidation(t *testing.T) {
@@ -44,7 +49,7 @@ func TestValidation(t *testing.T) {
 	bads := []func(*Config){
 		func(c *Config) { c.Utility = nil },
 		func(c *Config) { c.Policy = nil },
-		func(c *Config) { c.Trace = nil },
+		func(c *Config) { c.Contacts = nil },
 		func(c *Config) { c.Rho = 0 },
 		func(c *Config) { c.Pop = demand.Popularity{} },
 		func(c *Config) { c.WarmupFrac = 1.5 },
@@ -53,6 +58,7 @@ func TestValidation(t *testing.T) {
 	}
 	for i, mod := range bads {
 		cfg := good
+		cfg.Contacts = tr.Source()
 		mod(&cfg)
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("bad config %d accepted", i)
@@ -120,7 +126,7 @@ func TestObservedMatchesAnalyticWelfare(t *testing.T) {
 	counts := alloc.Sqrt(pop.Rates, nodes, rho)
 	cfg := Config{
 		Rho: rho, Utility: utility.Step{Tau: 5}, Pop: pop,
-		Trace: tr, Policy: core.Static{}, Initial: counts,
+		Contacts: tr.Source(), Policy: core.Static{}, Initial: counts,
 		NoSticky: true, Seed: 9,
 	}
 	res, err := Run(cfg)
@@ -138,18 +144,21 @@ func TestObservedMatchesAnalyticWelfare(t *testing.T) {
 	}
 }
 
+// TestImmediateFulfillment: a single node with no contacts fulfills every
+// request for a cached item immediately; requests for others stay
+// outstanding. A 1-node trace passes the shared dimension rule, and all
+// three entry points agree bit for bit.
 func TestImmediateFulfillment(t *testing.T) {
-	// Single node, no contacts: every request for a cached item is
-	// immediate; requests for others stay outstanding.
 	tr := &trace.Trace{Nodes: 1, Duration: 1000}
-	pop := demand.Uniform(2, 1)
 	cfg := Config{
-		Rho: 1, Utility: utility.Step{Tau: 10}, Pop: pop,
-		Trace: tr, Policy: core.Static{},
+		Rho: 1, Utility: utility.Step{Tau: 10}, Pop: demand.Uniform(2, 1),
+		Policy:   core.Static{},
 		Initial:  alloc.Counts{1, 0},
 		NoSticky: true, Seed: 5, WarmupFrac: -1,
 	}
-	res, err := Run(cfg)
+	single := cfg
+	single.Contacts = tr.Source()
+	res, err := Run(single)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -166,6 +175,24 @@ func TestImmediateFulfillment(t *testing.T) {
 	if math.Abs(res.TotalGain-float64(res.Immediate)) > 1e-9 {
 		t.Errorf("gain %g != immediate count %d", res.TotalGain, res.Immediate)
 	}
+	// The digest a materialized 1-node trace produced when it still ran
+	// through its own front end.
+	if d := res.Digest(); d != 0xd36dcc080f74483f {
+		t.Errorf("digest %#x, pinned 0xd36dcc080f74483f", d)
+	}
+	batch, err := RunBatch([]Config{cfg}, tr.Source())
+	if err != nil {
+		t.Fatalf("RunBatch: %v", err)
+	}
+	sharded, err := RunBatchSharded([]Config{cfg}, tr.Source(), 2)
+	if err != nil {
+		t.Fatalf("RunBatchSharded: %v", err)
+	}
+	for name, got := range map[string]*Result{"RunBatch": batch[0], "RunBatchSharded": sharded[0]} {
+		if got.Digest() != res.Digest() {
+			t.Errorf("%s digest %#x != Run %#x", name, got.Digest(), res.Digest())
+		}
+	}
 }
 
 func TestStickyReplicasNeverLost(t *testing.T) {
@@ -178,7 +205,7 @@ func TestStickyReplicasNeverLost(t *testing.T) {
 	}
 	cfg := Config{
 		Rho: 3, Utility: utility.Step{Tau: 5}, Pop: demand.Pareto(items, 1, 2),
-		Trace: tr, Policy: q, Seed: 11,
+		Contacts: tr.Source(), Policy: q, Seed: 11,
 	}
 	res, err := Run(cfg)
 	if err != nil {
@@ -203,7 +230,7 @@ func TestCapacityInvariant(t *testing.T) {
 	}
 	cfg := Config{
 		Rho: 2, Utility: utility.Exponential{Nu: 0.2}, Pop: demand.Pareto(12, 1, 2),
-		Trace: tr, Policy: q, Seed: 13,
+		Contacts: tr.Source(), Policy: q, Seed: 13,
 	}
 	res, err := Run(cfg)
 	if err != nil {
@@ -257,7 +284,7 @@ func TestDeterminism(t *testing.T) {
 		q := &core.QCR{Reaction: core.PathReplication(1), MandateRouting: true, Seed: 21}
 		cfg := Config{
 			Rho: 2, Utility: utility.Step{Tau: 8}, Pop: demand.Pareto(10, 1, 2),
-			Trace: tr, Policy: q, Seed: 22,
+			Contacts: tr.Source(), Policy: q, Seed: 22,
 		}
 		res, err := Run(cfg)
 		if err != nil {
@@ -278,7 +305,7 @@ func TestDemandSwitch(t *testing.T) {
 	q := &core.QCR{Reaction: core.PathReplication(1), MandateRouting: true, Seed: 31}
 	cfg := Config{
 		Rho: 2, Utility: utility.Step{Tau: 5}, Pop: demand.Pareto(10, 1, 2),
-		Trace: tr, Policy: q, Seed: 32,
+		Contacts: tr.Source(), Policy: q, Seed: 32,
 		DemandSwitch: &newPop, DemandSwitchTime: 500,
 	}
 	res, err := Run(cfg)
@@ -323,7 +350,7 @@ func TestQCRConvergesTowardOptimum(t *testing.T) {
 			Seed:           trial,
 		}
 		cfg := Config{
-			Rho: rho, Utility: f, Pop: pop, Trace: tr, Policy: q,
+			Rho: rho, Utility: f, Pop: pop, Contacts: tr.Source(), Policy: q,
 			Seed: 100 + trial, WarmupFrac: 0.3,
 		}
 		res, err := Run(cfg)
@@ -333,7 +360,7 @@ func TestQCRConvergesTowardOptimum(t *testing.T) {
 		qcrGain += res.AvgUtilityRate / trials
 
 		cfgO := Config{
-			Rho: rho, Utility: f, Pop: pop, Trace: tr, Policy: core.Static{Label: "opt"},
+			Rho: rho, Utility: f, Pop: pop, Contacts: tr.Source(), Policy: core.Static{Label: "opt"},
 			Initial: opt, NoSticky: true, Seed: 200 + trial, WarmupFrac: 0.3,
 		}
 		resO, err := Run(cfgO)

@@ -19,10 +19,10 @@ import (
 // see TestStreamFusedGolden.
 var update = flag.Bool("update", false, "rewrite testdata golden digests instead of comparing")
 
-// TestStreamAdapterMatchesMaterialized: driving the simulator through
-// Config.Contacts with an adapter over the same trace must be
-// bit-identical to the materialized path — same seed, same Digest. This
-// is the equivalence that lets experiments switch paths freely.
+// TestStreamAdapterMatchesMaterialized: a run over a materialized trace
+// (tr.Source()) and a run over the lazy replay stream drawing the same
+// contacts must be bit-identical — same seed, same Digest. This is the
+// equivalence that lets experiments switch paths freely.
 func TestStreamAdapterMatchesMaterialized(t *testing.T) {
 	tr := smallTrace(t, 12, 0.05, 800, 9)
 	for _, tc := range []struct {
@@ -46,10 +46,14 @@ func TestStreamAdapterMatchesMaterialized(t *testing.T) {
 			if err != nil {
 				t.Fatalf("materialized Run: %v", err)
 			}
+			// smallTrace's generator seeds rand.NewPCG(9, 9+3).
+			replay, err := contact.NewHomogeneousReplayStream(12, 0.05, 800, 9, 12)
+			if err != nil {
+				t.Fatalf("NewHomogeneousReplayStream: %v", err)
+			}
 			str := baseConfig(t, nil, tc.pol())
 			str.BinWidth = 80
-			str.Trace = nil
-			str.Contacts = tr.Source()
+			str.Contacts = replay
 			got, err := Run(str)
 			if err != nil {
 				t.Fatalf("streaming Run: %v", err)
@@ -133,12 +137,6 @@ func TestStreamFusedGolden(t *testing.T) {
 func TestStreamRejectsBadSources(t *testing.T) {
 	good := fusedConfig(t, 12, 0.05, 800, 9)
 
-	both := good
-	both.Trace = smallTrace(t, 12, 0.05, 100, 1)
-	if _, err := Run(both); err == nil {
-		t.Error("config with both Trace and Contacts accepted")
-	}
-
 	tiny := good
 	tiny.Contacts = (&trace.Trace{Nodes: 1, Duration: 100}).Source()
 	if _, err := Run(tiny); err == nil {
@@ -210,15 +208,15 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 				Rho:        3,
 				Utility:    utility.Step{Tau: 10},
 				Pop:        demand.Pareto(items, 1, tc.demand),
-				Contacts:   (&trace.Trace{Nodes: nodes, Duration: duration}).Source(),
 				Policy:     tc.policy(),
 				Seed:       5,
 				WarmupFrac: -1,
 			}
-			r, err := newRunner(&cfg)
+			runners, err := newRunners([]Config{cfg}, (&trace.Trace{Nodes: nodes, Duration: duration}).Source())
 			if err != nil {
-				t.Fatalf("newRunner: %v", err)
+				t.Fatalf("newRunners: %v", err)
 			}
+			r := runners[0]
 			// Cycle through every pair so all request queues, outstanding-item
 			// lists and mandate piles reach their steady-state capacity during
 			// warmup.

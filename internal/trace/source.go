@@ -101,9 +101,9 @@ type Partitionable interface {
 	Partition(max int) ([]Source, bool)
 }
 
-// SliceSource adapts a materialized Trace to the Source interface. It
-// yields the contact slice in order, so a simulation driven through the
-// adapter is bit-identical to one iterating the slice directly.
+// SliceSource adapts a materialized Trace to the Source interface — it is
+// how a materialized trace reaches the simulator — yielding the contact
+// slice in order.
 type SliceSource struct {
 	tr *Trace
 	i  int
@@ -250,7 +250,7 @@ func PairFromIndex(nodes, idx int) (int, int) {
 
 // CheckStreamContact is the per-contact counterpart of Trace.Validate
 // for streamed contacts, shared by the file-backed source and the
-// simulator's streaming path (a stream cannot be validated up front).
+// simulator's executors (a stream cannot be validated up front).
 func CheckStreamContact(c Contact, prevT float64, nodes int, duration float64) error {
 	if c.T < prevT {
 		return fmt.Errorf("%w: contact at t=%g after t=%g (stream out of order)", ErrInvalid, c.T, prevT)

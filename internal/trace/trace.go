@@ -36,13 +36,24 @@ type Trace struct {
 // ErrInvalid is wrapped by Validate for malformed traces.
 var ErrInvalid = errors.New("trace: invalid")
 
-// Validate checks ordering, node ranges and time bounds.
-func (tr *Trace) Validate() error {
-	if tr.Nodes <= 0 {
-		return fmt.Errorf("%w: %d nodes", ErrInvalid, tr.Nodes)
+// CheckDims is the dimension rule every contact input obeys, whether a
+// materialized Trace or a streamed Source: at least one node and a
+// positive, finite duration.
+func CheckDims(nodes int, duration float64) error {
+	if nodes <= 0 {
+		return fmt.Errorf("%w: %d nodes", ErrInvalid, nodes)
 	}
-	if tr.Duration <= 0 || math.IsNaN(tr.Duration) {
-		return fmt.Errorf("%w: duration %g", ErrInvalid, tr.Duration)
+	if !(duration > 0) || math.IsInf(duration, 1) { // catches NaN too
+		return fmt.Errorf("%w: duration %g", ErrInvalid, duration)
+	}
+	return nil
+}
+
+// Validate checks the dimensions (CheckDims), ordering, node ranges and
+// time bounds.
+func (tr *Trace) Validate() error {
+	if err := CheckDims(tr.Nodes, tr.Duration); err != nil {
+		return err
 	}
 	prev := math.Inf(-1)
 	for i, c := range tr.Contacts {
