@@ -404,37 +404,6 @@ func BenchmarkAdaptiveImpatience(b *testing.B) {
 	logTable(b, t)
 }
 
-// benchTrialEngine measures the parallel trial engine end to end: the
-// scheme-comparison pipeline (trace generation, QCR/OPT/UNI simulation,
-// aggregation) over 8 trials at a fixed worker count. The worker-count
-// variants below share this body, so their ns/op ratio is the engine's
-// speedup; cmd/agebench runs the same measurement and records it in
-// BENCH_trials.json.
-func benchTrialEngine(b *testing.B, workers int) {
-	sc := benchScenario()
-	sc.Trials = 8
-	sc.Duration = 1000
-	sc.Workers = workers
-	schemes := []string{experiment.SchemeQCR, experiment.SchemeOPT, experiment.SchemeUNI}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var cmp *experiment.Comparison
-	for i := 0; i < b.N; i++ {
-		var err error
-		cmp, err = sc.RunComparison(utility.Step{Tau: 10}, sc.HomogeneousSources(), schemes)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, s := range cmp.Schemes {
-		b.Logf("%s: utility %.5g", s, cmp.Utility[s].Mean)
-	}
-}
-
-func BenchmarkTrialEngine1Workers(b *testing.B) { benchTrialEngine(b, 1) }
-func BenchmarkTrialEngine4Workers(b *testing.B) { benchTrialEngine(b, 4) }
-func BenchmarkTrialEngine8Workers(b *testing.B) { benchTrialEngine(b, 8) }
-
 // BenchmarkReactionComparison pits tuned ψ against path replication and
 // constant reactions.
 func BenchmarkReactionComparison(b *testing.B) {

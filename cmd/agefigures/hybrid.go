@@ -18,15 +18,7 @@ func hybridFigure(sc experiment.Scenario, quick bool) ([]*plot.Table, error) {
 		n, comms = 2_000, 4
 		trials = 2
 	}
-	per := n / comms
-	// ~2.45 meetings per node-minute, 70% of them intra-community: the
-	// scale convention of cmd/agebench's structured ladder.
-	const perNodeRate = 2.45
-	m, err := rates.NewCommunity(rates.CommunityConfig{
-		Nodes: n, Communities: comms,
-		In:  0.7 * perNodeRate / float64(per-1),
-		Out: 0.3 * perNodeRate / float64(n-per),
-	})
+	m, err := rates.PaperCommunity(n, comms)
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,9 @@ package main
 
 import (
 	"math"
+	"strings"
 	"testing"
+	"time"
 
 	"impatience/internal/demand"
 	"impatience/internal/serve"
@@ -42,6 +44,37 @@ func TestObserveBodyRoundTrip(t *testing.T) {
 			if sum != total {
 				t.Fatalf("%d items, window %g: counts sum to %g, observeBody reported %g", pop.Items(), window, sum, total)
 			}
+		}
+	}
+}
+
+// TestReportGate pins the end-of-run verdict, including sub-millisecond
+// p99 ceilings, which must compare at full resolution.
+func TestReportGate(t *testing.T) {
+	ok := report{Queries: 40, QueriesPerSec: 200, Resolves: 3, QueryP99Ms: 0.6}
+	cases := []struct {
+		name   string
+		rep    report
+		maxP99 time.Duration
+		fail   string // substring of the error, "" = pass
+	}{
+		{"no ceiling", ok, 0, ""},
+		{"under ceiling", ok, 100 * time.Millisecond, ""},
+		{"sub-ms ceiling above p99", ok, 1500 * time.Microsecond, ""},
+		{"sub-ms ceiling at p99", ok, 600 * time.Microsecond, ""},
+		{"sub-ms ceiling below p99", ok, 500 * time.Microsecond, "p99"},
+		{"ceiling between whole ms", report{Queries: 40, QueriesPerSec: 200, Resolves: 3, QueryP99Ms: 1.2}, 1500 * time.Microsecond, ""},
+		{"p99 over 1.5 ms ceiling", report{Queries: 40, QueriesPerSec: 200, Resolves: 3, QueryP99Ms: 1.7}, 1500 * time.Microsecond, "p99"},
+		{"no queries", report{Resolves: 3}, 0, "no allocation queries"},
+		{"no resolves", report{Queries: 40, QueriesPerSec: 200}, 0, "never re-solved"},
+	}
+	for _, c := range cases {
+		err := c.rep.gate(c.maxP99)
+		switch {
+		case c.fail == "" && err != nil:
+			t.Errorf("%s: unexpected failure: %v", c.name, err)
+		case c.fail != "" && (err == nil || !strings.Contains(err.Error(), c.fail)):
+			t.Errorf("%s: got %v, want an error mentioning %q", c.name, err, c.fail)
 		}
 	}
 }

@@ -461,7 +461,8 @@ func runStructured(o options, u utility.Function, sc experiment.Scenario) error 
 // simulation through the trace.Source seam, so the contact list is never
 // materialized and the run's heap stays at the generator's O(N²) rate
 // state. This is how production-scale populations (N in the thousands)
-// run on a laptop — see cmd/agebench's scale section for the numbers.
+// run on a laptop — see TestStreamingScaleSmoke in internal/experiment
+// for the metered N = 5000 run.
 func runStream(o options, u utility.Function, sc experiment.Scenario) error {
 	if o.traceKind != "homogeneous" {
 		return fmt.Errorf("-stream supports only -trace homogeneous (got %q)", o.traceKind)

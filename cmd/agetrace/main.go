@@ -93,7 +93,8 @@ func run(kind string, nodes int, mu float64, ratesStr string, duration float64, 
 // maxStructuredNodes bounds -kind structured: this command materializes
 // the trace and printStats builds the O(N²) empirical rate matrix, so it
 // is an inspection tool for moderate populations. The million-node scale
-// path never materializes — see agesim -rates and agebench -scale-only.
+// path never materializes — see agesim -rates and the community-1m
+// workload of the benchmark harness in bench/.
 const maxStructuredNodes = 20000
 
 // structuredTrace materializes one realization of a structured

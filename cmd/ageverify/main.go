@@ -8,7 +8,8 @@
 //	ageverify -quick              # CI suite, ~1-2 minutes on one core
 //	ageverify -full               # nightly ladder up to N=1000
 //	ageverify -quick -break       # negative control: must FAIL
-//	ageverify -quick -hybrid      # include the hybrid-vs-sim ladder
+//	ageverify -quick -hybrid      # include the hybrid-engine checks
+//	ageverify -full -hybrid       # ... and gate the hybrid speedup at N=10⁵
 //	ageverify -out VERIFY.json    # where the structured report goes
 //
 // The exit status is 0 iff every check passed (with -break: iff the
@@ -29,7 +30,7 @@ func main() {
 		full     = flag.Bool("full", false, "run the nightly ladder (N up to 1000, more trials)")
 		brk      = flag.Bool("break", false, "negative control: simulate the uniform allocation while asserting the optimum; the suite must fail")
 		hardened = flag.Bool("hardened", false, "run the QCR balance check with the adversary-hardened reaction; under zero adversaries it must pass the same gates")
-		hybrid   = flag.Bool("hybrid", false, "append the hybrid-vs-sim ladder: the mean-field fast path must land inside the full simulation's CI at every rung")
+		hybrid   = flag.Bool("hybrid", false, "append the hybrid-engine checks: the mean-field fast path must land inside the full simulation's CI at every rung (with -full, also ≥20x faster at N=1e5)")
 		seed     = flag.Uint64("seed", 1, "base seed; all trial seeds derive from it")
 		workers  = flag.Int("workers", 0, "trial worker pool (0 = GOMAXPROCS; results are worker-count invariant)")
 		out      = flag.String("out", "VERIFY.json", "path for the structured report (empty = skip)")

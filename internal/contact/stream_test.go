@@ -241,8 +241,9 @@ func TestStreamZeroRate(t *testing.T) {
 
 // BenchmarkSearchCDFSample / BenchmarkStreamNext compare the two pair
 // samplers at N=1000 (≈ 500k pairs): binary search over the CDF vs one
-// alias draw. cmd/agebench measures the same end to end and records it
-// in BENCH_contacts.json.
+// alias draw. The benchmark harness in bench/ prices the two end to end
+// as its contact.replay_ns_per_contact and contact.alias_ns_per_contact
+// layer rows.
 func BenchmarkSearchCDFSample(b *testing.B) {
 	const nodes = 1000
 	rm := trace.UniformRates(nodes, 0.05)

@@ -40,14 +40,8 @@ func hybridTiny(t *testing.T) (Scenario, *rates.Model) {
 // identity where it is hardest to keep.
 func hybridBenchShape(t *testing.T) (Scenario, *rates.Model) {
 	t.Helper()
-	const nodes, comms, perNode = 6400, 64, 2.45
-	per := nodes / comms
-	m, err := rates.NewCommunity(rates.CommunityConfig{
-		Nodes:       nodes,
-		Communities: comms,
-		In:          0.7 * perNode / float64(per-1),
-		Out:         0.3 * perNode / float64(nodes-per),
-	})
+	const nodes, comms = 6400, 64
+	m, err := rates.PaperCommunity(nodes, comms)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -124,7 +124,7 @@ func (m *meteredSource) Next() (trace.Contact, bool) {
 
 // StreamingScale runs one fused generate+simulate trial under the tuned
 // QCR policy and meters it. This is the scale demonstration behind
-// cmd/agebench's headline: at N = 5000 and production durations the
+// TestStreamingScaleSmoke: at N = 5000 and production durations the
 // contact list alone (~N²·µ·T·24 bytes) dwarfs the streaming pipeline's
 // O(N²) rate state, so runs that are infeasible materialized complete
 // streaming with a flat heap.

@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -28,38 +30,69 @@ func structuredTiny(t *testing.T) (Scenario, *rates.Model) {
 
 // TestStructuredScaleShardInvariance: the experiment-level shard knob
 // must not change a single bit of the outcome — the report's digest
-// family is identical at shards 1, 2, and 4, and the stream and utility
-// measurements agree too.
+// family is identical at every shard count, and the stream and utility
+// measurements agree too. Beside the tiny model it runs the scale rungs
+// N = 10⁴ and 10⁵ (a PaperCommunity model with 32 communities, 4 items,
+// ρ = 2) at shard counts {1, 2, 4, NumCPU}.
 func TestStructuredScaleShardInvariance(t *testing.T) {
-	schemes := []string{SchemeQCR, SchemeUNI, SchemePROP}
-	var base *StructuredReport
-	for _, shards := range []int{1, 2, 4} {
-		sc, m := structuredTiny(t)
-		sc.Shards = shards
-		rep, err := sc.StructuredScale(utility.Step{Tau: 10}, m, schemes, 0)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if rep.Contacts == 0 {
-			t.Fatalf("shards=%d: empty stream", shards)
-		}
-		if base == nil {
-			base = rep
-			continue
-		}
-		if rep.DigestFamily != base.DigestFamily {
-			t.Errorf("shards=%d: digest family %#x != %#x at shards=1",
-				shards, rep.DigestFamily, base.DigestFamily)
-		}
-		if rep.Contacts != base.Contacts {
-			t.Errorf("shards=%d: %d contacts != %d", shards, rep.Contacts, base.Contacts)
-		}
-		for k := range rep.AvgUtility {
-			if rep.AvgUtility[k] != base.AvgUtility[k] {
-				t.Errorf("shards=%d scheme %s: utility %g != %g",
-					shards, schemes[k], rep.AvgUtility[k], base.AvgUtility[k])
+	rung := func(nodes int, duration float64) func(t *testing.T) (Scenario, *rates.Model) {
+		return func(t *testing.T) (Scenario, *rates.Model) {
+			m, err := rates.PaperCommunity(nodes, 32)
+			if err != nil {
+				t.Fatal(err)
 			}
+			sc := Default()
+			sc.Nodes, sc.Items, sc.Rho, sc.Duration = nodes, 4, 2, duration
+			return sc, m
 		}
+	}
+	shardLadder := []int{1, 2, 4}
+	if n := runtime.NumCPU(); !slices.Contains(shardLadder, n) {
+		shardLadder = append(shardLadder, n)
+	}
+	cases := []struct {
+		name    string
+		setup   func(t *testing.T) (Scenario, *rates.Model)
+		schemes []string
+		shards  []int
+	}{
+		{"tiny", structuredTiny, []string{SchemeQCR, SchemeUNI, SchemePROP}, []int{1, 2, 4}},
+		{"N=1e4", rung(10_000, 4), []string{SchemeQCR, SchemeUNI}, shardLadder},
+		{"N=1e5", rung(100_000, 0.8), []string{SchemeQCR, SchemeUNI}, shardLadder},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			sc, m := c.setup(t)
+			var base *StructuredReport
+			for _, shards := range c.shards {
+				sc.Shards = shards
+				rep, err := sc.StructuredScale(utility.Step{Tau: 10}, m, c.schemes, 0)
+				if err != nil {
+					t.Fatalf("shards=%d: %v", shards, err)
+				}
+				if rep.Contacts == 0 {
+					t.Fatalf("shards=%d: empty stream", shards)
+				}
+				if base == nil {
+					base = rep
+					t.Logf("digest family %#x over %d contacts", rep.DigestFamily, rep.Contacts)
+					continue
+				}
+				if rep.DigestFamily != base.DigestFamily {
+					t.Errorf("shards=%d: digest family %#x != %#x at shards=1",
+						shards, rep.DigestFamily, base.DigestFamily)
+				}
+				if rep.Contacts != base.Contacts {
+					t.Errorf("shards=%d: %d contacts != %d", shards, rep.Contacts, base.Contacts)
+				}
+				for k := range rep.AvgUtility {
+					if rep.AvgUtility[k] != base.AvgUtility[k] {
+						t.Errorf("shards=%d scheme %s: utility %g != %g",
+							shards, c.schemes[k], rep.AvgUtility[k], base.AvgUtility[k])
+					}
+				}
+			}
+		})
 	}
 }
 

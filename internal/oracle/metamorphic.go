@@ -20,15 +20,16 @@ import (
 )
 
 // checkMetamorphic checks time rescaling: doubling every rate and halving
-// every time — step (µ, T, τ, d) → (2µ, T/2, τ/2, 2d) — replays the same
-// run on a clock that ticks twice as fast. Halving and doubling are exact
-// in IEEE arithmetic and the contact samplers normalize the rates away,
-// so fulfillments, meetings, gain, replicas, outstanding requests and
-// final counts must be bit-identical and the gain rate exactly doubled —
-// for the replay and alias contact generators, a static and a
-// replicating policy, and all three simulator entry points. The pair
-// rates are heterogeneous (µ/2, µ and 2µ), so the two generators draw
-// different contacts.
+// every time — step (µ, T, τ, d) → (2µ, T/2, τ/2, 2d), and exponential
+// (µ, T, ν, d) → (2µ, T/2, 2ν, 2d) — replays the same run on a clock that
+// ticks twice as fast. Halving and doubling are exact in IEEE arithmetic
+// and the contact samplers normalize the rates away, so fulfillments,
+// meetings, gain, replicas, outstanding requests and final counts must be
+// bit-identical and the gain rate exactly doubled — for the replay and
+// alias contact generators, both utilities, a static and a replicating
+// policy, and all three simulator entry points. The pair rates are
+// heterogeneous (µ/2, µ and 2µ), so the two generators draw different
+// contacts.
 func (s *session) checkMetamorphic() CheckResult {
 	res := CheckResult{Pass: true, Seed: s.cfg.Seed}
 	const nodes, items, rho = 40, 24, 3
@@ -62,21 +63,30 @@ func (s *session) checkMetamorphic() CheckResult {
 			return contact.NewStream(tiered(mu), dur, rand.New(rand.NewPCG(seed, seed^0xabcdef)))
 		}},
 	}
+	// Each utility at time scale s (the rates are s× faster). The step
+	// lines keep their unprefixed names.
+	utils := []struct {
+		prefix, relation string
+		at               func(s float64) utility.Function
+	}{
+		{"", "(2µ, T/2, τ/2, 2d)", func(s float64) utility.Function { return utility.Step{Tau: tau / s} }},
+		{"exp/", "(2µ, T/2, 2ν, 2d)", func(s float64) utility.Function { return utility.Exponential{Nu: s / tau} }},
+	}
 	policies := []struct {
 		name string
-		cfg  func(mu, tau, d float64) sim.Config
+		cfg  func(mu float64, u utility.Function, d float64) sim.Config
 	}{
-		{"static", func(mu, tau, d float64) sim.Config {
+		{"static", func(mu float64, u utility.Function, d float64) sim.Config {
 			return sim.Config{
-				Rho: rho, Utility: utility.Step{Tau: tau}, Pop: demand.Pareto(items, 1, d),
+				Rho: rho, Utility: u, Pop: demand.Pareto(items, 1, d),
 				Policy: core.Static{Label: "opt"}, Initial: opt, NoSticky: true, Seed: seed ^ 0x77,
 			}
 		}},
-		{"qcr", func(mu, tau, d float64) sim.Config {
+		{"qcr", func(mu float64, u utility.Function, d float64) sim.Config {
 			return sim.Config{
-				Rho: rho, Utility: utility.Step{Tau: tau}, Pop: demand.Pareto(items, 1, d),
+				Rho: rho, Utility: u, Pop: demand.Pareto(items, 1, d),
 				Policy: &core.QCR{
-					Reaction:       core.TunedReaction(utility.Step{Tau: tau}, mu, nodes, 0.1),
+					Reaction:       core.TunedReaction(u, mu, nodes, 0.1),
 					MandateRouting: true,
 					Seed:           seed ^ 0x11,
 				},
@@ -99,33 +109,35 @@ func (s *session) checkMetamorphic() CheckResult {
 			return first(sim.RunBatchSharded([]sim.Config{cfg}, src, 2))
 		}},
 	}
-	run := func(pc, e, g int, scale float64) (*sim.Result, error) {
+	run := func(g, u, pc, e int, scale float64) (*sim.Result, error) {
 		src, err := gens[g].src(scale*mu, dur/scale)
 		if err != nil {
 			return nil, err
 		}
-		return entries[e].run(policies[pc].cfg(scale*mu, tau/scale, scale*d), src)
+		return entries[e].run(policies[pc].cfg(scale*mu, utils[u].at(scale), scale*d), src)
 	}
 	for g := range gens {
-		for pc := range policies {
-			for e := range entries {
-				name := gens[g].name + "/" + policies[pc].name + "/" + entries[e].name
-				base, err := run(pc, e, g, 1)
-				if err != nil {
-					return infraFail(res, fmt.Errorf("%s: %w", name, err))
-				}
-				fast, err := run(pc, e, g, 2)
-				if err != nil {
-					return infraFail(res, fmt.Errorf("%s rescaled: %w", name, err))
-				}
-				diff := rescaledMismatch(base, fast)
-				ok, line := assertLine(diff == "",
-					"%s: (2µ, T/2, τ/2, 2d) replays %d fulfillments, %d meetings, %d replicas; gain rate %.6g → %.6g %s",
-					name, base.Fulfillments, base.Meetings, base.ReplicasMade, base.AvgUtilityRate, fast.AvgUtilityRate, diff)
-				res.Details = append(res.Details, line)
-				res.Pass = res.Pass && ok
-				if !ok {
-					res.Effect = math.Inf(1)
+		for u := range utils {
+			for pc := range policies {
+				for e := range entries {
+					name := utils[u].prefix + gens[g].name + "/" + policies[pc].name + "/" + entries[e].name
+					base, err := run(g, u, pc, e, 1)
+					if err != nil {
+						return infraFail(res, fmt.Errorf("%s: %w", name, err))
+					}
+					fast, err := run(g, u, pc, e, 2)
+					if err != nil {
+						return infraFail(res, fmt.Errorf("%s rescaled: %w", name, err))
+					}
+					diff := rescaledMismatch(base, fast)
+					ok, line := assertLine(diff == "",
+						"%s: %s replays %d fulfillments, %d meetings, %d replicas; gain rate %.6g → %.6g %s",
+						name, utils[u].relation, base.Fulfillments, base.Meetings, base.ReplicasMade, base.AvgUtilityRate, fast.AvgUtilityRate, diff)
+					res.Details = append(res.Details, line)
+					res.Pass = res.Pass && ok
+					if !ok {
+						res.Effect = math.Inf(1)
+					}
 				}
 			}
 		}

@@ -59,9 +59,11 @@ type Config struct {
 	// the Property-1 fixed point, so the same balance and welfare gates
 	// apply unchanged.
 	Hardened bool
-	// Hybrid appends the hybrid-vs-sim ladder: the mean-field fast path
-	// (sim.RunHybrid) must land inside the full simulation's confidence
-	// interval at every ladder rung without falling back.
+	// Hybrid appends the two hybrid-engine checks: the mean-field fast
+	// path (sim.RunHybrid) must land inside the full simulation's
+	// confidence interval at every ladder rung and on every community
+	// rung without falling back, and in Full mode it must beat the event
+	// path by at least 20× at N = 10⁵.
 	Hybrid bool
 	// Progress, if non-nil, receives one line per completed check.
 	Progress func(string)
@@ -154,7 +156,9 @@ func (s *session) checks() []check {
 		{"qcr-replica-balance", s.checkQCRBalance},
 	}
 	if s.cfg.Hybrid {
-		cs = append(cs, check{"hybrid-vs-sim-ladder", s.checkHybridLadder})
+		cs = append(cs,
+			check{"hybrid-vs-sim-ladder", s.checkHybridLadder},
+			check{"hybrid-community", s.checkHybridCommunity})
 	}
 	return cs
 }

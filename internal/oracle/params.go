@@ -35,6 +35,18 @@ type params struct {
 	// Analytic differentials.
 	anaNodes int // population for the meanfield/sandwich systems
 	anaItems int
+
+	// Hybrid community check (-hybrid): the fidelity rungs, and whether
+	// the N = 10⁵ wall-clock speedup rung runs.
+	hybridRungs   []hybridRung
+	hybridSpeedup bool
+}
+
+// hybridRung is one fidelity rung of the hybrid community check: a
+// PaperCommunity model run on both engines over the same trials.
+type hybridRung struct {
+	nodes, communities, trials int
+	duration                   float64
 }
 
 // quickParams is the CI suite: a 4×-spaced N ladder small enough to
@@ -59,6 +71,7 @@ func quickParams() params {
 		qcrDuration: 2000,
 		anaNodes:    50,
 		anaItems:    40,
+		hybridRungs: []hybridRung{{nodes: 500, communities: 4, trials: 6, duration: 400}},
 	}
 }
 
@@ -71,6 +84,11 @@ func fullParams() params {
 	p.qcrN = []int{48, 144, 432}
 	p.qcrTrials = 8
 	p.qcrDuration = 4000
+	p.hybridRungs = []hybridRung{
+		{nodes: 500, communities: 4, trials: 12, duration: 600},
+		{nodes: 1000, communities: 8, trials: 12, duration: 600},
+	}
+	p.hybridSpeedup = true
 	return p
 }
 

@@ -46,6 +46,28 @@ func NewCommunity(cfg CommunityConfig) (*Model, error) {
 	return New(sizes, block, nil)
 }
 
+// perNodeRate is the paper scenario's contact intensity per node:
+// µ = 0.05 over N = 50 gives 0.05·49 = 2.45 meetings per node-minute.
+const perNodeRate = 2.45
+
+// PaperCommunity is the community model the scale experiments share:
+// every node keeps the paper scenario's meeting budget of 2.45 meetings
+// per minute, 70 % of them inside its community and 30 % across, so a
+// node's experience stays at paper defaults while N and the total
+// contact volume grow.
+func PaperCommunity(nodes, communities int) (*Model, error) {
+	if communities <= 0 || nodes < 2*communities {
+		return nil, fmt.Errorf("%w: %d nodes across %d communities leave no intra-community pairs", ErrModel, nodes, communities)
+	}
+	per := nodes / communities
+	return NewCommunity(CommunityConfig{
+		Nodes:       nodes,
+		Communities: communities,
+		In:          0.7 * perNodeRate / float64(per-1),
+		Out:         0.3 * perNodeRate / float64(nodes-per),
+	})
+}
+
 // HubSpokeConfig parameterizes the hub-spoke model: Hubs relay nodes
 // (community 0) and Nodes−Hubs spokes (community 1), with hub-hub pairs
 // at HubHub, hub-spoke pairs at HubSpoke, and spoke-spoke pairs at

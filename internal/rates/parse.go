@@ -33,8 +33,8 @@ const (
 //	distance:n=1000,cells=8x8,mu0=0.1,lambda=500,w=4000,h=4000,seed=1
 //
 // n is required; every other key has the default shown by DefaultSpecs.
-// This is the CLI surface of the package (agesim -rates, agetrace,
-// agebench), so it is fuzzed: no input may panic, and every rejection
+// This is the CLI surface of the package (agesim -rates, agetrace
+// -kind structured), so it is fuzzed: no input may panic, and every rejection
 // wraps ErrSpec or ErrModel.
 func ParseRates(spec string) (*Model, error) {
 	kind, rest, found := strings.Cut(spec, ":")

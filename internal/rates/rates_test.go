@@ -268,3 +268,21 @@ func TestDenseRatesRefusesLargeN(t *testing.T) {
 		t.Fatal("DenseRates materialized O(N²) state at N=30000")
 	}
 }
+
+// TestPaperCommunity: every node keeps the paper scenario's meeting
+// budget, so the mean pair rate times N−1 is 2.45, and a split
+// that leaves a community without intra-community pairs is rejected.
+func TestPaperCommunity(t *testing.T) {
+	m, err := PaperCommunity(1000, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.MeanPairRate() * 999; math.Abs(got-perNodeRate) > 1e-12 {
+		t.Errorf("per-node meeting rate %.15g, want %g", got, perNodeRate)
+	}
+	for _, bad := range [][2]int{{10, 8}, {10, 0}, {10, -1}} {
+		if _, err := PaperCommunity(bad[0], bad[1]); !errors.Is(err, ErrModel) {
+			t.Errorf("PaperCommunity(%d, %d): err %v, want ErrModel", bad[0], bad[1], err)
+		}
+	}
+}

@@ -14,11 +14,12 @@ import (
 
 // TestTimeRescalingBitExact checks a relation any correct simulator of
 // the model satisfies, whatever its code path: doubling every rate and
-// halving every time — step (µ, T, τ, d) → (2µ, T/2, τ/2, 2d) — replays
-// the same run on a clock that ticks twice as fast. Halving and doubling
-// are exact in IEEE arithmetic and the contact samplers normalize the
-// rates away, so the counts and gains must be bit-identical and the gain
-// rate exactly doubled, for both contact generators, a static and a
+// halving every time — step (µ, T, τ, d) → (2µ, T/2, τ/2, 2d), and
+// exponential (µ, T, ν, d) → (2µ, T/2, 2ν, 2d) — replays the same run on
+// a clock that ticks twice as fast. Halving and doubling are exact in
+// IEEE arithmetic and the contact samplers normalize the rates away, so
+// the counts and gains must be bit-identical and the gain rate exactly
+// doubled, for both contact generators, both utilities, a static and a
 // replicating policy, and every entry point. The pair rates are
 // heterogeneous (µ/2, µ and 2µ), so the replay and alias samplers draw
 // different contacts.
@@ -27,6 +28,15 @@ func TestTimeRescalingBitExact(t *testing.T) {
 		nodes, items, rho = 12, 10, 2
 		mu, dur, tau, d   = 0.05, 2000.0, 10.0, 2.0
 	)
+	// Each utility at time scale s (the rates are s× faster). The step
+	// cases keep their unprefixed subtest names.
+	utils := []struct {
+		prefix string
+		at     func(s float64) utility.Function
+	}{
+		{"", func(s float64) utility.Function { return utility.Step{Tau: tau / s} }},
+		{"exp/", func(s float64) utility.Function { return utility.Exponential{Nu: s / tau} }},
+	}
 	gens := []struct {
 		name string
 		src  func(t *testing.T, mu, dur float64) trace.Source
@@ -48,20 +58,20 @@ func TestTimeRescalingBitExact(t *testing.T) {
 	}
 	policies := []struct {
 		name string
-		cfg  func(mu, tau, d float64) Config
+		cfg  func(mu float64, u utility.Function, d float64) Config
 	}{
-		{"uni", func(mu, tau, d float64) Config {
+		{"uni", func(mu float64, u utility.Function, d float64) Config {
 			return Config{
-				Rho: rho, Utility: utility.Step{Tau: tau}, Pop: demand.Pareto(items, 1, d),
+				Rho: rho, Utility: u, Pop: demand.Pareto(items, 1, d),
 				Policy: core.Static{Label: "uni"}, Initial: alloc.Uniform(items, nodes, rho),
 				NoSticky: true, Seed: 3,
 			}
 		}},
-		{"qcr", func(mu, tau, d float64) Config {
+		{"qcr", func(mu float64, u utility.Function, d float64) Config {
 			return Config{
-				Rho: rho, Utility: utility.Step{Tau: tau}, Pop: demand.Pareto(items, 1, d),
+				Rho: rho, Utility: u, Pop: demand.Pareto(items, 1, d),
 				Policy: &core.QCR{
-					Reaction:       core.TunedReaction(utility.Step{Tau: tau}, mu, nodes, 1),
+					Reaction:       core.TunedReaction(u, mu, nodes, 1),
 					MandateRouting: true,
 					StrictSource:   true,
 					Seed:           7,
@@ -94,24 +104,26 @@ func TestTimeRescalingBitExact(t *testing.T) {
 		}},
 	}
 	for _, g := range gens {
-		for _, pc := range policies {
-			for _, e := range entries {
-				t.Run(g.name+"/"+pc.name+"/"+e.name, func(t *testing.T) {
-					base, err := e.run(pc.cfg(mu, tau, d), g.src(t, mu, dur))
-					if err != nil {
-						t.Fatal(err)
-					}
-					fast, err := e.run(pc.cfg(2*mu, tau/2, 2*d), g.src(t, 2*mu, dur/2))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if base.Fulfillments == 0 || base.Meetings == 0 {
-						t.Fatalf("degenerate run: %d fulfillments, %d meetings", base.Fulfillments, base.Meetings)
-					}
-					if err := rescaledMismatch(base, fast); err != "" {
-						t.Error(err)
-					}
-				})
+		for _, u := range utils {
+			for _, pc := range policies {
+				for _, e := range entries {
+					t.Run(u.prefix+g.name+"/"+pc.name+"/"+e.name, func(t *testing.T) {
+						base, err := e.run(pc.cfg(mu, u.at(1), d), g.src(t, mu, dur))
+						if err != nil {
+							t.Fatal(err)
+						}
+						fast, err := e.run(pc.cfg(2*mu, u.at(2), 2*d), g.src(t, 2*mu, dur/2))
+						if err != nil {
+							t.Fatal(err)
+						}
+						if base.Fulfillments == 0 || base.Meetings == 0 {
+							t.Fatalf("degenerate run: %d fulfillments, %d meetings", base.Fulfillments, base.Meetings)
+						}
+						if err := rescaledMismatch(base, fast); err != "" {
+							t.Error(err)
+						}
+					})
+				}
 			}
 		}
 	}
