@@ -234,21 +234,7 @@ func (o options) modulated(tr *trace.Trace) (*trace.Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &trace.Trace{Nodes: tr.Nodes, Duration: tr.Duration}
-	out.Contacts = make([]trace.Contact, 0, len(tr.Contacts))
-	for {
-		c, ok := src.Next()
-		if !ok {
-			break
-		}
-		out.Contacts = append(out.Contacts, c)
-	}
-	if es, ok := src.(trace.ErrSource); ok {
-		if err := es.Err(); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return trace.Collect(src)
 }
 
 func run(o options) error {

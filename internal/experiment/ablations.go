@@ -11,7 +11,6 @@ import (
 	"impatience/internal/plot"
 	"impatience/internal/sim"
 	"impatience/internal/stats"
-	"impatience/internal/trace"
 	"impatience/internal/utility"
 	"impatience/internal/welfare"
 )
@@ -23,32 +22,11 @@ func AblationCacheSize(sc Scenario, rhos []int, f utility.Function) (*plot.Table
 	if rhos == nil {
 		rhos = []int{2, 3, 5, 8, 12}
 	}
-	schemes := append([]string{SchemeQCR}, AllCompetitors...)
-	table := &plot.Table{Title: "Ablation X1a: loss vs cache size ρ", XLabel: "rho"}
-	for _, r := range rhos {
-		table.X = append(table.X, float64(r))
+	xs := make([]float64, len(rhos))
+	for i, r := range rhos {
+		xs[i] = float64(r)
 	}
-	cols := make(map[string][]float64)
-	for _, r := range rhos {
-		s := sc
-		s.Rho = r
-		cmp, err := s.RunComparison(f, s.HomogeneousSources(), schemes)
-		if err != nil {
-			return nil, fmt.Errorf("ablation ρ=%d: %w", r, err)
-		}
-		for _, sch := range schemes {
-			cols[sch] = append(cols[sch], cmp.Loss[sch].Mean)
-		}
-	}
-	for _, sch := range schemes {
-		if sch == SchemeOPT {
-			continue
-		}
-		if err := table.AddColumn(sch, cols[sch]); err != nil {
-			return nil, err
-		}
-	}
-	return table, nil
+	return sc.ablation("Ablation X1a: loss vs cache size ρ", "rho", xs, f, func(s *Scenario, xi int) { s.Rho = rhos[xi] })
 }
 
 // AblationPopularity (X1) sweeps the Pareto exponent ω of the demand
@@ -57,92 +35,76 @@ func AblationPopularity(sc Scenario, omegas []float64, f utility.Function) (*plo
 	if omegas == nil {
 		omegas = []float64{0.25, 0.5, 1, 1.5, 2}
 	}
+	return sc.ablation("Ablation X1b: loss vs popularity skew ω", "omega", omegas, f, func(s *Scenario, xi int) { s.Omega = omegas[xi] })
+}
+
+// ablation sweeps one scenario knob (set) over the homogeneous contacts,
+// tabulating QCR's and the fixed allocations' loss vs OPT. The knobs it
+// varies (ρ, ω) leave the contact process alone.
+func (sc Scenario) ablation(title, xlabel string, xs []float64, f utility.Function, set func(s *Scenario, xi int)) (*plot.Table, error) {
 	schemes := append([]string{SchemeQCR}, AllCompetitors...)
-	table := &plot.Table{Title: "Ablation X1b: loss vs popularity skew ω", XLabel: "omega"}
-	table.X = append([]float64(nil), omegas...)
-	cols := make(map[string][]float64)
-	for _, w := range omegas {
+	outs, err := sc.sweep(sc.HomogeneousSources(), schemes, xs, xlabel, func(xi int, _ uint64) (sweepPoint, error) {
 		s := sc
-		s.Omega = w
-		cmp, err := s.RunComparison(f, s.HomogeneousSources(), schemes)
-		if err != nil {
-			return nil, fmt.Errorf("ablation ω=%g: %w", w, err)
-		}
-		for _, sch := range schemes {
-			cols[sch] = append(cols[sch], cmp.Loss[sch].Mean)
-		}
+		set(&s, xi)
+		return sweepPoint{sc: s, u: f}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	for _, sch := range schemes {
-		if sch == SchemeOPT {
-			continue
-		}
-		if err := table.AddColumn(sch, cols[sch]); err != nil {
-			return nil, err
-		}
-	}
-	return table, nil
+	return lossTable(title, xlabel, xs, schemes, outs)
 }
 
 // AblationRewriting (X2) compares QCR with and without replica rewriting
 // (Section 5.1's two implementations) against OPT.
 func AblationRewriting(sc Scenario, f utility.Function) (*plot.Table, error) {
-	gen := sc.HomogeneousSources()
 	pop := sc.Pop()
-	outs, err := parallel.RunTrials(sc.Trials, sc.Workers, sc.Seed, func(trial int, seed uint64) ([2]float64, error) {
-		src, err := gen(seed)
-		if err != nil {
-			return [2]float64{}, err
-		}
-		ro, err := asReopenable(src)
-		if err != nil {
-			return [2]float64{}, err
-		}
-		rates, err := trace.EmpiricalRatesFrom(ro)
-		if err != nil {
-			return [2]float64{}, err
-		}
-		cfgOpt, err := sc.schemeConfig(SchemeOPT, f, rates, sc.Mu, uint64(trial), false, nil)
-		if err != nil {
-			return [2]float64{}, err
-		}
-		cfgs := []sim.Config{cfgOpt}
+	outs, err := parallel.RunTrials(sc.Trials, sc.Workers, sc.Seed, func(trial int, seed uint64) ([]float64, error) {
+		var qcrs []sim.Config // [no rewriting, rewriting]
 		for _, rewriting := range []bool{false, true} {
 			q := sc.qcrPolicy(f, sc.Mu, true, sc.Seed*7919+uint64(trial))
 			q.Rewriting = rewriting
-			cfgs = append(cfgs, sim.Config{
+			qcrs = append(qcrs, sim.Config{
 				Rho: sc.Rho, Utility: f, Pop: pop, Policy: q,
 				Seed: sc.Seed*1_000_003 + uint64(trial)*101, WarmupFrac: sc.WarmupFrac,
 			})
 		}
-		pass, err := ro.Reopen()
-		if err != nil {
-			return [2]float64{}, err
-		}
-		results, err := sim.RunBatch(cfgs, pass)
-		if err != nil {
-			return [2]float64{}, err
-		}
-		var loss [2]float64 // [no rewriting, rewriting]
-		for k := range loss {
-			loss[k] = stats.NormalizedLoss(results[k+1].AvgUtilityRate, results[0].AvgUtilityRate)
-		}
-		return loss, nil
+		return sc.lossVsOPT(f, trial, seed, qcrs)
 	})
 	if err != nil {
 		return nil, err
 	}
-	var lossNo, lossYes []float64
-	for _, l := range outs {
-		lossNo = append(lossNo, l[0])
-		lossYes = append(lossYes, l[1])
+	return trialTable("Ablation X2: rewriting vs no-rewriting (loss vs OPT, %)", []string{"no rewriting", "rewriting"}, outs), nil
+}
+
+// lossVsOPT plays hand-built QCR variants next to the trial's OPT in one
+// lockstep pass over the trial's homogeneous contacts (sc.Mu as the ψ
+// plug-in) and returns each variant's normalized loss against OPT.
+func (sc Scenario) lossVsOPT(f utility.Function, trial int, seed uint64, variants []sim.Config) ([]float64, error) {
+	src, err := sc.HomogeneousSources()(seed)
+	if err != nil {
+		return nil, err
 	}
-	table := &plot.Table{Title: "Ablation X2: rewriting vs no-rewriting (loss vs OPT, %)", XLabel: "trial"}
-	for i := range lossNo {
-		table.X = append(table.X, float64(i))
+	tc, err := sc.openTrial(src)
+	if err != nil {
+		return nil, err
 	}
-	table.AddColumn("no rewriting", lossNo)
-	table.AddColumn("rewriting", lossYes)
-	return table, nil
+	cfgOpt, err := sc.schemeConfig(SchemeOPT, f, tc.rates, sc.Mu, uint64(trial), false, nil)
+	if err != nil {
+		return nil, err
+	}
+	pass, err := tc.Reopen()
+	if err != nil {
+		return nil, err
+	}
+	results, err := sim.RunBatch(append([]sim.Config{cfgOpt}, variants...), pass)
+	if err != nil {
+		return nil, err
+	}
+	loss := make([]float64, len(variants))
+	for k := range loss {
+		loss[k] = stats.NormalizedLoss(results[k+1].AvgUtilityRate, results[0].AvgUtilityRate)
+	}
+	return loss, nil
 }
 
 // MeanFieldConvergence (X3) integrates the Eq. 7 fluid dynamics from a
@@ -294,7 +256,6 @@ func DiscreteVsContinuous(sc Scenario, f utility.Function, deltas []float64) (*p
 // utility — showing why tuning to impatience matters (the paper's core
 // message distilled into one run).
 func ReactionComparison(sc Scenario, f utility.Function) (*plot.Table, error) {
-	gen := sc.HomogeneousSources()
 	pop := sc.Pop()
 	reactions := []struct {
 		name string
@@ -311,23 +272,7 @@ func ReactionComparison(sc Scenario, f utility.Function) (*plot.Table, error) {
 		}},
 	}
 	outs, err := parallel.RunTrials(sc.Trials, sc.Workers, sc.Seed, func(trial int, seed uint64) ([]float64, error) {
-		src, err := gen(seed)
-		if err != nil {
-			return nil, err
-		}
-		ro, err := asReopenable(src)
-		if err != nil {
-			return nil, err
-		}
-		rates, err := trace.EmpiricalRatesFrom(ro)
-		if err != nil {
-			return nil, err
-		}
-		cfgOpt, err := sc.schemeConfig(SchemeOPT, f, rates, sc.Mu, uint64(trial), false, nil)
-		if err != nil {
-			return nil, err
-		}
-		cfgs := []sim.Config{cfgOpt}
+		var cfgs []sim.Config
 		for _, r := range reactions {
 			cfgs = append(cfgs, sim.Config{
 				Rho: sc.Rho, Utility: f, Pop: pop,
@@ -335,37 +280,14 @@ func ReactionComparison(sc Scenario, f utility.Function) (*plot.Table, error) {
 				Seed:   sc.Seed*1_000_003 + uint64(trial)*101, WarmupFrac: sc.WarmupFrac,
 			})
 		}
-		pass, err := ro.Reopen()
-		if err != nil {
-			return nil, err
-		}
-		results, err := sim.RunBatch(cfgs, pass)
-		if err != nil {
-			return nil, err
-		}
-		loss := make([]float64, len(reactions))
-		for k := range reactions {
-			loss[k] = stats.NormalizedLoss(results[k+1].AvgUtilityRate, results[0].AvgUtilityRate)
-		}
-		return loss, nil
+		return sc.lossVsOPT(f, trial, seed, cfgs)
 	})
 	if err != nil {
 		return nil, err
 	}
-	losses := make([][]float64, len(reactions))
-	for _, l := range outs {
-		for k := range reactions {
-			losses[k] = append(losses[k], l[k])
-		}
-	}
-	table := &plot.Table{Title: "Reaction-function comparison (loss vs OPT, %)", XLabel: "trial"}
-	for i := 0; i < sc.Trials; i++ {
-		table.X = append(table.X, float64(i))
-	}
+	names := make([]string, len(reactions))
 	for k, r := range reactions {
-		if err := table.AddColumn(r.name, losses[k]); err != nil {
-			return nil, err
-		}
+		names[k] = r.name
 	}
-	return table, nil
+	return trialTable("Reaction-function comparison (loss vs OPT, %)", names, outs), nil
 }

@@ -78,6 +78,49 @@ func (sc Scenario) runBatchOn(schemes []string, u utility.Function, rates *trace
 	return sim.RunBatchSharded(cfgs, contacts, sc.Shards)
 }
 
+// avgUtilities passes a batch's per-config AvgUtilityRate through, in config
+// order.
+func avgUtilities(results []*sim.Result, err error) ([]float64, error) {
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, len(results))
+	for k, res := range results {
+		out[k] = res.AvgUtilityRate
+	}
+	return out, nil
+}
+
+// trialContacts is one trial's contact sequence after its rates pass: a
+// reopenable view for the simulation passes and the empirical rate
+// matrix the static allocations are built from.
+type trialContacts struct {
+	trace.Reopenable
+	rates *trace.RateMatrix
+}
+
+// openTrial is the prologue every multi-pass trial shares: check the
+// node count, upgrade the source to a reopenable view and measure the
+// empirical rates in one pass. A trace without contacts is rejected —
+// its mean rate, the ψ plug-in, would be zero.
+func (sc Scenario) openTrial(src trace.Source) (trialContacts, error) {
+	if src.Nodes() != sc.Nodes {
+		return trialContacts{}, fmt.Errorf("experiment: trace has %d nodes, scenario %d", src.Nodes(), sc.Nodes)
+	}
+	ro, err := asReopenable(src)
+	if err != nil {
+		return trialContacts{}, err
+	}
+	rates, err := trace.EmpiricalRatesFrom(ro)
+	if err != nil {
+		return trialContacts{}, err
+	}
+	if rates.Mean() <= 0 {
+		return trialContacts{}, fmt.Errorf("experiment: empty trace")
+	}
+	return trialContacts{ro, rates}, nil
+}
+
 // RunSchemesBatch runs every scheme of one trial over a single shared
 // contact stream: pass one accumulates the empirical rate matrix the
 // static allocations need, pass two (a reopened view of the same
@@ -87,26 +130,16 @@ func (sc Scenario) runBatchOn(schemes []string, u utility.Function, rates *trace
 // Per-scheme results are bit-identical to a single sim.Run of the same
 // config over the same contacts; the golden digests pin them.
 func (sc Scenario) RunSchemesBatch(schemes []string, u utility.Function, src trace.Source, mu float64, trial uint64, series bool, plan *FaultPlan) ([]*sim.Result, error) {
-	if src.Nodes() != sc.Nodes {
-		return nil, fmt.Errorf("experiment: trace has %d nodes, scenario %d", src.Nodes(), sc.Nodes)
-	}
-	ro, err := asReopenable(src)
-	if err != nil {
-		return nil, err
-	}
-	second, err := ro.Reopen()
-	if err != nil {
-		return nil, err
-	}
-	rates, err := trace.EmpiricalRatesFrom(ro)
+	tc, err := sc.openTrial(src)
 	if err != nil {
 		return nil, err
 	}
 	if mu <= 0 {
-		mu = rates.Mean()
-		if mu <= 0 {
-			return nil, fmt.Errorf("experiment: empty trace")
-		}
+		mu = tc.rates.Mean()
 	}
-	return sc.runBatchOn(schemes, u, rates, mu, trial, series, plan, second)
+	pass, err := tc.Reopen()
+	if err != nil {
+		return nil, err
+	}
+	return sc.runBatchOn(schemes, u, tc.rates, mu, trial, series, plan, pass)
 }

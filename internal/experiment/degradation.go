@@ -7,8 +7,6 @@ import (
 	"impatience/internal/faults"
 	"impatience/internal/parallel"
 	"impatience/internal/plot"
-	"impatience/internal/stats"
-	"impatience/internal/trace"
 	"impatience/internal/utility"
 )
 
@@ -37,86 +35,23 @@ func (sc Scenario) Hardening(fc *faults.Config) *FaultPlan {
 	return &FaultPlan{Faults: fc, MandateTTL: 4 / sc.Mu, MaxAttempts: 5}
 }
 
-// degradationSweep runs QCR vs the static OPT/UNI competitors at each
-// fault intensity x, with build(x) describing the faults to inject, and
-// returns mean AvgUtilityRate per scheme (QCR additionally with its
-// 5%/95% band). Every scheme within a trial sees the identical fault
-// sequence: the injector's stream depends only on its config.
-func (sc Scenario) degradationSweep(u utility.Function, xs []float64, build func(x float64) faults.Config, title, xlabel string) (*plot.Table, error) {
-	gen := sc.HomogeneousSources()
+// faultTable sweeps the fault intensity x, with build(x) describing the
+// faults to inject under the default hardening, and tabulates the mean
+// utility rate of QCR and the static OPT/UNI competitors, with QCR's
+// 5%/95% band. Every scheme within a trial sees the identical fault
+// sequence: the injector's stream depends only on its config, seeded per
+// trial and point.
+func (sc Scenario) faultTable(u utility.Function, xs []float64, build func(x float64) faults.Config, title, xlabel string) (*plot.Table, error) {
 	schemes := []string{SchemeQCR, SchemeOPT, SchemeUNI}
-	outs, err := parallel.RunTrials(sc.Trials, sc.Workers, sc.Seed, func(trial int, seed uint64) ([][]float64, error) {
-		src, err := gen(seed)
-		if err != nil {
-			return nil, err
-		}
-		// One rates pass, then one lockstep batch pass per fault
-		// intensity over a reopened view of the same contact sequence.
-		ro, err := asReopenable(src)
-		if err != nil {
-			return nil, err
-		}
-		rates, err := trace.EmpiricalRatesFrom(ro)
-		if err != nil {
-			return nil, err
-		}
-		mu := rates.Mean()
-		rows := make([][]float64, len(schemes)) // scheme → per-x sample
-		for si := range rows {
-			rows[si] = make([]float64, len(xs))
-		}
-		for xi, x := range xs {
-			fc := build(x)
-			fc.Seed = sc.Seed*69069 + uint64(trial)*127 + uint64(xi)
-			plan := sc.Hardening(&fc)
-			pass, err := ro.Reopen()
-			if err != nil {
-				return nil, err
-			}
-			results, err := sc.runBatchOn(schemes, u, rates, mu, uint64(trial), false, plan, pass)
-			if err != nil {
-				return nil, fmt.Errorf("experiment: at %s=%g: %w", xlabel, x, err)
-			}
-			for si := range schemes {
-				rows[si][xi] = results[si].AvgUtilityRate
-			}
-		}
-		return rows, nil
+	outs, err := sc.sweep(sc.HomogeneousSources(), schemes, xs, xlabel, func(xi int, trial uint64) (sweepPoint, error) {
+		fc := build(xs[xi])
+		fc.Seed = sc.Seed*69069 + trial*127 + uint64(xi)
+		return sweepPoint{sc: sc, u: u, plan: sc.Hardening(&fc)}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	per := make(map[string][][]float64, len(schemes)) // scheme → per-x trial samples
-	for _, s := range schemes {
-		per[s] = make([][]float64, len(xs))
-	}
-	for _, rows := range outs {
-		for si, s := range schemes {
-			for xi := range xs {
-				per[s][xi] = append(per[s][xi], rows[si][xi])
-			}
-		}
-	}
-	table := &plot.Table{Title: title, XLabel: xlabel}
-	table.X = append(table.X, xs...)
-	for _, s := range schemes {
-		mean := make([]float64, len(xs))
-		for xi := range xs {
-			mean[xi] = stats.Summarize(per[s][xi]).Mean
-		}
-		if err := table.AddColumn(s, mean); err != nil {
-			return nil, err
-		}
-	}
-	lo := make([]float64, len(xs))
-	hi := make([]float64, len(xs))
-	for xi := range xs {
-		sum := stats.Summarize(per[SchemeQCR][xi])
-		lo[xi], hi[xi] = sum.P5, sum.P95
-	}
-	table.AddColumn("QCR p5", lo)
-	table.AddColumn("QCR p95", hi)
-	return table, nil
+	return utilityTable(title, xlabel, xs, schemes, []string{SchemeQCR}, outs), nil
 }
 
 // DegradationLoss sweeps the truncated-meeting probability p_loss from 0
@@ -129,7 +64,7 @@ func DegradationLoss(sc Scenario, u utility.Function, ploss []float64) (*plot.Ta
 	if len(ploss) == 0 {
 		ploss = []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5}
 	}
-	return sc.degradationSweep(u, ploss,
+	return sc.faultTable(u, ploss,
 		func(p float64) faults.Config { return faults.Config{PLoss: p} },
 		"Degradation: utility rate vs meeting-truncation probability",
 		"p_loss")
@@ -145,7 +80,7 @@ func DegradationChurn(sc Scenario, u utility.Function, churn []float64) (*plot.T
 		churn = []float64{0, 0.0005, 0.001, 0.002, 0.005}
 	}
 	down := sc.Duration / 100
-	return sc.degradationSweep(u, churn,
+	return sc.faultTable(u, churn,
 		func(c float64) faults.Config { return faults.Config{ChurnRate: c, MeanDowntime: down} },
 		"Degradation: utility rate vs node churn rate",
 		"crashes per node-minute")

@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"impatience/internal/faults"
@@ -146,5 +148,21 @@ func TestMassFailureRecoveryValidation(t *testing.T) {
 	bad := &FaultPlan{Faults: &faults.Config{PLoss: 2}}
 	if _, err := sc.RunSchemesBatch([]string{SchemeQCR}, u, src, 0, 0, false, bad); err == nil {
 		t.Error("p_loss=2 accepted")
+	}
+}
+
+// TestFlashCrowdSurfacesScheduleErrors: a rotation period the schedule
+// builder rejects fails the sweep, naming the period, instead of running
+// as the stationary baseline.
+func TestFlashCrowdSurfacesScheduleErrors(t *testing.T) {
+	sc := tiny()
+	sc.Duration = 300
+	sc.Trials = 1
+	_, err := RobustnessFlashCrowd(sc, utility.Power{Alpha: 0}, []float64{math.NaN()})
+	if err == nil {
+		t.Fatal("NaN rotation period accepted")
+	}
+	if !strings.Contains(err.Error(), "period (min)=NaN") {
+		t.Errorf("error %q does not name the period", err)
 	}
 }

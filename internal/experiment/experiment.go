@@ -9,11 +9,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 
 	"impatience/internal/alloc"
 	"impatience/internal/core"
 	"impatience/internal/demand"
-	"impatience/internal/parallel"
+	"impatience/internal/plot"
 	"impatience/internal/sim"
 	"impatience/internal/stats"
 	"impatience/internal/synth"
@@ -316,75 +317,64 @@ type Comparison struct {
 }
 
 // RunComparison runs every scheme on the same per-trial contact streams
-// and aggregates utilities and losses vs OPT. Each trial is one shared
-// pass of the batch executor (sim.RunBatch): the source is streamed once
-// for the empirical rates and once, in lockstep, for every scheme — no
-// materialized contact list. Trials execute on the parallel trial engine
-// (sc.Workers workers); aggregation happens in trial order, so results
-// do not depend on scheduling.
+// and aggregates utilities and losses vs OPT: the one-point case of the
+// sweep driver. Each trial streams its source once for the empirical
+// rates and once, in lockstep, for every scheme — no materialized contact
+// list. Trials execute on the parallel trial engine (sc.Workers workers);
+// aggregation happens in trial order, so results do not depend on
+// scheduling.
 func (sc Scenario) RunComparison(u utility.Function, gen SourceGen, schemes []string) (*Comparison, error) {
-	hasOPT := false
-	for _, s := range schemes {
-		if s == SchemeOPT {
-			hasOPT = true
-		}
-	}
-	outs, err := parallel.RunTrials(sc.Trials, sc.Workers, sc.Seed, func(trial int, seed uint64) (cmpTrial, error) {
-		src, err := gen(seed)
-		if err != nil {
-			return cmpTrial{}, err
-		}
-		results, err := sc.RunSchemesBatch(schemes, u, src, 0, uint64(trial), false, nil)
-		if err != nil {
-			return cmpTrial{}, err
-		}
-		out := cmpTrial{utility: make([]float64, len(schemes))}
-		for k, scheme := range schemes {
-			out.utility[k] = results[k].AvgUtilityRate
-			if scheme == SchemeOPT {
-				out.uOpt = results[k].AvgUtilityRate
-			}
-		}
-		return out, nil
+	outs, err := sc.sweep(gen, schemes, []float64{0}, "", func(int, uint64) (sweepPoint, error) {
+		return sweepPoint{sc: sc, u: u}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return aggregateComparison(schemes, hasOPT, outs), nil
+	return pointComparisons(schemes, outs, 1)[0], nil
 }
 
-// cmpTrial is one trial's per-scheme utilities (indexed like the schemes
-// slice) plus OPT's own.
-type cmpTrial struct {
-	utility []float64
-	uOpt    float64
-}
-
-// aggregateComparison folds per-trial utilities into the summary the
-// comparison returns; trial order is fixed by the caller, so the float
-// reductions are worker-count invariant.
-func aggregateComparison(schemes []string, hasOPT bool, outs []cmpTrial) *Comparison {
-	perScheme := make(map[string][]float64, len(schemes))
-	perLoss := make(map[string][]float64, len(schemes))
-	for _, out := range outs {
-		for k, scheme := range schemes {
-			v := out.utility[k]
-			perScheme[scheme] = append(perScheme[scheme], v)
-			if hasOPT {
-				perLoss[scheme] = append(perLoss[scheme], stats.NormalizedLoss(v, out.uOpt))
-			}
-		}
-	}
+// aggregateComparison folds per-trial utilities (indexed [trial][scheme])
+// into the summary the comparison returns, with losses against the
+// trial's OPT when the set has one; trial order is fixed by the caller,
+// so the float reductions are worker-count invariant.
+func aggregateComparison(schemes []string, rows [][]float64) *Comparison {
+	opt := slices.Index(schemes, SchemeOPT)
 	cmp := &Comparison{
 		Schemes: append([]string(nil), schemes...),
 		Utility: make(map[string]stats.Summary, len(schemes)),
 		Loss:    make(map[string]stats.Summary, len(schemes)),
 	}
-	for _, s := range schemes {
-		cmp.Utility[s] = stats.Summarize(perScheme[s])
-		if hasOPT {
-			cmp.Loss[s] = stats.Summarize(perLoss[s])
+	for k, s := range schemes {
+		utils := make([]float64, len(rows))
+		loss := make([]float64, len(rows))
+		for t, row := range rows {
+			utils[t] = row[k]
+			if opt >= 0 {
+				loss[t] = stats.NormalizedLoss(row[k], row[opt])
+			}
+		}
+		cmp.Utility[s] = stats.Summarize(utils)
+		if opt >= 0 {
+			cmp.Loss[s] = stats.Summarize(loss)
 		}
 	}
 	return cmp
+}
+
+// trialTable lays per-trial outcomes (rows[trial][k]) out as one column
+// per name against the trial index — the shape of the single-setting
+// ablations and extensions.
+func trialTable(title string, names []string, rows [][]float64) *plot.Table {
+	table := &plot.Table{Title: title, XLabel: "trial"}
+	for t := range rows {
+		table.X = append(table.X, float64(t))
+	}
+	for k, name := range names {
+		col := make([]float64, len(rows))
+		for t, row := range rows {
+			col[t] = row[k]
+		}
+		table.AddColumn(name, col)
+	}
+	return table
 }

@@ -3,6 +3,7 @@ package experiment
 import (
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"impatience/internal/synth"
@@ -184,6 +185,28 @@ func TestSweepSmall(t *testing.T) {
 				t.Errorf("%s[%d] is NaN", c.Name, i)
 			}
 		}
+	}
+}
+
+// TestSweepGeneratesEachTrialOnce: a sweep is trial-major — every trial
+// generates its contacts once and replays them at every point, instead
+// of regenerating them per point.
+func TestSweepGeneratesEachTrialOnce(t *testing.T) {
+	sc := tiny()
+	sc.Duration = 300
+	var calls atomic.Int64
+	base := sc.HomogeneousSources()
+	gen := func(seed uint64) (trace.Source, error) {
+		calls.Add(1)
+		return base(seed)
+	}
+	if _, err := sc.Sweep("count", "tau", []float64{5, 50, 500},
+		func(tau float64) utility.Function { return utility.Step{Tau: tau} },
+		gen, []string{SchemeQCR, SchemeOPT}); err != nil {
+		t.Fatal(err)
+	}
+	if got := calls.Load(); got != int64(sc.Trials) {
+		t.Errorf("generator called %d times for %d trials × 3 points, want %d", got, sc.Trials, sc.Trials)
 	}
 }
 

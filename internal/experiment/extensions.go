@@ -113,10 +113,10 @@ func MixedCatalog(sc Scenario) (*plot.Table, error) {
 		return nil, err
 	}
 	gen := sc.HomogeneousSources()
-	outs, err := parallel.RunTrials(sc.Trials, sc.Workers, sc.Seed, func(trial int, seed uint64) ([3]float64, error) {
+	outs, err := parallel.RunTrials(sc.Trials, sc.Workers, sc.Seed, func(trial int, seed uint64) ([]float64, error) {
 		src, err := gen(seed)
 		if err != nil {
-			return [3]float64{}, err
+			return nil, err
 		}
 		base := sim.Config{
 			Rho: sc.Rho, Utilities: us, Pop: pop,
@@ -147,32 +147,13 @@ func MixedCatalog(sc Scenario) (*plot.Table, error) {
 		cfgO.NoSticky = true
 		// No static scheme needs empirical rates here, so the three
 		// variants run on a single pass of the contact stream.
-		results, err := sim.RunBatch([]sim.Config{cfgT, cfgM, cfgO}, src)
-		if err != nil {
-			return [3]float64{}, err
-		}
-		return [3]float64{results[0].AvgUtilityRate, results[1].AvgUtilityRate, results[2].AvgUtilityRate}, nil
+		return avgUtilities(sim.RunBatch([]sim.Config{cfgT, cfgM, cfgO}, src))
 	})
 	if err != nil {
 		return nil, err
 	}
-	var uTuned, uMis, uOpt []float64
-	for _, v := range outs {
-		uTuned = append(uTuned, v[0])
-		uMis = append(uMis, v[1])
-		uOpt = append(uOpt, v[2])
-	}
-	table := &plot.Table{
-		Title:  "Extension X7: mixed catalog (step + waiting-cost items)",
-		XLabel: "trial",
-	}
-	for i := range uTuned {
-		table.X = append(table.X, float64(i))
-	}
-	table.AddColumn("QCR per-item tuned", uTuned)
-	table.AddColumn("QCR mis-tuned (all step)", uMis)
-	table.AddColumn("OPT (mixed greedy)", uOpt)
-	return table, nil
+	return trialTable("Extension X7: mixed catalog (step + waiting-cost items)",
+		[]string{"QCR per-item tuned", "QCR mis-tuned (all step)", "OPT (mixed greedy)"}, outs), nil
 }
 
 // AdaptiveImpatience (X9) exercises the Section-7 open problem: QCR that
@@ -183,26 +164,30 @@ func AdaptiveImpatience(sc Scenario, nu float64) (*plot.Table, error) {
 	truth := utility.Exponential{Nu: nu}
 	pop := sc.Pop()
 	gen := sc.HomogeneousSources()
-	outs, err := parallel.RunTrials(sc.Trials, sc.Workers, sc.Seed, func(trial int, seed uint64) ([4]float64, error) {
+	outs, err := parallel.RunTrials(sc.Trials, sc.Workers, sc.Seed, func(trial int, seed uint64) ([]float64, error) {
 		src, err := gen(seed)
 		if err != nil {
-			return [4]float64{}, err
+			return nil, err
 		}
 		// OPT and the oracle QCR share one lockstep pass; the adaptive
 		// policy runs on its own reopened pass of the same contacts (its
 		// feedback closure is stateful, so it cannot join the batch
 		// without changing RNG consumption order).
-		ro, err := asReopenable(src)
+		tc, err := sc.openTrial(src)
 		if err != nil {
-			return [4]float64{}, err
+			return nil, err
 		}
-		adaptivePass, err := ro.Reopen()
+		batchPass, err := tc.Reopen()
 		if err != nil {
-			return [4]float64{}, err
+			return nil, err
 		}
-		results, err := sc.RunSchemesBatch([]string{SchemeOPT, SchemeQCR}, truth, ro, sc.Mu, uint64(trial), false, nil)
+		adaptivePass, err := tc.Reopen()
 		if err != nil {
-			return [4]float64{}, err
+			return nil, err
+		}
+		results, err := sc.runBatchOn([]string{SchemeOPT, SchemeQCR}, truth, tc.rates, sc.Mu, uint64(trial), false, nil, batchPass)
+		if err != nil {
+			return nil, err
 		}
 		resO, resQ := results[0], results[1]
 		feedbackRNG := rand.New(rand.NewPCG(sc.Seed^0xfeedbac, uint64(trial)))
@@ -221,36 +206,19 @@ func AdaptiveImpatience(sc Scenario, nu float64) (*plot.Table, error) {
 			Seed: sc.Seed*1_000_003 + uint64(trial)*101, WarmupFrac: sc.WarmupFrac,
 		})
 		if err != nil {
-			return [4]float64{}, err
+			return nil, err
 		}
 		nuHat := math.NaN()
 		if hat, ok := pol.LastEstimate(); ok {
 			nuHat = hat
 		}
-		return [4]float64{resA.AvgUtilityRate, resQ.AvgUtilityRate, resO.AvgUtilityRate, nuHat}, nil
+		return []float64{resA.AvgUtilityRate, resQ.AvgUtilityRate, resO.AvgUtilityRate, nuHat}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	var uAdaptive, uOracle, uOpt, nuHats []float64
-	for _, v := range outs {
-		uAdaptive = append(uAdaptive, v[0])
-		uOracle = append(uOracle, v[1])
-		uOpt = append(uOpt, v[2])
-		nuHats = append(nuHats, v[3])
-	}
-	table := &plot.Table{
-		Title:  fmt.Sprintf("Extension X9: adaptive impatience estimation (true ν=%g)", nu),
-		XLabel: "trial",
-	}
-	for i := range uAdaptive {
-		table.X = append(table.X, float64(i))
-	}
-	table.AddColumn("QCR adaptive (learned ν)", uAdaptive)
-	table.AddColumn("QCR oracle (known ν)", uOracle)
-	table.AddColumn("OPT", uOpt)
-	table.AddColumn("estimated ν", nuHats)
-	return table, nil
+	return trialTable(fmt.Sprintf("Extension X9: adaptive impatience estimation (true ν=%g)", nu),
+		[]string{"QCR adaptive (learned ν)", "QCR oracle (known ν)", "OPT", "estimated ν"}, outs), nil
 }
 
 // DedicatedKiosks (X8) runs the dedicated-node case end to end with the
@@ -277,10 +245,10 @@ func DedicatedKiosks(sc Scenario, servers int) (*plot.Table, error) {
 		return nil, err
 	}
 	gen := sc.HomogeneousSources()
-	outs, err := parallel.RunTrials(sc.Trials, sc.Workers, sc.Seed, func(trial int, seed uint64) ([2]float64, error) {
+	outs, err := parallel.RunTrials(sc.Trials, sc.Workers, sc.Seed, func(trial int, seed uint64) ([]float64, error) {
 		src, err := gen(seed)
 		if err != nil {
-			return [2]float64{}, err
+			return nil, err
 		}
 		base := sim.Config{
 			Rho: sc.Rho, Utility: u, Pop: pop,
@@ -299,28 +267,11 @@ func DedicatedKiosks(sc Scenario, servers int) (*plot.Table, error) {
 		cfgO.Policy = core.Static{Label: "opt"}
 		cfgO.Initial = opt
 		cfgO.NoSticky = true
-		results, err := sim.RunBatch([]sim.Config{cfgQ, cfgO}, src)
-		if err != nil {
-			return [2]float64{}, err
-		}
-		return [2]float64{results[0].AvgUtilityRate, results[1].AvgUtilityRate}, nil
+		return avgUtilities(sim.RunBatch([]sim.Config{cfgQ, cfgO}, src))
 	})
 	if err != nil {
 		return nil, err
 	}
-	var uQCR, uOpt []float64
-	for _, v := range outs {
-		uQCR = append(uQCR, v[0])
-		uOpt = append(uOpt, v[1])
-	}
-	table := &plot.Table{
-		Title:  fmt.Sprintf("Extension X8: dedicated kiosks (neglog, %d servers / %d clients)", servers, sc.Nodes-servers),
-		XLabel: "trial",
-	}
-	for i := range uQCR {
-		table.X = append(table.X, float64(i))
-	}
-	table.AddColumn("QCR", uQCR)
-	table.AddColumn("OPT (proportional)", uOpt)
-	return table, nil
+	return trialTable(fmt.Sprintf("Extension X8: dedicated kiosks (neglog, %d servers / %d clients)", servers, sc.Nodes-servers),
+		[]string{"QCR", "OPT (proportional)"}, outs), nil
 }

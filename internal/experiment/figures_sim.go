@@ -154,31 +154,18 @@ func constant(n int, v float64) []float64 {
 	return out
 }
 
-// Sweep runs RunComparison across a parameter sweep, building a
-// loss-vs-parameter table (one column per scheme) — the shape of Figures
-// 4, 5b/5c and 6.
+// Sweep builds a loss-vs-parameter table (one column per scheme but
+// OPT) — the shape of Figures 4, 5b/5c and 6. It is trial-major: each
+// trial's contacts are generated and their rates measured once, then
+// every parameter's utility runs over reopened passes of them.
 func (sc Scenario) Sweep(title, xlabel string, params []float64, mkUtility func(p float64) utility.Function, gen SourceGen, schemes []string) (*plot.Table, error) {
-	table := &plot.Table{Title: title, XLabel: xlabel}
-	table.X = append([]float64(nil), params...)
-	cols := make(map[string][]float64, len(schemes))
-	for _, p := range params {
-		cmp, err := sc.RunComparison(mkUtility(p), gen, schemes)
-		if err != nil {
-			return nil, fmt.Errorf("%s at %s=%g: %w", title, xlabel, p, err)
-		}
-		for _, s := range schemes {
-			cols[s] = append(cols[s], cmp.Loss[s].Mean)
-		}
+	outs, err := sc.sweep(gen, schemes, params, xlabel, func(xi int, _ uint64) (sweepPoint, error) {
+		return sweepPoint{sc: sc, u: mkUtility(params[xi])}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	for _, s := range schemes {
-		if s == SchemeOPT {
-			continue // identically zero
-		}
-		if err := table.AddColumn(s, cols[s]); err != nil {
-			return nil, err
-		}
-	}
-	return table, nil
+	return lossTable(title, xlabel, params, schemes, outs)
 }
 
 // Figure4Power regenerates the left panel of Figure 4: normalized loss vs

@@ -85,7 +85,7 @@ func goldenFamilies() []goldenFamily {
 	scVeh := sc
 	scVeh.Duration = veh.DurationMin
 
-	// Mirrors degradationSweep's per-trial fault seeding.
+	// Mirrors faultTable's per-trial fault seeding (at the first point).
 	faultPlan := func(trial int) *FaultPlan {
 		fc := faults.Config{PLoss: 0.3, ChurnRate: 0.001, MeanDowntime: sc.Duration / 100}
 		fc.Seed = sc.Seed*69069 + uint64(trial)*127
@@ -113,7 +113,7 @@ func goldenFamilies() []goldenFamily {
 		[]string{SchemeQCR, SchemeQCRH, SchemeOPT}, true, adversaryPlan(sc))})
 }
 
-// adversaryPlan mirrors adversarySweep's per-trial adversary seeding:
+// adversaryPlan mirrors adversaryTable's per-trial adversary seeding:
 // dishonest counter inflation, free-riders, and one mid-run popularity
 // rotation.
 func adversaryPlan(sc Scenario) func(trial int) *FaultPlan {

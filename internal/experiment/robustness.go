@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"impatience/internal/adversary"
-	"impatience/internal/parallel"
 	"impatience/internal/plot"
-	"impatience/internal/stats"
 	"impatience/internal/synth"
 	"impatience/internal/trace"
 	"impatience/internal/utility"
@@ -19,90 +17,24 @@ import (
 // from the real popularity, which adversaries cannot game because it has
 // no reaction to feed.
 
-// adversarySweep runs the scheme set at each misbehavior intensity x,
-// with build(x) describing the adversarial workload, and returns the mean
-// AvgUtilityRate per scheme plus 5%/95% bands for the QCR variants.
-// Every scheme within a trial faces the identical adversary: role
-// assignment depends only on the adversary config, which is shared.
-func (sc Scenario) adversarySweep(u utility.Function, xs []float64, build func(x float64) adversary.Config, schemes []string, title, xlabel string) (*plot.Table, error) {
-	gen := sc.HomogeneousSources()
-	outs, err := parallel.RunTrials(sc.Trials, sc.Workers, sc.Seed, func(trial int, seed uint64) ([][]float64, error) {
-		src, err := gen(seed)
+// adversaryTable sweeps the adversarial workload build(x) over the
+// homogeneous contacts and tabulates each scheme's mean utility rate,
+// with 5%/95% bands for the QCR variants. Every scheme within a trial
+// faces the identical adversary: role assignment depends only on the
+// adversary config, which is shared and seeded per trial and point.
+func (sc Scenario) adversaryTable(u utility.Function, xs []float64, build func(x float64) (adversary.Config, error), schemes []string, title, xlabel string) (*plot.Table, error) {
+	outs, err := sc.sweep(sc.HomogeneousSources(), schemes, xs, xlabel, func(xi int, trial uint64) (sweepPoint, error) {
+		ac, err := build(xs[xi])
 		if err != nil {
-			return nil, err
+			return sweepPoint{}, err
 		}
-		// One rates pass, then one lockstep batch pass per intensity over
-		// a reopened view of the same contact sequence.
-		ro, err := asReopenable(src)
-		if err != nil {
-			return nil, err
-		}
-		rates, err := trace.EmpiricalRatesFrom(ro)
-		if err != nil {
-			return nil, err
-		}
-		mu := rates.Mean()
-		rows := make([][]float64, len(schemes)) // scheme → per-x sample
-		for si := range rows {
-			rows[si] = make([]float64, len(xs))
-		}
-		for xi, x := range xs {
-			ac := build(x)
-			ac.Seed = sc.Seed*50021 + uint64(trial)*127 + uint64(xi)
-			plan := &FaultPlan{Adversary: &ac}
-			pass, err := ro.Reopen()
-			if err != nil {
-				return nil, err
-			}
-			results, err := sc.runBatchOn(schemes, u, rates, mu, uint64(trial), false, plan, pass)
-			if err != nil {
-				return nil, fmt.Errorf("experiment: at %s=%g: %w", xlabel, x, err)
-			}
-			for si := range schemes {
-				rows[si][xi] = results[si].AvgUtilityRate
-			}
-		}
-		return rows, nil
+		ac.Seed = sc.Seed*50021 + trial*127 + uint64(xi)
+		return sweepPoint{sc: sc, u: u, plan: &FaultPlan{Adversary: &ac}}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	per := make(map[string][][]float64, len(schemes)) // scheme → per-x trial samples
-	for _, s := range schemes {
-		per[s] = make([][]float64, len(xs))
-	}
-	for _, rows := range outs {
-		for si, s := range schemes {
-			for xi := range xs {
-				per[s][xi] = append(per[s][xi], rows[si][xi])
-			}
-		}
-	}
-	table := &plot.Table{Title: title, XLabel: xlabel}
-	table.X = append(table.X, xs...)
-	for _, s := range schemes {
-		mean := make([]float64, len(xs))
-		for xi := range xs {
-			mean[xi] = stats.Summarize(per[s][xi]).Mean
-		}
-		if err := table.AddColumn(s, mean); err != nil {
-			return nil, err
-		}
-	}
-	for _, s := range []string{SchemeQCR, SchemeQCRH} {
-		if _, ok := per[s]; !ok {
-			continue
-		}
-		lo := make([]float64, len(xs))
-		hi := make([]float64, len(xs))
-		for xi := range xs {
-			sum := stats.Summarize(per[s][xi])
-			lo[xi], hi[xi] = sum.P5, sum.P95
-		}
-		table.AddColumn(s+" p5", lo)
-		table.AddColumn(s+" p95", hi)
-	}
-	return table, nil
+	return utilityTable(title, xlabel, xs, schemes, []string{SchemeQCR, SchemeQCRH}, outs), nil
 }
 
 // RobustnessDishonest is the headline degradation curve: a growing
@@ -118,8 +50,8 @@ func RobustnessDishonest(sc Scenario, u utility.Function, fracs []float64, mult 
 	if mult <= 0 {
 		mult = 25
 	}
-	return sc.adversarySweep(u, fracs,
-		func(f float64) adversary.Config { return adversary.Config{DishonestFrac: f, Mult: mult} },
+	return sc.adversaryTable(u, fracs,
+		func(f float64) (adversary.Config, error) { return adversary.Config{DishonestFrac: f, Mult: mult}, nil },
 		[]string{SchemeQCR, SchemeQCRH, SchemeOPT},
 		fmt.Sprintf("Robustness: utility rate vs dishonest-node fraction (×%g counters)", mult),
 		"dishonest fraction")
@@ -136,8 +68,8 @@ func RobustnessInflation(sc Scenario, u utility.Function, mults []float64, frac 
 	if frac <= 0 || frac > 1 {
 		frac = 0.2
 	}
-	return sc.adversarySweep(u, mults,
-		func(m float64) adversary.Config { return adversary.Config{DishonestFrac: frac, Mult: m} },
+	return sc.adversaryTable(u, mults,
+		func(m float64) (adversary.Config, error) { return adversary.Config{DishonestFrac: frac, Mult: m}, nil },
 		[]string{SchemeQCR, SchemeQCRH, SchemeOPT},
 		fmt.Sprintf("Robustness: utility rate vs counter multiplier (%.0f%% dishonest)", frac*100),
 		"counter multiplier")
@@ -151,8 +83,8 @@ func RobustnessFreeRiders(sc Scenario, u utility.Function, fracs []float64) (*pl
 	if len(fracs) == 0 {
 		fracs = []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5}
 	}
-	return sc.adversarySweep(u, fracs,
-		func(f float64) adversary.Config { return adversary.Config{FreeRiderFrac: f} },
+	return sc.adversaryTable(u, fracs,
+		func(f float64) (adversary.Config, error) { return adversary.Config{FreeRiderFrac: f}, nil },
 		[]string{SchemeQCR, SchemeQCRH, SchemeOPT},
 		"Robustness: utility rate vs free-rider fraction",
 		"free-rider fraction")
@@ -169,37 +101,17 @@ func RobustnessFlashCrowd(sc Scenario, u utility.Function, periods []float64) (*
 		periods = []float64{0, 2000, 1000, 500, 250}
 	}
 	pop := sc.Pop()
-	return sc.adversarySweep(u, periods,
-		func(p float64) adversary.Config {
+	return sc.adversaryTable(u, periods,
+		func(p float64) (adversary.Config, error) {
 			if p <= 0 {
-				return adversary.Config{} // stationary baseline
+				return adversary.Config{}, nil // stationary baseline
 			}
 			s, err := synth.FlashCrowd(pop, p, sc.Duration, 1)
-			if err != nil {
-				// Surfaced by Config.Validate inside the run.
-				return adversary.Config{Schedule: nil}
-			}
-			return adversary.Config{Schedule: s}
+			return adversary.Config{Schedule: s}, err
 		},
 		[]string{SchemeQCR, SchemeQCRH, SchemeUNI, SchemeOPT},
 		"Robustness: utility rate vs popularity-churn period",
 		"rotation period (min)")
-}
-
-// DiurnalSources wraps the scenario's homogeneous contact stream with a
-// day/night activity profile (adversary.Modulate): contacts compress into
-// the [dayStart, dayEnd) minute-of-day window, with nightFactor scaling
-// the remaining night activity. Pairwise empirical rates over the full
-// horizon are untouched, so allocations tuned from them stay comparable.
-func (sc Scenario) DiurnalSources(dayStart, dayEnd, nightFactor float64) SourceGen {
-	base := sc.HomogeneousSources()
-	return func(seed uint64) (trace.Source, error) {
-		src, err := base(seed)
-		if err != nil {
-			return nil, err
-		}
-		return adversary.DayNight(src, dayStart, dayEnd, nightFactor)
-	}
 }
 
 // RobustnessDiurnal sweeps contact nonstationarity: the same contacts are
@@ -214,67 +126,20 @@ func RobustnessDiurnal(sc Scenario, u utility.Function, nightFactors []float64) 
 		nightFactors = []float64{1, 0.5, 0.25, 0.1, 0.05}
 	}
 	schemes := []string{SchemeQCR, SchemeQCRH, SchemeUNI, SchemeOPT}
-	outs, err := parallel.RunTrials(sc.Trials, sc.Workers, sc.Seed, func(trial int, seed uint64) ([][]float64, error) {
-		base := sc.HomogeneousSources()
-		src, err := base(seed)
-		if err != nil {
-			return nil, err
+	// The time change preserves whole-horizon empirical rates, so the
+	// trial's one rates pass over the unmodulated stream serves every
+	// profile.
+	const xlabel = "night activity factor"
+	outs, err := sc.sweep(sc.HomogeneousSources(), schemes, nightFactors, xlabel, func(xi int, _ uint64) (sweepPoint, error) {
+		p := sweepPoint{sc: sc, u: u}
+		if nf := nightFactors[xi]; nf < 1 {
+			p.view = func(pass trace.Source) (trace.Source, error) { return adversary.DayNight(pass, 480, 1200, nf) }
 		}
-		ro, err := asReopenable(src)
-		if err != nil {
-			return nil, err
-		}
-		// The time change preserves whole-horizon empirical rates, so one
-		// rates pass over the unmodulated stream serves every profile.
-		rates, err := trace.EmpiricalRatesFrom(ro)
-		if err != nil {
-			return nil, err
-		}
-		mu := rates.Mean()
-		rows := make([][]float64, len(schemes))
-		for si := range rows {
-			rows[si] = make([]float64, len(nightFactors))
-		}
-		for xi, nf := range nightFactors {
-			pass, err := ro.Reopen()
-			if err != nil {
-				return nil, err
-			}
-			if nf < 1 {
-				if pass, err = adversary.DayNight(pass, 480, 1200, nf); err != nil {
-					return nil, err
-				}
-			}
-			results, err := sc.runBatchOn(schemes, u, rates, mu, uint64(trial), false, nil, pass)
-			if err != nil {
-				return nil, fmt.Errorf("experiment: at night factor %g: %w", nf, err)
-			}
-			for si := range schemes {
-				rows[si][xi] = results[si].AvgUtilityRate
-			}
-		}
-		return rows, nil
+		return p, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	table := &plot.Table{
-		Title:  "Robustness: utility rate vs day/night contact nonstationarity",
-		XLabel: "night activity factor",
-	}
-	table.X = append(table.X, nightFactors...)
-	for si, s := range schemes {
-		mean := make([]float64, len(nightFactors))
-		for xi := range nightFactors {
-			var sum float64
-			for _, rows := range outs {
-				sum += rows[si][xi]
-			}
-			mean[xi] = sum / float64(len(outs))
-		}
-		if err := table.AddColumn(s, mean); err != nil {
-			return nil, err
-		}
-	}
-	return table, nil
+	return utilityTable("Robustness: utility rate vs day/night contact nonstationarity", xlabel,
+		nightFactors, schemes, nil, outs), nil
 }

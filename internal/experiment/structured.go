@@ -90,7 +90,7 @@ func (sc Scenario) RunStructuredComparison(u utility.Function, m *rates.Model, s
 	}
 	mu := m.MeanPairRate()
 	gen := sc.StructuredSources(m)
-	outs, err := parallel.RunTrials(sc.Trials, sc.Workers, sc.Seed, func(trial int, seed uint64) (cmpTrial, error) {
+	rows, err := parallel.RunTrials(sc.Trials, sc.Workers, sc.Seed, func(trial int, seed uint64) ([]float64, error) {
 		var results []*sim.Result
 		var err error
 		if sc.Hybrid.Enabled {
@@ -99,23 +99,23 @@ func (sc Scenario) RunStructuredComparison(u utility.Function, m *rates.Model, s
 			var src trace.Source
 			src, err = gen(seed)
 			if err != nil {
-				return cmpTrial{}, err
+				return nil, err
 			}
 			results, err = sc.runBatchOn(schemes, u, nil, mu, uint64(trial), false, nil, src)
 		}
 		if err != nil {
-			return cmpTrial{}, err
+			return nil, err
 		}
-		out := cmpTrial{utility: make([]float64, len(schemes))}
+		row := make([]float64, len(schemes))
 		for k := range schemes {
-			out.utility[k] = results[k].AvgUtilityRate
+			row[k] = results[k].AvgUtilityRate
 		}
-		return out, nil
+		return row, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return aggregateComparison(schemes, false, outs), nil
+	return aggregateComparison(schemes, rows), nil
 }
 
 // StructuredReport is one metered structured-rates run: the scale

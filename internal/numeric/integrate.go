@@ -1,7 +1,7 @@
 // Package numeric provides the numerical substrate used throughout the
 // impatience library: quadrature on finite and semi-infinite intervals,
 // root finding, a water-filling solver for separable concave resource
-// allocation, and a Runge–Kutta ODE integrator.
+// allocation, and an adaptive Runge–Kutta (Dormand–Prince) ODE integrator.
 //
 // Everything here is deterministic and allocation-light; the routines are
 // tuned for the integrands that arise from delay-utility transforms
@@ -152,76 +152,4 @@ func IntegrateSingular(w func(float64) float64, scale, tol float64) (float64, er
 		return head + tail, errH
 	}
 	return head + tail, errT
-}
-
-// glN is the order of the Gauss–Laguerre rule; nodes and weights are
-// computed once at package init by Newton iteration on the Laguerre
-// polynomial L_n, the standard construction (cf. Numerical Recipes
-// "gaulag" with α = 0).
-const glN = 48
-
-var glNodes, glWeights = laguerreRule(glN)
-
-// laguerreRule returns the abscissae and weights of the n-point
-// Gauss–Laguerre quadrature rule for weight function e^{-s} on [0, ∞).
-func laguerreRule(n int) ([]float64, []float64) {
-	x := make([]float64, n)
-	w := make([]float64, n)
-	fn := float64(n)
-	var z float64
-	for i := 0; i < n; i++ {
-		// Initial guess for the i-th root.
-		switch i {
-		case 0:
-			z = 3.0 / (1 + 2.4*fn)
-		case 1:
-			z += 15.0 / (1 + 2.5*fn)
-		default:
-			ai := float64(i - 1)
-			z += (1 + 2.55*ai) / (1.9 * ai) * (z - x[i-2])
-		}
-		// Newton iteration on L_n(z) using the three-term recurrence.
-		var pp float64
-		for it := 0; it < 200; it++ {
-			p1, p2 := 1.0, 0.0
-			for j := 1; j <= n; j++ {
-				p3 := p2
-				p2 = p1
-				p1 = ((float64(2*j-1)-z)*p2 - float64(j-1)*p3) / float64(j)
-			}
-			pp = fn * (p1 - p2) / z // L_n'(z) = n (L_n(z) - L_{n-1}(z)) / z
-			z1 := z
-			z = z1 - p1/pp
-			if math.Abs(z-z1) <= 1e-15*z {
-				break
-			}
-		}
-		x[i] = z
-		// Recompute L_{n-1}(z) at the converged root for the weight.
-		p1, p2 := 1.0, 0.0
-		for j := 1; j <= n; j++ {
-			p3 := p2
-			p2 = p1
-			p1 = ((float64(2*j-1)-z)*p2 - float64(j-1)*p3) / float64(j)
-		}
-		pp = fn * (p1 - p2) / z
-		w[i] = -1 / (pp * fn * p2)
-	}
-	return x, w
-}
-
-// GaussLaguerre computes ∫_0^∞ e^{-λ t} g(t) dt for λ > 0 using the
-// precomputed Gauss–Laguerre rule after the substitution s = λ t. It is
-// exact for g polynomial of degree ≤ 2·glN−1 and very accurate for the
-// smooth integrands arising from delay-utility transforms. For integrands
-// with kinks or atoms use Integrate/IntegrateToInf instead.
-func GaussLaguerre(g func(float64) float64, lambda float64) float64 {
-	if lambda <= 0 {
-		return math.NaN()
-	}
-	var sum float64
-	for k := 0; k < glN; k++ {
-		sum += glWeights[k] * g(glNodes[k]/lambda)
-	}
-	return sum / lambda
 }

@@ -12,6 +12,10 @@ import (
 // stage of an accepted step equals the first stage of the next (FSAL),
 // so an accepted step costs six derivative evaluations.
 
+// Derivs computes dx/dt into dst given the current time and state. dst and
+// x always have the same length and dst is zeroed by the caller.
+type Derivs func(t float64, x, dst []float64)
+
 // RKOpts parameterizes the adaptive integrator. The zero value selects
 // the defaults noted on each field.
 type RKOpts struct {

@@ -288,11 +288,3 @@ func BenchmarkRK45Coupled64(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkRK4FixedCoupled64(b *testing.B) {
-	f, x0 := coupledSystem(64)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		RK4(f, x0, 0, 10, 1000)
-	}
-}

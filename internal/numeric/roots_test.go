@@ -84,44 +84,6 @@ func TestInvertDecreasingProperty(t *testing.T) {
 	}
 }
 
-func TestRK4Exponential(t *testing.T) {
-	// dx/dt = -x, x(0)=1 → x(t)=e^{-t}.
-	f := func(_ float64, x, dst []float64) { dst[0] = -x[0] }
-	got := RK4(f, []float64{1}, 0, 2, 200)
-	if !almostEqual(got[0], math.Exp(-2), 1e-7) {
-		t.Errorf("got %g, want %g", got[0], math.Exp(-2))
-	}
-}
-
-func TestRK4Harmonic(t *testing.T) {
-	// x'' = -x as a system: x(t)=cos t, v(t)=-sin t.
-	f := func(_ float64, x, dst []float64) { dst[0] = x[1]; dst[1] = -x[0] }
-	got := RK4(f, []float64{1, 0}, 0, math.Pi, 1000)
-	if !almostEqual(got[0], -1, 1e-6) || math.Abs(got[1]) > 1e-6 {
-		t.Errorf("got (%g,%g), want (-1,0)", got[0], got[1])
-	}
-}
-
-func TestRK4DoesNotModifyInput(t *testing.T) {
-	f := func(_ float64, x, dst []float64) { dst[0] = 1 }
-	x0 := []float64{42}
-	RK4(f, x0, 0, 1, 10)
-	if x0[0] != 42 {
-		t.Errorf("input state modified: %g", x0[0])
-	}
-}
-
-func TestRK4UntilStopsEarly(t *testing.T) {
-	f := func(_ float64, x, dst []float64) { dst[0] = 1 }
-	x, tEnd := RK4Until(f, []float64{0}, 0, 100, 0.5, func(_ float64, x []float64) bool { return x[0] >= 3 })
-	if tEnd >= 100 {
-		t.Errorf("did not stop early: t=%g", tEnd)
-	}
-	if x[0] < 3 {
-		t.Errorf("stopped before predicate: x=%g", x[0])
-	}
-}
-
 func TestWaterFillUniform(t *testing.T) {
 	// Equal weights, log-like derivative → equal split.
 	p := WaterFillProblem{

@@ -71,7 +71,7 @@ func (s *session) anaSystem(u utility.Function) welfare.Homogeneous {
 // picture: the budget invariant Σx = ρS holds, the balance terms
 // d_i·ϕ(x_i) are constant across interior items, and the fixed point
 // coincides with the water-filling optimum computed by an entirely
-// different algorithm (internal/numeric dual root search vs RK4 integration).
+// different algorithm (internal/numeric dual root search vs RK45 integration).
 func (s *session) checkMeanFieldFixedPoint() CheckResult {
 	res := CheckResult{Pass: true, Seed: s.cfg.Seed}
 	for _, u := range anaUtilities() {
@@ -131,7 +131,7 @@ func (s *session) checkMeanFieldFixedPoint() CheckResult {
 		// RelaxedOptimal, whose caps model one copy per server), so the
 		// honest comparison is UNCAPPED water-filling on the same balance
 		// condition — computed by a root search on the dual level, a wholly
-		// different algorithm than the RK4 integration it must agree with.
+		// different algorithm than the RK45 integration it must agree with.
 		xt, err := numeric.WaterFill(numeric.WaterFillProblem{
 			Weights: hom.Pop.Rates,
 			Caps:    capsAt(len(x), budget),

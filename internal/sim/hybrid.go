@@ -53,9 +53,32 @@ import (
 // happened yet".
 const minWindowArrivals = 8
 
+// Probe-set and error-controller constants.
+const (
+	// hybridMaxBoundary caps the total probe count: the event cost
+	// scales with it, and the fluid speedup is the point.
+	hybridMaxBoundary = 512
+	// hybridWindows is the number of controller accounting windows per
+	// run; fluid state syncs 16 times per window.
+	hybridWindows = 16
+	// hybridConf is the confidence level of the per-window probe
+	// gain-rate CI.
+	hybridConf = 0.95
+	// hybridSlack and hybridFloor set the per-window tolerance
+	// |probe mean − fluid prediction| ≤ slack·halfwidth + floor·|prediction|.
+	// The floor keeps narrow CIs from tripping the controller on an
+	// error the welfare summaries cannot resolve.
+	hybridSlack = 3
+	hybridFloor = 0.05
+	// hybridBreach is the number of consecutive violating windows that
+	// demote the run to full event simulation.
+	hybridBreach = 2
+)
+
 // HybridOptions tunes the hybrid engine. The zero value of every field
-// except Enabled picks a sensible default, resolved against the run
-// duration by withDefaults.
+// except Enabled picks a sensible default (withDefaults); the probe cap
+// and the error controller's window, confidence, tolerance and breach
+// count are package constants.
 type HybridOptions struct {
 	// Enabled marks the options as active; RunHybrid itself ignores it
 	// (calling RunHybrid is the opt-in), but the experiment wiring uses
@@ -65,28 +88,6 @@ type HybridOptions struct {
 	// (default 8). 0 after defaulting disables the probe set entirely —
 	// pure fluid, no error controller.
 	BoundaryPerComm int
-	// SmallComm fully probes communities of at most this size: tiny
-	// communities are poorly served by a fluid limit, so every node
-	// becomes a probe (default 0 = off).
-	SmallComm int
-	// MaxBoundary caps the total probe count (default 512): the event
-	// cost scales with it, and the fluid speedup is the point.
-	MaxBoundary int
-	// Window is the error-controller accounting window (default
-	// duration/16). Fluid state syncs at Window/16.
-	Window float64
-	// Conf is the confidence level of the per-window probe gain-rate CI
-	// (default 0.95).
-	Conf float64
-	// Slack and Floor set the per-window tolerance
-	// |probe mean − fluid prediction| ≤ Slack·halfwidth + Floor·|prediction|
-	// (defaults 3 and 0.05). Floor keeps narrow CIs from tripping the
-	// controller on an error the welfare summaries cannot resolve.
-	Slack float64
-	Floor float64
-	// Breach is the number of consecutive violating windows that demote
-	// the run to full event simulation (default 2).
-	Breach int
 	// FeedbackAlpha is the EWMA weight of the per-window demand estimate
 	// fed back into the fluid drift (default 0.2; negative disables
 	// feedback — the fluid then never learns a demand switch, which is
@@ -102,29 +103,11 @@ type HybridOptions struct {
 }
 
 // withDefaults resolves zero-valued knobs.
-func (hy HybridOptions) withDefaults(duration float64) HybridOptions {
+func (hy HybridOptions) withDefaults() HybridOptions {
 	if hy.BoundaryPerComm == 0 {
 		hy.BoundaryPerComm = 8
 	} else if hy.BoundaryPerComm < 0 {
 		hy.BoundaryPerComm = 0
-	}
-	if hy.MaxBoundary <= 0 {
-		hy.MaxBoundary = 512
-	}
-	if hy.Window <= 0 || hy.Window > duration {
-		hy.Window = duration / 16
-	}
-	if hy.Conf == 0 {
-		hy.Conf = 0.95
-	}
-	if hy.Slack == 0 {
-		hy.Slack = 3
-	}
-	if hy.Floor == 0 {
-		hy.Floor = 0.05
-	}
-	if hy.Breach <= 0 {
-		hy.Breach = 2
 	}
 	if hy.FeedbackAlpha == 0 {
 		hy.FeedbackAlpha = 0.2
@@ -227,7 +210,7 @@ func RunHybrid(cfg Config, m *rates.Model, duration float64, hy HybridOptions) (
 	if !utility.SupportsPureP2P(cfg.Utility) {
 		return nil, fmt.Errorf("%w: utility %s has unbounded h(0⁺) (pure P2P)", ErrHybrid, cfg.Utility.Name())
 	}
-	hy = hy.withDefaults(duration)
+	hy = hy.withDefaults()
 	if reason := hybridIneligible(&cfg, m); reason != "" {
 		return hybridFallback(cfg, m, duration, hy, &HybridTally{Reason: reason})
 	}
@@ -279,6 +262,7 @@ type hybridRun struct {
 	binFuls   int
 	binIdx    int
 	consec    int
+	breach    int // consecutive violations that demote (hybridBreach)
 	demoted   bool
 	boundGain float64 // post-warmup probe gain
 }
@@ -370,6 +354,7 @@ func newHybridRun(cfg *Config, m *rates.Model, duration float64, hy HybridOption
 		winArr:       make([]float64, items),
 		uk:           kernelFor(cfg.Utility),
 		tally:        &HybridTally{},
+		breach:       hybridBreach,
 	}
 	h.pushBelief()
 
@@ -399,23 +384,17 @@ func newHybridRun(cfg *Config, m *rates.Model, duration float64, hy HybridOption
 		h.partnerCDF[k] = cdf
 	}
 
-	// Probe set: BoundaryPerComm per community, whole community when at
-	// most SmallComm nodes, capped at MaxBoundary by shaving the largest
+	// Probe set: BoundaryPerComm per community (at most the whole
+	// community), capped at hybridMaxBoundary by shaving the largest
 	// allocations first (deterministic).
 	per := make([]int, comms)
 	total := 0
 	for k, n := range sizes {
-		bk := hy.BoundaryPerComm
-		if n <= hy.SmallComm {
-			bk = n
-		}
-		if bk > n {
-			bk = n
-		}
+		bk := min(hy.BoundaryPerComm, n)
 		per[k] = bk
 		total += bk
 	}
-	for total > hy.MaxBoundary {
+	for total > hybridMaxBoundary {
 		best := -1
 		for k := range per {
 			if per[k] > 0 && (best < 0 || per[k] > per[best]) {
@@ -577,10 +556,10 @@ func (h *hybridRun) frac(k, i int) float64 {
 // drive runs the checkpointed event loop. On return h.demoted reports
 // whether the controller tripped.
 func (h *hybridRun) drive() error {
-	hy := h.hy
-	syncDt := hy.Window / 16
+	window := h.duration / hybridWindows
+	syncDt := window / 16
 	nextSync := syncDt
-	nextWin := hy.Window
+	nextWin := window
 	nextBin := math.Inf(1)
 	if h.cfg.BinWidth > 0 {
 		nextBin = h.cfg.BinWidth
@@ -630,11 +609,11 @@ func (h *hybridRun) drive() error {
 			nextBin += h.cfg.BinWidth
 		}
 		if t >= nextWin {
-			h.window(t-hy.Window, t)
+			h.window(t-window, t)
 			if h.demoted {
 				return nil
 			}
-			nextWin += hy.Window
+			nextWin += window
 		}
 		if t >= tSwitch {
 			h.setPop(h.cfg.DemandSwitch.Rates)
@@ -808,10 +787,10 @@ func (h *hybridRun) window(t0, t1 float64) {
 		for p := range h.samples {
 			h.samples[p] = h.winGain[p] / winLen
 		}
-		iv := stats.MeanCI(h.samples, h.hy.Conf)
+		iv := stats.MeanCI(h.samples, hybridConf)
 		pred := h.winInt / winLen / float64(h.nodes)
 		diff := math.Abs(iv.Center - pred)
-		tol := h.hy.Slack*iv.Halfwidth + h.hy.Floor*math.Abs(pred)
+		tol := hybridSlack*iv.Halfwidth + hybridFloor*math.Abs(pred)
 		rel := diff / math.Max(math.Abs(pred), 1e-12)
 		h.tally.Windows++
 		if rel > h.tally.MaxErr {
@@ -820,7 +799,7 @@ func (h *hybridRun) window(t0, t1 float64) {
 		if diff > tol {
 			h.tally.Violations++
 			h.consec++
-			if h.consec >= h.hy.Breach {
+			if h.consec >= h.breach {
 				h.demoted = true
 				h.tally.Reason = fmt.Sprintf(
 					"window [%g, %g]: probe gain rate %s vs fluid %g exceeds tolerance %g",

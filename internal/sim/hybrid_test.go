@@ -366,13 +366,14 @@ func TestHybridCheckpointWindowAllocs(t *testing.T) {
 	const n, duration = 200, 800.0
 	m := hybridModel(t, n)
 	cfg, scale := hybridQCRConfig(t, n, m.MeanPairRate())
-	hy := HybridOptions{ContactSeed: 5, ReactionScale: scale}.withDefaults(duration)
+	hy := HybridOptions{ContactSeed: 5, ReactionScale: scale}.withDefaults()
 	h, err := newHybridRun(&cfg, m, duration, hy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.hy.Breach = math.MaxInt // keep the (allocating) demotion message out of the loop
-	dt := hy.Window / 16
+	h.breach = math.MaxInt // keep the (allocating) demotion message out of the loop
+	window := duration / hybridWindows
+	dt := window / 16
 	now := 0.0
 	cycle := func() {
 		for range 16 {
@@ -388,7 +389,7 @@ func TestHybridCheckpointWindowAllocs(t *testing.T) {
 		for p := range h.winGain {
 			h.winGain[p] = float64(p % 3)
 		}
-		h.window(now-hy.Window, now)
+		h.window(now-window, now)
 	}
 	cycle()
 	if avg := testing.AllocsPerRun(8, cycle); avg != 0 {
@@ -411,7 +412,7 @@ func TestHybridBeliefPushRefreshesDrift(t *testing.T) {
 	m := hybridModel(t, n)
 	build := func() *hybridRun {
 		cfg, scale := hybridQCRConfig(t, n, m.MeanPairRate())
-		hy := HybridOptions{ContactSeed: 5, ReactionScale: scale}.withDefaults(duration)
+		hy := HybridOptions{ContactSeed: 5, ReactionScale: scale}.withDefaults()
 		h, err := newHybridRun(&cfg, m, duration, hy)
 		if err != nil {
 			t.Fatal(err)
