@@ -9,16 +9,19 @@ import (
 	"testing"
 
 	"impatience/internal/plot"
+	"impatience/internal/rates"
 	"impatience/internal/synth"
 	"impatience/internal/utility"
 )
 
-// The table goldens pin the sweep figures end to end: trace generation,
+// The table goldens pin the figures end to end: trace generation,
 // per-point seeding (fault and adversary plans), the trial loop and the
-// table assembly. Each case digests the float bits of X and of every
-// column (plus the column names) of a miniature run; the per-trial
-// result digests in golden_digests.json cannot see a change in how a
-// sweep seeds its points or reduces its trials.
+// table assembly. Three families are pinned: the parameter sweeps, the
+// binned time series (Figures 3 and 5a, x4, xm and the hybrid xh) and
+// the one-shot per-trial tables (X2, XR, X6–X9). Each case digests the
+// float bits of X and of every column (plus the column names) of a
+// miniature run; the per-trial result digests in golden_digests.json
+// cannot see a change in how a figure seeds its trials or reduces them.
 
 const tableGoldenPath = "testdata/table_digests.json"
 
@@ -101,10 +104,50 @@ func tableCases() []tableCase {
 			sc.Duration = 1440 // one day, so the day/night window bites
 			return one(RobustnessDiurnal(sc, step, []float64{1, 0.1}))
 		}},
+		// Binned time series.
+		{"fig3", Figure3},
+		{"fig5a", func(sc Scenario) ([]*plot.Table, error) {
+			return one(Figure5TimeSeries(sc, conf, 60))
+		}},
+		{"x4", func(sc Scenario) ([]*plot.Table, error) {
+			return one(DynamicDemand(sc, step))
+		}},
+		{"xm", func(sc Scenario) ([]*plot.Table, error) {
+			return one(MassFailureRecovery(sc, step, 0.5))
+		}},
+		{"xh", func(sc Scenario) ([]*plot.Table, error) {
+			// Two 100-node communities: the smallest model on which the
+			// fluid limit carries a real share of the population.
+			sc.Nodes, sc.Items, sc.Rho, sc.Duration = 200, 10, 2, 800
+			m, err := rates.New([]int{100, 100}, [][]float64{{0.02, 0.004}, {0.004, 0.03}}, nil)
+			if err != nil {
+				return nil, err
+			}
+			return HybridFigure3(sc, m)
+		}},
+		// One-shot per-trial tables.
+		{"x2", func(sc Scenario) ([]*plot.Table, error) {
+			return one(AblationRewriting(sc, power))
+		}},
+		{"xr", func(sc Scenario) ([]*plot.Table, error) {
+			return one(ReactionComparison(sc, power))
+		}},
+		{"x6", func(sc Scenario) ([]*plot.Table, error) {
+			return one(OverheadComparison(sc, power))
+		}},
+		{"x7", func(sc Scenario) ([]*plot.Table, error) {
+			return one(MixedCatalog(sc))
+		}},
+		{"x8", func(sc Scenario) ([]*plot.Table, error) {
+			return one(DedicatedKiosks(sc, 4))
+		}},
+		{"x9", func(sc Scenario) ([]*plot.Table, error) {
+			return one(AdaptiveImpatience(sc, 0.1))
+		}},
 	}
 }
 
-// TestTableDigestsPinned requires every sweep table to match its pinned
+// TestTableDigestsPinned requires every pinned table to match its pinned
 // digest at workers 1 and 4. Regenerate after an intended change with
 //
 //	go test ./internal/experiment -run TestTableDigestsPinned -update
@@ -154,7 +197,7 @@ func TestTableDigestsPinned(t *testing.T) {
 		if w, ok := want[name]; !ok {
 			t.Errorf("%s: no pinned digest for %q (rerun with -update)", tableGoldenPath, name)
 		} else if g != w {
-			t.Errorf("%s: table digest %s, pinned %s — the sweep's output changed", name, g, w)
+			t.Errorf("%s: table digest %s, pinned %s — the figure's output changed", name, g, w)
 		}
 	}
 }
