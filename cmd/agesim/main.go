@@ -15,7 +15,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand/v2"
 	"os"
 	"strings"
 
@@ -83,54 +82,60 @@ type options struct {
 }
 
 func main() {
-	var o options
-	flag.StringVar(&o.utilitySpec, "utility", "step:10", "delay-utility spec: step:τ, exp:ν, power:α, neglog")
-	flag.StringVar(&o.scheme, "scheme", "qcr", "replication scheme: qcr, qcrh, qcrwom, opt, uni, sqrt, prop, dom")
-	flag.IntVar(&o.nodes, "nodes", 50, "number of nodes (pure P2P population)")
-	flag.IntVar(&o.items, "items", 50, "catalog size")
-	flag.IntVar(&o.rho, "rho", 5, "cache slots per node")
-	flag.Float64Var(&o.mu, "mu", 0.05, "pairwise contact rate (homogeneous trace)")
-	flag.Float64Var(&o.omega, "omega", 1, "Pareto popularity exponent")
-	flag.Float64Var(&o.demandRate, "demand", 2, "aggregate request rate per minute")
-	flag.Float64Var(&o.duration, "duration", 5000, "simulated minutes (homogeneous trace)")
-	flag.StringVar(&o.traceKind, "trace", "homogeneous", "contact source: homogeneous, conference, vehicular, file")
-	flag.StringVar(&o.traceFile, "trace-file", "", "trace file path when -trace file")
-	flag.Uint64Var(&o.seed, "seed", 1, "random seed")
-	flag.IntVar(&o.trials, "trials", 1, "independent trials to run and aggregate")
-	flag.IntVar(&o.workers, "workers", 0, "trial worker pool size (0 = GOMAXPROCS); results are identical for any value")
-	flag.Float64Var(&o.qcrScale, "qcr-scale", 0.1, "reaction-function scale")
-	flag.Float64Var(&o.warmup, "warmup", 0.3, "fraction of the run excluded from averages")
-	flag.BoolVar(&o.showAlloc, "show-alloc", false, "print the final per-item replica counts")
-	flag.BoolVar(&o.stream, "stream", false, "fuse contact generation with the simulation (homogeneous QCR only): contacts are drawn lazily, never materialized")
-	flag.StringVar(&o.ratesSpec, "rates", "", "structured rate model spec (community:n=...,c=...,in=...,out=... | hubspoke:... | distance:...); overrides -trace and -nodes, O(N + C²) state")
-	flag.IntVar(&o.shards, "shards", 0, "partition the lockstep batch across this many workers (with -rates); results are bit-identical for any value")
-	flag.BoolVar(&o.hybrid, "hybrid", false, "run the mean-field hybrid engine (with -rates): fluid communities plus an event-simulated probe boundary, demoting to full simulation when the error controller trips")
-	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file (go tool pprof agesim <file>)")
-	flag.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file on exit")
-	flag.Float64Var(&o.churn, "churn", 0, "node crash rate (crashes per node-minute; 0 = off)")
-	flag.Float64Var(&o.churnDown, "churn-down", 0, "mean downtime after a crash (minutes; 0 = 1/churn)")
-	flag.Float64Var(&o.ploss, "ploss", 0, "probability a meeting's content-transfer phase fails")
-	flag.Float64Var(&o.pdrop, "pdrop", 0, "probability a routed mandate is lost in flight")
-	flag.Float64Var(&o.massCrash, "mass-crash", 0, "time of a correlated mass crash (minutes; 0 = off)")
-	flag.Float64Var(&o.massFrac, "mass-frac", 0.5, "fraction of nodes hit by the mass crash")
-	flag.Float64Var(&o.massDown, "mass-down", 0, "downtime after the mass crash (minutes)")
-	flag.Float64Var(&o.mandateTTL, "mandate-ttl", 0, "mandate time-to-live (minutes; 0 = auto when faults are on)")
-	flag.IntVar(&o.retries, "retries", 5, "content-transfer attempts per mandate before abandoning (0 = unbounded)")
-	flag.StringVar(&o.faultScript, "fault-script", "", "file with a scripted fault timeline (\"<t> <node> down|up\" lines)")
-	flag.Float64Var(&o.dishonestFrac, "dishonest-frac", 0, "fraction of nodes inflating their query counters (0 = off)")
-	flag.Float64Var(&o.mult, "mult", 25, "counter multiplier applied by dishonest nodes (the MULT knob)")
-	flag.Float64Var(&o.freeRiderFrac, "freerider-frac", 0, "fraction of nodes that consume but never serve, store, or carry mandates")
-	flag.StringVar(&o.churnSchedule, "churn-schedule", "", "file with a popularity-churn schedule (\"<t> rotate|swap|zipf|uniform ...\" lines)")
-	flag.Float64Var(&o.flashCrowd, "flash-crowd", 0, "rotate the popularity ranking by one every this many minutes (0 = off)")
-	flag.Float64Var(&o.nightFactor, "night-factor", 1, "night contact-activity factor in (0,1]; < 1 imposes a day/night profile by time change")
-	flag.Float64Var(&o.dayStart, "day-start", 480, "day window start (minute of day) for -night-factor")
-	flag.Float64Var(&o.dayEnd, "day-end", 1200, "day window end (minute of day) for -night-factor")
-	flag.Parse()
-
-	if err := run(o); err != nil {
+	if err := run(parseOptions(os.Args[1:])); err != nil {
 		fmt.Fprintln(os.Stderr, "agesim:", err)
 		os.Exit(1)
 	}
+}
+
+// parseOptions reads the command line into options; unset flags keep
+// their defaults. A malformed command line exits with the usage text.
+func parseOptions(args []string) options {
+	var o options
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	fs.StringVar(&o.utilitySpec, "utility", "step:10", "delay-utility spec: step:τ, exp:ν, power:α, neglog")
+	fs.StringVar(&o.scheme, "scheme", "qcr", "replication scheme: qcr, qcrh, qcrwom, opt, uni, sqrt, prop, dom")
+	fs.IntVar(&o.nodes, "nodes", 50, "number of nodes (pure P2P population)")
+	fs.IntVar(&o.items, "items", 50, "catalog size")
+	fs.IntVar(&o.rho, "rho", 5, "cache slots per node")
+	fs.Float64Var(&o.mu, "mu", 0.05, "pairwise contact rate (homogeneous trace)")
+	fs.Float64Var(&o.omega, "omega", 1, "Pareto popularity exponent")
+	fs.Float64Var(&o.demandRate, "demand", 2, "aggregate request rate per minute")
+	fs.Float64Var(&o.duration, "duration", 5000, "simulated minutes (homogeneous trace)")
+	fs.StringVar(&o.traceKind, "trace", "homogeneous", "contact source: homogeneous, conference, vehicular, file")
+	fs.StringVar(&o.traceFile, "trace-file", "", "trace file path when -trace file")
+	fs.Uint64Var(&o.seed, "seed", 1, "random seed")
+	fs.IntVar(&o.trials, "trials", 1, "independent trials to run and aggregate")
+	fs.IntVar(&o.workers, "workers", 0, "trial worker pool size (0 = GOMAXPROCS); results are identical for any value")
+	fs.Float64Var(&o.qcrScale, "qcr-scale", 0.1, "reaction-function scale")
+	fs.Float64Var(&o.warmup, "warmup", 0.3, "fraction of the run excluded from averages")
+	fs.BoolVar(&o.showAlloc, "show-alloc", false, "print the final per-item replica counts")
+	fs.BoolVar(&o.stream, "stream", false, "fuse contact generation with the simulation (homogeneous QCR only): contacts are drawn lazily, never materialized")
+	fs.StringVar(&o.ratesSpec, "rates", "", "structured rate model spec (community:n=...,c=...,in=...,out=... | hubspoke:... | distance:...); overrides -trace and -nodes, O(N + C²) state")
+	fs.IntVar(&o.shards, "shards", 0, "partition the lockstep batch across this many workers (with -rates); results are bit-identical for any value")
+	fs.BoolVar(&o.hybrid, "hybrid", false, "run the mean-field hybrid engine (with -rates): fluid communities plus an event-simulated probe boundary, demoting to full simulation when the error controller trips")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file (go tool pprof agesim <file>)")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file on exit")
+	fs.Float64Var(&o.churn, "churn", 0, "node crash rate (crashes per node-minute; 0 = off)")
+	fs.Float64Var(&o.churnDown, "churn-down", 0, "mean downtime after a crash (minutes; 0 = 1/churn)")
+	fs.Float64Var(&o.ploss, "ploss", 0, "probability a meeting's content-transfer phase fails")
+	fs.Float64Var(&o.pdrop, "pdrop", 0, "probability a routed mandate is lost in flight")
+	fs.Float64Var(&o.massCrash, "mass-crash", 0, "time of a correlated mass crash (minutes; 0 = off)")
+	fs.Float64Var(&o.massFrac, "mass-frac", 0.5, "fraction of nodes hit by the mass crash")
+	fs.Float64Var(&o.massDown, "mass-down", 0, "downtime after the mass crash (minutes)")
+	fs.Float64Var(&o.mandateTTL, "mandate-ttl", 0, "mandate time-to-live (minutes; 0 = auto when faults are on)")
+	fs.IntVar(&o.retries, "retries", 5, "content-transfer attempts per mandate before abandoning (0 = unbounded)")
+	fs.StringVar(&o.faultScript, "fault-script", "", "file with a scripted fault timeline (\"<t> <node> down|up\" lines)")
+	fs.Float64Var(&o.dishonestFrac, "dishonest-frac", 0, "fraction of nodes inflating their query counters (0 = off)")
+	fs.Float64Var(&o.mult, "mult", 25, "counter multiplier applied by dishonest nodes (the MULT knob)")
+	fs.Float64Var(&o.freeRiderFrac, "freerider-frac", 0, "fraction of nodes that consume but never serve, store, or carry mandates")
+	fs.StringVar(&o.churnSchedule, "churn-schedule", "", "file with a popularity-churn schedule (\"<t> rotate|swap|zipf|uniform ...\" lines)")
+	fs.Float64Var(&o.flashCrowd, "flash-crowd", 0, "rotate the popularity ranking by one every this many minutes (0 = off)")
+	fs.Float64Var(&o.nightFactor, "night-factor", 1, "night contact-activity factor in (0,1]; < 1 imposes a day/night profile by time change")
+	fs.Float64Var(&o.dayStart, "day-start", 480, "day window start (minute of day) for -night-factor")
+	fs.Float64Var(&o.dayEnd, "day-end", 1200, "day window end (minute of day) for -night-factor")
+	fs.Parse(args)
+	return o
 }
 
 // faultPlan translates the fault and adversary flags into an
@@ -270,36 +275,18 @@ func run(o options) error {
 		return runTrials(o, u, sc)
 	}
 
-	var tr *trace.Trace
-	rng := rand.New(rand.NewPCG(o.seed, o.seed^0xa9e51))
-	switch o.traceKind {
-	case "homogeneous":
-		tr, err = homogeneousTraces(sc)(o.seed)
-	case "conference":
-		cfg := synth.DefaultConference()
-		cfg.Nodes = o.nodes
-		tr, err = synth.Conference(cfg, rng)
-	case "vehicular":
-		cfg := synth.DefaultVehicular()
-		cfg.Cabs = o.nodes
-		tr, err = synth.Vehicular(cfg, rng)
-	case "file":
-		if o.traceFile == "" {
-			return fmt.Errorf("-trace file requires -trace-file")
-		}
-		tr, err = trace.Load(o.traceFile)
-		if err == nil && tr.Nodes != o.nodes {
-			fmt.Printf("note: trace has %d nodes; overriding -nodes\n", tr.Nodes)
-			sc.Nodes = tr.Nodes
-			o.nodes = tr.Nodes
-		}
-	default:
-		return fmt.Errorf("unknown trace kind %q", o.traceKind)
-	}
+	// The single trial draws its trace from the same generator as
+	// -trials N, seeded with -seed.
+	gen, nodes, err := o.traceGen(sc)
 	if err != nil {
 		return err
 	}
-	if tr, err = o.modulated(tr); err != nil {
+	if nodes != o.nodes {
+		fmt.Printf("note: trace has %d nodes; overriding -nodes\n", nodes)
+		sc.Nodes, o.nodes = nodes, nodes
+	}
+	tr, err := gen(o.seed)
+	if err != nil {
 		return err
 	}
 	sc.Duration = tr.Duration

@@ -7,7 +7,6 @@ import (
 	"impatience/internal/core"
 	"impatience/internal/demand"
 	"impatience/internal/meanfield"
-	"impatience/internal/parallel"
 	"impatience/internal/plot"
 	"impatience/internal/sim"
 	"impatience/internal/stats"
@@ -57,16 +56,12 @@ func (sc Scenario) ablation(title, xlabel string, xs []float64, f utility.Functi
 // AblationRewriting (X2) compares QCR with and without replica rewriting
 // (Section 5.1's two implementations) against OPT.
 func AblationRewriting(sc Scenario, f utility.Function) (*plot.Table, error) {
-	pop := sc.Pop()
-	outs, err := parallel.RunTrials(sc.Trials, sc.Workers, sc.Seed, func(trial int, seed uint64) ([]float64, error) {
-		var qcrs []sim.Config // [no rewriting, rewriting]
+	outs, err := runTrials(sc, func(trial int, seed uint64) ([]float64, error) {
+		var qcrs []core.Policy // [no rewriting, rewriting]
 		for _, rewriting := range []bool{false, true} {
-			q := sc.qcrPolicy(f, sc.Mu, true, sc.Seed*7919+uint64(trial))
+			q := sc.qcrPolicy(f, sc.Mu, true, sc.policySeed(uint64(trial)))
 			q.Rewriting = rewriting
-			qcrs = append(qcrs, sim.Config{
-				Rho: sc.Rho, Utility: f, Pop: pop, Policy: q,
-				Seed: sc.Seed*1_000_003 + uint64(trial)*101, WarmupFrac: sc.WarmupFrac,
-			})
+			qcrs = append(qcrs, q)
 		}
 		return sc.lossVsOPT(f, trial, seed, qcrs)
 	})
@@ -79,7 +74,7 @@ func AblationRewriting(sc Scenario, f utility.Function) (*plot.Table, error) {
 // lossVsOPT plays hand-built QCR variants next to the trial's OPT in one
 // lockstep pass over the trial's homogeneous contacts (sc.Mu as the ψ
 // plug-in) and returns each variant's normalized loss against OPT.
-func (sc Scenario) lossVsOPT(f utility.Function, trial int, seed uint64, variants []sim.Config) ([]float64, error) {
+func (sc Scenario) lossVsOPT(f utility.Function, trial int, seed uint64, variants []core.Policy) ([]float64, error) {
 	src, err := sc.HomogeneousSources()(seed)
 	if err != nil {
 		return nil, err
@@ -96,7 +91,13 @@ func (sc Scenario) lossVsOPT(f utility.Function, trial int, seed uint64, variant
 	if err != nil {
 		return nil, err
 	}
-	results, err := sim.RunBatch(append([]sim.Config{cfgOpt}, variants...), pass)
+	cfgs := []sim.Config{cfgOpt}
+	for _, pol := range variants {
+		cfg := sc.trialConfig(f, uint64(trial))
+		cfg.Policy = pol
+		cfgs = append(cfgs, cfg)
+	}
+	results, err := sim.RunBatch(cfgs, pass)
 	if err != nil {
 		return nil, err
 	}
@@ -154,9 +155,8 @@ func MeanFieldConvergence(sc Scenario, f utility.Function, horizon float64, poin
 // the QCR allocation's welfare under the *new* demand recovers — the
 // adaptivity claim of Section 7.
 func DynamicDemand(sc Scenario, f utility.Function) (*plot.Table, error) {
-	pop := sc.Pop()
 	flipped := demand.Popularity{Rates: make([]float64, sc.Items)}
-	for i, d := range pop.Rates {
+	for i, d := range sc.Pop().Rates {
 		flipped.Rates[sc.Items-1-i] = d
 	}
 	hNew := welfare.Homogeneous{
@@ -167,60 +167,29 @@ func DynamicDemand(sc Scenario, f utility.Function) (*plot.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	uOptNew := hNew.WelfareCounts(optNew)
 	gen := sc.HomogeneousSources()
 	switchT := sc.Duration / 3
-	type trialOut struct{ times, u []float64 }
-	outs, err := parallel.RunTrials(sc.Trials, sc.Workers, sc.Seed, func(trial int, seed uint64) (trialOut, error) {
+	run := func(trial int, seed uint64) ([]*sim.Result, error) {
 		src, err := gen(seed)
 		if err != nil {
-			return trialOut{}, err
+			return nil, err
 		}
-		q := sc.qcrPolicy(f, sc.Mu, true, sc.Seed*7919+uint64(trial))
-		res, err := sim.Run(sim.Config{
-			Rho: sc.Rho, Utility: f, Pop: pop, Contacts: src, Policy: q,
-			Seed: sc.Seed*1_000_003 + uint64(trial)*101, WarmupFrac: sc.WarmupFrac,
-			BinWidth: sc.Duration / 100, RecordCounts: true,
-			DemandSwitch: &flipped, DemandSwitchTime: switchT,
-		})
+		cfg, err := sc.schemeConfig(SchemeQCR, f, nil, sc.Mu, uint64(trial), true, nil)
 		if err != nil {
-			return trialOut{}, err
+			return nil, err
 		}
-		out := trialOut{
-			times: make([]float64, len(res.Bins)),
-			u:     make([]float64, len(res.Bins)),
-		}
-		for i, b := range res.Bins {
-			out.times[i] = b.T0
-			if b.Counts != nil {
-				out.u[i] = hNew.WelfareCounts(b.Counts)
-			}
-		}
-		return out, nil
-	})
-	if err != nil {
-		return nil, err
+		cfg.Contacts = src
+		cfg.DemandSwitch, cfg.DemandSwitchTime = &flipped, switchT
+		res, err := sim.Run(cfg)
+		return []*sim.Result{res}, err
 	}
-	var times []float64
-	var trials [][]float64
-	for _, out := range outs {
-		if times == nil {
-			times = out.times
-		}
-		trials = append(trials, out.u)
-	}
-	s, err := stats.MergeTrials(times, trials)
-	if err != nil {
-		return nil, err
-	}
-	table := &plot.Table{
-		Title:  fmt.Sprintf("Ablation X4: welfare under flipped demand (switch at t=%g)", switchT),
-		XLabel: "time (min)",
-	}
-	table.X = times
-	table.AddColumn("QCR U(x(t)) under new demand", s.Mean)
-	table.AddColumn("optimal for new demand", constant(len(times), uOptNew))
-	return table, nil
+	return oneSeries(sc.timeSeries(run, []seriesTable{{
+		title: fmt.Sprintf("Ablation X4: welfare under flipped demand (switch at t=%g)", switchT),
+		cols: []seriesCol{
+			binCol("QCR U(x(t)) under new demand", 0, expectedWelfare(hNew)),
+			constCol("optimal for new demand", hNew.WelfareCounts(optNew)),
+		},
+	}}, nil))
 }
 
 // DiscreteVsContinuous (X5) quantifies the §3.4 claim that the
@@ -256,38 +225,17 @@ func DiscreteVsContinuous(sc Scenario, f utility.Function, deltas []float64) (*p
 // utility — showing why tuning to impatience matters (the paper's core
 // message distilled into one run).
 func ReactionComparison(sc Scenario, f utility.Function) (*plot.Table, error) {
-	pop := sc.Pop()
-	reactions := []struct {
-		name string
-		mk   func(seed uint64) *core.QCR
-	}{
-		{"tuned (Property 2)", func(seed uint64) *core.QCR {
-			return sc.qcrPolicy(f, sc.Mu, true, seed)
-		}},
-		{"path replication ψ(y)=y", func(seed uint64) *core.QCR {
-			return &core.QCR{Reaction: core.PathReplication(sc.QCRScale), MandateRouting: true, StrictSource: true, MaxMandates: 5, Seed: seed}
-		}},
-		{"constant ψ(y)=1", func(seed uint64) *core.QCR {
-			return &core.QCR{Reaction: core.ConstantReaction(sc.QCRScale), MandateRouting: true, StrictSource: true, MaxMandates: 5, Seed: seed}
-		}},
-	}
-	outs, err := parallel.RunTrials(sc.Trials, sc.Workers, sc.Seed, func(trial int, seed uint64) ([]float64, error) {
-		var cfgs []sim.Config
-		for _, r := range reactions {
-			cfgs = append(cfgs, sim.Config{
-				Rho: sc.Rho, Utility: f, Pop: pop,
-				Policy: r.mk(sc.Seed*7919 + uint64(trial)),
-				Seed:   sc.Seed*1_000_003 + uint64(trial)*101, WarmupFrac: sc.WarmupFrac,
-			})
-		}
-		return sc.lossVsOPT(f, trial, seed, cfgs)
+	outs, err := runTrials(sc, func(trial int, seed uint64) ([]float64, error) {
+		t := uint64(trial)
+		return sc.lossVsOPT(f, trial, seed, []core.Policy{
+			sc.qcrPolicy(f, sc.Mu, true, sc.policySeed(t)),
+			sc.plainQCR(core.PathReplication(sc.QCRScale), t),
+			sc.plainQCR(core.ConstantReaction(sc.QCRScale), t),
+		})
 	})
 	if err != nil {
 		return nil, err
 	}
-	names := make([]string, len(reactions))
-	for k, r := range reactions {
-		names[k] = r.name
-	}
+	names := []string{"tuned (Property 2)", "path replication ψ(y)=y", "constant ψ(y)=1"}
 	return trialTable("Reaction-function comparison (loss vs OPT, %)", names, outs), nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"impatience/internal/contact"
+	"impatience/internal/parallel"
 	"impatience/internal/sim"
 	"impatience/internal/trace"
 	"impatience/internal/utility"
@@ -89,6 +90,18 @@ func avgUtilities(results []*sim.Result, err error) ([]float64, error) {
 		out[k] = res.AvgUtilityRate
 	}
 	return out, nil
+}
+
+// runTrials is the package's one trial loop: it plays fn for trials
+// 0..sc.Trials-1 on the parallel trial engine (sc.Workers workers, seeds
+// from parallel.TrialSeed) and returns the results in trial order, so
+// every reduction over them is worker-count invariant. A scenario
+// without trials is an error, not an empty figure.
+func runTrials[T any](sc Scenario, fn func(trial int, seed uint64) (T, error)) ([]T, error) {
+	if sc.Trials < 1 {
+		return nil, fmt.Errorf("experiment: Trials = %d, need at least 1", sc.Trials)
+	}
+	return parallel.RunTrials(sc.Trials, sc.Workers, sc.Seed, fn)
 }
 
 // trialContacts is one trial's contact sequence after its rates pass: a

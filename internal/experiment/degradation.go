@@ -5,8 +5,8 @@ import (
 
 	"impatience/internal/adversary"
 	"impatience/internal/faults"
-	"impatience/internal/parallel"
 	"impatience/internal/plot"
+	"impatience/internal/sim"
 	"impatience/internal/utility"
 )
 
@@ -97,10 +97,9 @@ func MassFailureRecovery(sc Scenario, u utility.Function, frac float64) (*plot.T
 		return nil, fmt.Errorf("experiment: mass-crash fraction %g outside (0,1]", frac)
 	}
 	gen := sc.HomogeneousSources()
-	schemes := []string{SchemeQCR, SchemeOPT}
 	const bins = 100
 	crashAt := 0.4 * sc.Duration
-	outs, err := parallel.RunTrials(sc.Trials, sc.Workers, sc.Seed, func(trial int, seed uint64) ([][]float64, error) {
+	run := func(trial int, seed uint64) ([]*sim.Result, error) {
 		src, err := gen(seed)
 		if err != nil {
 			return nil, err
@@ -111,55 +110,16 @@ func MassFailureRecovery(sc Scenario, u utility.Function, frac float64) (*plot.T
 			MassDowntime:  sc.Duration / 20,
 			Seed:          sc.Seed*69069 + uint64(trial)*127,
 		}
-		plan := sc.Hardening(&fc)
-		results, err := sc.RunSchemesBatch(schemes, u, src, 0, uint64(trial), true, plan)
-		if err != nil {
-			return nil, err
-		}
-		rows := make([][]float64, len(schemes))
-		for si, scheme := range schemes {
-			res := results[si]
-			if len(res.Bins) != bins {
-				return nil, fmt.Errorf("experiment: %s: %d bins, want %d", scheme, len(res.Bins), bins)
-			}
-			rows[si] = make([]float64, bins)
-			for k, b := range res.Bins {
-				if w := b.T1 - b.T0; w > 0 {
-					rows[si][k] = b.Gain / w
-				}
-			}
-		}
-		return rows, nil
-	})
-	if err != nil {
-		return nil, err
+		return sc.RunSchemesBatch([]string{SchemeQCR, SchemeOPT}, u, src, 0, uint64(trial), true, sc.Hardening(&fc))
 	}
-	acc := make(map[string][]float64, len(schemes))
-	for _, s := range schemes {
-		acc[s] = make([]float64, bins)
+	// X labels the bin midpoints; a run with any other bin count fails
+	// the figure.
+	mid := make([]float64, bins)
+	for k := range mid {
+		mid[k] = (float64(k) + 0.5) * sc.Duration / bins
 	}
-	for _, rows := range outs {
-		for si, s := range schemes {
-			for k := range rows[si] {
-				acc[s][k] += rows[si][k]
-			}
-		}
-	}
-	table := &plot.Table{
-		Title:  fmt.Sprintf("Mass failure at t=%.0f (%.0f%% of nodes): recovery of utility rate", crashAt, frac*100),
-		XLabel: "time (min)",
-	}
-	for k := 0; k < bins; k++ {
-		table.X = append(table.X, (float64(k)+0.5)*sc.Duration/bins)
-	}
-	for _, s := range schemes {
-		y := make([]float64, bins)
-		for k := range y {
-			y[k] = acc[s][k] / float64(sc.Trials)
-		}
-		if err := table.AddColumn(s, y); err != nil {
-			return nil, err
-		}
-	}
-	return table, nil
+	return oneSeries(sc.timeSeries(run, []seriesTable{{
+		title: fmt.Sprintf("Mass failure at t=%.0f (%.0f%% of nodes): recovery of utility rate", crashAt, frac*100),
+		cols:  []seriesCol{binCol(SchemeQCR, 0, observedRate), binCol(SchemeOPT, 1, observedRate)},
+	}}, mid))
 }

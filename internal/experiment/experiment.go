@@ -226,6 +226,13 @@ func (sc Scenario) qcrPolicy(u utility.Function, mu float64, routing bool, seed 
 	}
 }
 
+// plainQCR is the untuned QCR the extensions compare against: mandate
+// routing over strict sources, at most five mandates per fulfillment and
+// the trial's policy seed, with the given reaction.
+func (sc Scenario) plainQCR(reaction core.ReactionFunc, trial uint64) *core.QCR {
+	return &core.QCR{Reaction: reaction, MandateRouting: true, StrictSource: true, MaxMandates: 5, Seed: sc.policySeed(trial)}
+}
+
 // hardenProfile derives the scenario's default hardened-reaction knobs
 // (SchemeQCRH). The counter cap sits at three populations' worth of
 // meetings — the honest expectation is E[y] = |S|/x_i ≤ |S|, so the cap
@@ -259,18 +266,32 @@ func (sc Scenario) hardenProfile(u utility.Function, mu float64) *core.Hardening
 	return h
 }
 
+// simSeed is the simulator seed of one trial. Every scheme of the trial
+// shares it, so their request arrivals are identical; it depends only on
+// the scenario seed and the trial index, never on scheduling.
+func (sc Scenario) simSeed(trial uint64) uint64 { return sc.Seed*1_000_003 + trial*101 }
+
+// policySeed is the seed of one trial's QCR-family policy streams.
+func (sc Scenario) policySeed(trial uint64) uint64 { return sc.Seed*7919 + trial }
+
+// trialConfig is the simulation config every hand-built scheme of a
+// trial starts from: the scenario's cache size, popularity and warmup
+// under utility u, with the trial's simulator seed.
+func (sc Scenario) trialConfig(u utility.Function, trial uint64) sim.Config {
+	return sim.Config{
+		Rho:        sc.Rho,
+		Utility:    u,
+		Pop:        sc.Pop(),
+		Seed:       sc.simSeed(trial),
+		WarmupFrac: sc.WarmupFrac,
+	}
+}
+
 // schemeConfig builds one scheme's simulation config for one trial,
 // leaving the contact input to the batch executor, which streams one
 // shared source through every scheme's config.
 func (sc Scenario) schemeConfig(scheme string, u utility.Function, rates *trace.RateMatrix, mu float64, trial uint64, series bool, plan *FaultPlan) (sim.Config, error) {
-	pop := sc.Pop()
-	cfg := sim.Config{
-		Rho:        sc.Rho,
-		Utility:    u,
-		Pop:        pop,
-		Seed:       sc.Seed*1_000_003 + trial*101,
-		WarmupFrac: sc.WarmupFrac,
-	}
+	cfg := sc.trialConfig(u, trial)
 	if series {
 		cfg.BinWidth = sc.Duration / 100
 		cfg.RecordCounts = true
@@ -281,7 +302,7 @@ func (sc Scenario) schemeConfig(scheme string, u utility.Function, rates *trace.
 	}
 	switch scheme {
 	case SchemeQCR, SchemeQCRWOM, SchemeQCRH:
-		pol := sc.qcrPolicy(u, mu, scheme != SchemeQCRWOM, sc.Seed*7919+trial)
+		pol := sc.qcrPolicy(u, mu, scheme != SchemeQCRWOM, sc.policySeed(trial))
 		if plan != nil {
 			pol.MandateTTL = plan.MandateTTL
 			pol.MaxAttempts = plan.MaxAttempts
@@ -291,7 +312,7 @@ func (sc Scenario) schemeConfig(scheme string, u utility.Function, rates *trace.
 		}
 		cfg.Policy = pol
 	default:
-		counts, placement, err := buildStatic(sc, scheme, u, pop, rates)
+		counts, placement, err := buildStatic(sc, scheme, u, cfg.Pop, rates)
 		if err != nil {
 			return sim.Config{}, err
 		}

@@ -7,7 +7,6 @@ import (
 
 	"impatience/internal/adaptive"
 	"impatience/internal/core"
-	"impatience/internal/parallel"
 	"impatience/internal/plot"
 	"impatience/internal/sim"
 	"impatience/internal/stats"
@@ -24,8 +23,7 @@ import (
 func OverheadComparison(sc Scenario, f utility.Function) (*plot.Table, error) {
 	gen := sc.HomogeneousSources()
 	schemes := []string{SchemeQCR, SchemeOPT, SchemePROP}
-	type agg struct{ meta, content, mandates, fulfilled []float64 }
-	outs, err := parallel.RunTrials(sc.Trials, sc.Workers, sc.Seed, func(trial int, seed uint64) ([][4]float64, error) {
+	outs, err := runTrials(sc, func(trial int, seed uint64) ([][]float64, error) {
 		src, err := gen(seed)
 		if err != nil {
 			return nil, err
@@ -34,32 +32,15 @@ func OverheadComparison(sc Scenario, f utility.Function) (*plot.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows := make([][4]float64, len(schemes))
+		rows := make([][]float64, len(results))
 		for si, res := range results {
-			rows[si] = [4]float64{
-				float64(res.Overhead.MetadataMsgs),
-				float64(res.Overhead.ContentTransfers),
-				float64(res.Overhead.MandateTransfers),
-				float64(res.Fulfillments),
-			}
+			o := res.Overhead
+			rows[si] = []float64{float64(o.MetadataMsgs), float64(o.ContentTransfers), float64(o.MandateTransfers), float64(res.Fulfillments)}
 		}
 		return rows, nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	per := make(map[string]*agg, len(schemes))
-	for _, s := range schemes {
-		per[s] = &agg{}
-	}
-	for _, rows := range outs {
-		for si, s := range schemes {
-			a := per[s]
-			a.meta = append(a.meta, rows[si][0])
-			a.content = append(a.content, rows[si][1])
-			a.mandates = append(a.mandates, rows[si][2])
-			a.fulfilled = append(a.fulfilled, rows[si][3])
-		}
 	}
 	table := &plot.Table{
 		Title:  "Extension X6: protocol overhead per scheme (mean per run)",
@@ -68,21 +49,16 @@ func OverheadComparison(sc Scenario, f utility.Function) (*plot.Table, error) {
 	for i := range schemes {
 		table.X = append(table.X, float64(i))
 	}
-	cols := []struct {
-		name string
-		get  func(*agg) []float64
-	}{
-		{"metadata msgs", func(a *agg) []float64 { return a.meta }},
-		{"content transfers", func(a *agg) []float64 { return a.content }},
-		{"mandate transfers", func(a *agg) []float64 { return a.mandates }},
-		{"fulfillments", func(a *agg) []float64 { return a.fulfilled }},
-	}
-	for _, c := range cols {
+	for c, name := range []string{"metadata msgs", "content transfers", "mandate transfers", "fulfillments"} {
 		y := make([]float64, len(schemes))
-		for i, s := range schemes {
-			y[i] = stats.Summarize(c.get(per[s])).Mean
+		for si := range schemes {
+			vals := make([]float64, len(outs))
+			for t, rows := range outs {
+				vals[t] = rows[si][c]
+			}
+			y[si] = stats.Summarize(vals).Mean
 		}
-		if err := table.AddColumn(c.name, y); err != nil {
+		if err := table.AddColumn(name, y); err != nil {
 			return nil, err
 		}
 	}
@@ -103,9 +79,8 @@ func MixedCatalog(sc Scenario) (*plot.Table, error) {
 			us[i] = utility.Power{Alpha: 0}
 		}
 	}
-	pop := sc.Pop()
 	hom := welfare.Homogeneous{
-		Utilities: us, Pop: pop, Mu: sc.Mu,
+		Utilities: us, Pop: sc.Pop(), Mu: sc.Mu,
 		Servers: sc.Nodes, Clients: sc.Nodes, PureP2P: true,
 	}
 	opt, err := hom.GreedyOptimal(sc.Rho)
@@ -113,33 +88,21 @@ func MixedCatalog(sc Scenario) (*plot.Table, error) {
 		return nil, err
 	}
 	gen := sc.HomogeneousSources()
-	outs, err := parallel.RunTrials(sc.Trials, sc.Workers, sc.Seed, func(trial int, seed uint64) ([]float64, error) {
+	outs, err := runTrials(sc, func(trial int, seed uint64) ([]float64, error) {
 		src, err := gen(seed)
 		if err != nil {
 			return nil, err
 		}
-		base := sim.Config{
-			Rho: sc.Rho, Utilities: us, Pop: pop,
-			Seed: sc.Seed*1_000_003 + uint64(trial)*101, WarmupFrac: sc.WarmupFrac,
-		}
+		base := sc.trialConfig(nil, uint64(trial))
+		base.Utilities = us
 		// Per-item tuned QCR.
+		tuned := sc.plainQCR(nil, uint64(trial))
+		tuned.PerItemReaction = core.TunedReactions(us, nil, sc.Mu, sc.Nodes, sc.QCRScale)
 		cfgT := base
-		cfgT.Policy = &core.QCR{
-			PerItemReaction: core.TunedReactions(us, nil, sc.Mu, sc.Nodes, sc.QCRScale),
-			MandateRouting:  true,
-			StrictSource:    true,
-			MaxMandates:     5,
-			Seed:            sc.Seed*7919 + uint64(trial),
-		}
+		cfgT.Policy = tuned
 		// Mis-tuned QCR: believes everything is step content.
 		cfgM := base
-		cfgM.Policy = &core.QCR{
-			Reaction:       core.TunedReaction(utility.Step{Tau: 10}, sc.Mu, sc.Nodes, sc.QCRScale),
-			MandateRouting: true,
-			StrictSource:   true,
-			MaxMandates:    5,
-			Seed:           sc.Seed*7919 + uint64(trial),
-		}
+		cfgM.Policy = sc.plainQCR(core.TunedReaction(utility.Step{Tau: 10}, sc.Mu, sc.Nodes, sc.QCRScale), uint64(trial))
 		// Mixed OPT.
 		cfgO := base
 		cfgO.Policy = core.Static{Label: "opt"}
@@ -162,9 +125,8 @@ func MixedCatalog(sc Scenario) (*plot.Table, error) {
 // oracle-tuned QCR and OPT. Output: per-trial utilities plus the final ν̂.
 func AdaptiveImpatience(sc Scenario, nu float64) (*plot.Table, error) {
 	truth := utility.Exponential{Nu: nu}
-	pop := sc.Pop()
 	gen := sc.HomogeneousSources()
-	outs, err := parallel.RunTrials(sc.Trials, sc.Workers, sc.Seed, func(trial int, seed uint64) ([]float64, error) {
+	outs, err := runTrials(sc, func(trial int, seed uint64) ([]float64, error) {
 		src, err := gen(seed)
 		if err != nil {
 			return nil, err
@@ -196,15 +158,11 @@ func AdaptiveImpatience(sc Scenario, nu float64) (*plot.Table, error) {
 				return feedbackRNG.Float64() < truth.H(age)
 			},
 			Mu: sc.Mu, Servers: sc.Nodes, Scale: sc.QCRScale,
-			Inner: &core.QCR{
-				MandateRouting: true, StrictSource: true, MaxMandates: 5,
-				Seed: sc.Seed*7919 + uint64(trial),
-			},
+			Inner: sc.plainQCR(nil, uint64(trial)),
 		}
-		resA, err := sim.Run(sim.Config{
-			Rho: sc.Rho, Utility: truth, Pop: pop, Contacts: adaptivePass, Policy: pol,
-			Seed: sc.Seed*1_000_003 + uint64(trial)*101, WarmupFrac: sc.WarmupFrac,
-		})
+		cfgA := sc.trialConfig(truth, uint64(trial))
+		cfgA.Contacts, cfgA.Policy = adaptivePass, pol
+		resA, err := sim.Run(cfgA)
 		if err != nil {
 			return nil, err
 		}
@@ -235,9 +193,8 @@ func DedicatedKiosks(sc Scenario, servers int) (*plot.Table, error) {
 	if cap := servers * sc.Rho; sc.Items > cap/2 {
 		sc.Items = cap / 2
 	}
-	pop := sc.Pop()
 	hom := welfare.Homogeneous{
-		Utility: u, Pop: pop, Mu: sc.Mu,
+		Utility: u, Pop: sc.Pop(), Mu: sc.Mu,
 		Servers: servers, Clients: sc.Nodes - servers,
 	}
 	opt, err := hom.GreedyOptimal(sc.Rho)
@@ -245,24 +202,15 @@ func DedicatedKiosks(sc Scenario, servers int) (*plot.Table, error) {
 		return nil, err
 	}
 	gen := sc.HomogeneousSources()
-	outs, err := parallel.RunTrials(sc.Trials, sc.Workers, sc.Seed, func(trial int, seed uint64) ([]float64, error) {
+	outs, err := runTrials(sc, func(trial int, seed uint64) ([]float64, error) {
 		src, err := gen(seed)
 		if err != nil {
 			return nil, err
 		}
-		base := sim.Config{
-			Rho: sc.Rho, Utility: u, Pop: pop,
-			ServerCount: servers,
-			Seed:        sc.Seed*1_000_003 + uint64(trial)*101, WarmupFrac: sc.WarmupFrac,
-		}
+		base := sc.trialConfig(u, uint64(trial))
+		base.ServerCount = servers
 		cfgQ := base
-		cfgQ.Policy = &core.QCR{
-			Reaction:       core.TunedReaction(u, sc.Mu, servers, sc.QCRScale*2),
-			MandateRouting: true,
-			StrictSource:   true,
-			MaxMandates:    5,
-			Seed:           sc.Seed*7919 + uint64(trial),
-		}
+		cfgQ.Policy = sc.plainQCR(core.TunedReaction(u, sc.Mu, servers, sc.QCRScale*2), uint64(trial))
 		cfgO := base
 		cfgO.Policy = core.Static{Label: "opt"}
 		cfgO.Initial = opt

@@ -4,9 +4,8 @@ import (
 	"fmt"
 
 	"impatience/internal/alloc"
-	"impatience/internal/parallel"
 	"impatience/internal/plot"
-	"impatience/internal/stats"
+	"impatience/internal/sim"
 	"impatience/internal/synth"
 	"impatience/internal/utility"
 	"impatience/internal/welfare"
@@ -32,126 +31,42 @@ func Figure3(sc Scenario) ([]*plot.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	uOpt := h.WelfareCounts(opt)
 	gen := sc.HomogeneousSources()
-	schemes := []string{SchemeQCR, SchemeQCRWOM}
-
-	type seriesSet struct {
-		expected [][]float64
-		observed [][]float64
-		mandates [][]float64
-		top5     [][][]float64 // [itemRank][trial][bin]
-	}
-	type trialSeries struct {
-		times, exp, obs, man []float64
-		tops                 [5][]float64
-	}
 	// Both variants run on one shared pass of each trial's contact
-	// stream (sim.RunBatch); per-scheme results are bit-identical to the
-	// former one-scheme-at-a-time collection.
-	outs, err := parallel.RunTrials(sc.Trials, sc.Workers, sc.Seed, func(trial int, seed uint64) ([]*trialSeries, error) {
+	// stream (sim.RunBatch).
+	run := func(trial int, seed uint64) ([]*sim.Result, error) {
 		src, err := gen(seed)
 		if err != nil {
 			return nil, err
 		}
-		results, err := sc.RunSchemesBatch(schemes, f, src, sc.Mu, uint64(trial), true, nil)
-		if err != nil {
-			return nil, err
-		}
-		series := make([]*trialSeries, len(results))
-		for k, res := range results {
-			ts := &trialSeries{
-				times: make([]float64, len(res.Bins)),
-				exp:   make([]float64, len(res.Bins)),
-				obs:   make([]float64, len(res.Bins)),
-				man:   make([]float64, len(res.Bins)),
-			}
-			for r := range ts.tops {
-				ts.tops[r] = make([]float64, len(res.Bins))
-			}
-			for i, b := range res.Bins {
-				ts.times[i] = b.T0
-				if b.Counts != nil {
-					ts.exp[i] = h.WelfareCounts(b.Counts)
-					for r := 0; r < 5 && r < len(b.Counts); r++ {
-						ts.tops[r][i] = float64(b.Counts[r])
-					}
-				}
-				ts.obs[i] = b.Gain / (b.T1 - b.T0)
-				ts.man[i] = float64(b.Mandates)
-			}
-			series[k] = ts
-		}
-		return series, nil
-	})
-	if err != nil {
-		return nil, err
+		return sc.RunSchemesBatch([]string{SchemeQCR, SchemeQCRWOM}, f, src, sc.Mu, uint64(trial), true, nil)
 	}
-	var times []float64
-	sets := make([]*seriesSet, len(schemes))
-	for k := range schemes {
-		set := &seriesSet{top5: make([][][]float64, 5)}
-		for _, trial := range outs {
-			ts := trial[k]
-			if times == nil {
-				times = ts.times
-			}
-			set.expected = append(set.expected, ts.exp)
-			set.observed = append(set.observed, ts.obs)
-			set.mandates = append(set.mandates, ts.man)
-			for r := 0; r < 5; r++ {
-				set.top5[r] = append(set.top5[r], ts.tops[r])
-			}
-		}
-		sets[k] = set
-	}
-	qcr, wom := sets[0], sets[1]
-
-	mean := func(trials [][]float64) []float64 {
-		s, err := stats.MergeTrials(times, trials)
-		if err != nil {
-			return nil
-		}
-		return s.Mean
-	}
-
-	expT := &plot.Table{Title: "Figure 3a: expected utility U(x(t)) (power α=0)", XLabel: "time (min)"}
-	expT.X = times
-	expT.AddColumn("QCR", mean(qcr.expected))
-	expT.AddColumn("QCRWOM", mean(wom.expected))
-	expT.AddColumn("OPT", constant(len(times), uOpt))
-	expT.AddColumn("UNI", constant(len(times), h.WelfareCounts(alloc.Uniform(sc.Items, sc.Nodes, sc.Rho))))
-	expT.AddColumn("DOM", constant(len(times), h.WelfareCounts(alloc.Dom(pop.Rates, sc.Nodes, sc.Rho))))
-
-	obsT := &plot.Table{Title: "Figure 3b: observed utility (power α=0)", XLabel: "time (min)"}
-	obsT.X = times
-	obsT.AddColumn("QCR", mean(qcr.observed))
-	obsT.AddColumn("QCRWOM", mean(wom.observed))
-
-	repQ := &plot.Table{Title: "Figure 3c: replicas of top-5 items (mandate routing)", XLabel: "time (min)"}
-	repQ.X = times
-	repW := &plot.Table{Title: "Figure 3d: replicas of top-5 items (no mandate routing)", XLabel: "time (min)"}
-	repW.X = times
+	expected := expectedWelfare(h)
+	var repQ, repW []seriesCol
 	for r := 0; r < 5; r++ {
 		name := fmt.Sprintf("msg %d (target %d)", r+1, opt[r])
-		repQ.AddColumn(name, mean(qcr.top5[r]))
-		repW.AddColumn(name, mean(wom.top5[r]))
+		repQ = append(repQ, binCol(name, 0, replicas(r)))
+		repW = append(repW, binCol(name, 1, replicas(r)))
 	}
-
-	manT := &plot.Table{Title: "Figure 3e: pending mandates", XLabel: "time (min)"}
-	manT.X = times
-	manT.AddColumn("QCR", mean(qcr.mandates))
-	manT.AddColumn("QCRWOM", mean(wom.mandates))
-
-	return []*plot.Table{expT, obsT, repQ, repW, manT}, nil
-}
-
-func constant(n int, v float64) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = v
-	}
-	return out
+	return sc.timeSeries(run, []seriesTable{
+		{"Figure 3a: expected utility U(x(t)) (power α=0)", []seriesCol{
+			binCol("QCR", 0, expected),
+			binCol("QCRWOM", 1, expected),
+			constCol("OPT", h.WelfareCounts(opt)),
+			constCol("UNI", h.WelfareCounts(alloc.Uniform(sc.Items, sc.Nodes, sc.Rho))),
+			constCol("DOM", h.WelfareCounts(alloc.Dom(pop.Rates, sc.Nodes, sc.Rho))),
+		}},
+		{"Figure 3b: observed utility (power α=0)", []seriesCol{
+			binCol("QCR", 0, observedRate),
+			binCol("QCRWOM", 1, observedRate),
+		}},
+		{"Figure 3c: replicas of top-5 items (mandate routing)", repQ},
+		{"Figure 3d: replicas of top-5 items (no mandate routing)", repW},
+		{"Figure 3e: pending mandates", []seriesCol{
+			binCol("QCR", 0, pendingMandates),
+			binCol("QCRWOM", 1, pendingMandates),
+		}},
+	}, nil)
 }
 
 // Sweep builds a loss-vs-parameter table (one column per scheme but
@@ -207,62 +122,23 @@ func Figure5TimeSeries(sc Scenario, conf synth.ConferenceConfig, tau float64) (*
 	sc.Duration = float64(conf.Days) * 1440
 
 	schemes := append([]string{SchemeQCR}, AllCompetitors...)
-	table := &plot.Table{
-		Title:  fmt.Sprintf("Figure 5a: observed utility over time, conference trace (step τ=%g min)", tau),
-		XLabel: "time (min)",
-	}
-	// One shared pass per trial: the trace is generated once and every
-	// scheme runs on it in lockstep, instead of once per scheme.
-	type trialOut struct {
-		times []float64
-		obs   [][]float64 // indexed like schemes
-	}
-	outs, err := parallel.RunTrials(sc.Trials, sc.Workers, sc.Seed, func(trial int, seed uint64) (trialOut, error) {
+	// The trace is generated once per trial and every scheme runs on it
+	// in lockstep.
+	run := func(trial int, seed uint64) ([]*sim.Result, error) {
 		src, err := gen(seed)
 		if err != nil {
-			return trialOut{}, err
+			return nil, err
 		}
-		results, err := sc.RunSchemesBatch(schemes, f, src, 0, uint64(trial), true, nil)
-		if err != nil {
-			return trialOut{}, err
-		}
-		out := trialOut{obs: make([][]float64, len(results))}
-		for k, res := range results {
-			if out.times == nil {
-				out.times = make([]float64, len(res.Bins))
-				for i, b := range res.Bins {
-					out.times[i] = b.T0
-				}
-			}
-			out.obs[k] = make([]float64, len(res.Bins))
-			for i, b := range res.Bins {
-				out.obs[k][i] = b.Gain / (b.T1 - b.T0)
-			}
-		}
-		return out, nil
-	})
-	if err != nil {
-		return nil, err
+		return sc.RunSchemesBatch(schemes, f, src, 0, uint64(trial), true, nil)
 	}
-	var times []float64
+	cols := make([]seriesCol, len(schemes))
 	for k, scheme := range schemes {
-		var trials [][]float64
-		for _, out := range outs {
-			if times == nil {
-				times = out.times
-				table.X = times
-			}
-			trials = append(trials, out.obs[k])
-		}
-		s, err := stats.MergeTrials(times, trials)
-		if err != nil {
-			return nil, err
-		}
-		if err := table.AddColumn(scheme, s.Mean); err != nil {
-			return nil, err
-		}
+		cols[k] = binCol(scheme, k, observedRate)
 	}
-	return table, nil
+	return oneSeries(sc.timeSeries(run, []seriesTable{{
+		title: fmt.Sprintf("Figure 5a: observed utility over time, conference trace (step τ=%g min)", tau),
+		cols:  cols,
+	}}, nil))
 }
 
 // Figure5Step regenerates Figure 5b (actual conference trace) or 5c

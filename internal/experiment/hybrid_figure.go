@@ -4,10 +4,9 @@ import (
 	"fmt"
 
 	"impatience/internal/alloc"
-	"impatience/internal/parallel"
 	"impatience/internal/plot"
 	"impatience/internal/rates"
-	"impatience/internal/stats"
+	"impatience/internal/sim"
 	"impatience/internal/utility"
 	"impatience/internal/welfare"
 )
@@ -39,124 +38,57 @@ func HybridFigure3(sc Scenario, m *rates.Model) ([]*plot.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	uOpt := h.WelfareCounts(opt)
-	schemes := []string{SchemeQCR, SchemeUNI}
-
-	outs, err := parallel.RunTrials(sc.Trials, sc.Workers, sc.Seed, func(trial int, seed uint64) ([]*hybridSeries, error) {
-		results, err := sc.runHybridTrial(schemes, f, m, mu, uint64(trial), seed, true)
+	// Each trial writes only its own provenance row. (Trials < 1 is
+	// rejected by timeSeries before any trial runs.)
+	fluid := make([]float64, max(sc.Trials, 0))
+	demotions := make([]float64, len(fluid))
+	run := func(trial int, seed uint64) ([]*sim.Result, error) {
+		results, err := sc.runHybridTrial([]string{SchemeQCR, SchemeUNI}, f, m, mu, uint64(trial), seed, true)
 		if err != nil {
 			return nil, err
 		}
-		series := make([]*hybridSeries, len(results))
-		for k, res := range results {
-			ts := &hybridSeries{
-				times: make([]float64, len(res.Bins)),
-				exp:   make([]float64, len(res.Bins)),
-				obs:   make([]float64, len(res.Bins)),
-			}
-			for r := range ts.tops {
-				ts.tops[r] = make([]float64, len(res.Bins))
-			}
-			for i, b := range res.Bins {
-				ts.times[i] = b.T0
-				if b.Counts != nil {
-					ts.exp[i] = h.WelfareCounts(b.Counts)
-					for r := 0; r < 5 && r < len(b.Counts); r++ {
-						ts.tops[r][i] = float64(b.Counts[r])
-					}
-				}
-				ts.obs[i] = b.Gain / (b.T1 - b.T0)
-			}
-			if t := res.Hybrid; t != nil {
-				ts.fluid = t.FluidFraction
-				ts.demotions = t.Demotions
-			}
-			series[k] = ts
-		}
-		return series, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	uUni := h.WelfareCounts(alloc.Uniform(sc.Items, sc.Nodes, sc.Rho))
-	return hybridFigureTables(sc.Nodes, opt, uOpt, uUni, outs)
-}
-
-// hybridSeries is one scheme's binned output from one hybrid trial.
-type hybridSeries struct {
-	times, exp, obs []float64
-	tops            [5][]float64
-	fluid           float64
-	demotions       int
-}
-
-// hybridFigureTables averages the per-trial series of HybridFigure3 (QCR
-// first, UNI second in each trial) into its four tables. A trial whose
-// bins do not line up with the first trial's is an error naming it.
-func hybridFigureTables(nodes int, opt alloc.Counts, uOpt, uUni float64, outs [][]*hybridSeries) ([]*plot.Table, error) {
-	var times []float64
-	if len(outs) > 0 {
-		times = outs[0][0].times
-	}
-	// The first error sticks; later columns are skipped.
-	var err error
-	add := func(tb *plot.Table, name string, y []float64) {
-		if err == nil {
-			err = tb.AddColumn(name, y)
-		}
-	}
-	mean := func(k int, pick func(*hybridSeries) []float64) []float64 {
-		if err != nil {
-			return nil
-		}
-		trials := make([][]float64, len(outs))
-		for i, trial := range outs {
-			trials[i] = pick(trial[k])
-		}
-		s, merr := stats.MergeTrials(times, trials)
-		if merr != nil {
-			err = fmt.Errorf("experiment: hybrid figure: %w", merr)
-			return nil
-		}
-		return s.Mean
-	}
-	table := func(title string) *plot.Table {
-		return &plot.Table{
-			Title:  fmt.Sprintf("Figure 3 at scale (N=%d, hybrid): %s", nodes, title),
-			XLabel: "time (min)",
-			X:      times,
-		}
-	}
-
-	expT := table("expected utility U(x(t))")
-	add(expT, "QCR", mean(0, func(ts *hybridSeries) []float64 { return ts.exp }))
-	add(expT, "OPT", constant(len(times), uOpt))
-	add(expT, "UNI", constant(len(times), uUni))
-
-	obsT := table("observed utility")
-	add(obsT, "QCR", mean(0, func(ts *hybridSeries) []float64 { return ts.obs }))
-	add(obsT, "UNI", mean(1, func(ts *hybridSeries) []float64 { return ts.obs }))
-
-	repT := table("replicas of top-5 items")
-	for r := 0; r < 5; r++ {
-		add(repT, fmt.Sprintf("msg %d (target %d)", r+1, opt[r]),
-			mean(0, func(ts *hybridSeries) []float64 { return ts.tops[r] }))
-	}
-
-	provT := &plot.Table{Title: "Hybrid provenance per trial", XLabel: "trial"}
-	provT.X = make([]float64, len(outs))
-	fluid := make([]float64, len(outs))
-	demo := make([]float64, len(outs))
-	for i, trial := range outs {
-		provT.X[i] = float64(i)
 		// The QCR run is the demanding one; UNI shares its fluid split.
-		fluid[i] = trial[0].fluid
-		demo[i] = float64(trial[0].demotions + trial[1].demotions)
+		if t := results[0].Hybrid; t != nil {
+			fluid[trial] = t.FluidFraction
+		}
+		for _, res := range results {
+			if t := res.Hybrid; t != nil {
+				demotions[trial] += float64(t.Demotions)
+			}
+		}
+		return results, nil
 	}
-	add(provT, "fluid_fraction", fluid)
-	add(provT, "demotions", demo)
+	title := func(what string) string {
+		return fmt.Sprintf("Figure 3 at scale (N=%d, hybrid): %s", sc.Nodes, what)
+	}
+	var reps []seriesCol
+	for r := 0; r < 5; r++ {
+		reps = append(reps, binCol(fmt.Sprintf("msg %d (target %d)", r+1, opt[r]), 0, replicas(r)))
+	}
+	tables, err := sc.timeSeries(run, []seriesTable{
+		{title("expected utility U(x(t))"), []seriesCol{
+			binCol("QCR", 0, expectedWelfare(h)),
+			constCol("OPT", h.WelfareCounts(opt)),
+			constCol("UNI", h.WelfareCounts(alloc.Uniform(sc.Items, sc.Nodes, sc.Rho))),
+		}},
+		{title("observed utility"), []seriesCol{
+			binCol("QCR", 0, observedRate),
+			binCol("UNI", 1, observedRate),
+		}},
+		{title("replicas of top-5 items"), reps},
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
-	return []*plot.Table{expT, obsT, repT, provT}, nil
+	prov := &plot.Table{Title: "Hybrid provenance per trial", XLabel: "trial"}
+	for i := range fluid {
+		prov.X = append(prov.X, float64(i))
+	}
+	if err := prov.AddColumn("fluid_fraction", fluid); err != nil {
+		return nil, err
+	}
+	if err := prov.AddColumn("demotions", demotions); err != nil {
+		return nil, err
+	}
+	return append(tables, prov), nil
 }

@@ -7,10 +7,7 @@ package experiment
 // streaming contact pipeline.
 
 import (
-	"math/rand/v2"
-
 	"impatience/internal/alloc"
-	"impatience/internal/contact"
 	"impatience/internal/core"
 	"impatience/internal/rates"
 	"impatience/internal/sim"
@@ -23,26 +20,16 @@ import (
 // nothing materialized). seed drives the contact stream and must come
 // from parallel.TrialSeed so trials are scheduling-independent; the
 // simulator's own streams are seeded exactly like the comparison
-// figures' (schemeConfig). With
-// recordDelays the result carries the per-item delay samples and gains
-// the oracle checks against the closed-form welfare terms.
+// figures' (trialConfig). With recordDelays the result carries the
+// per-item delay samples and gains the oracle checks against the
+// closed-form welfare terms.
 func (sc Scenario) RunStaticStream(u utility.Function, initial alloc.Counts, trial int, seed uint64, recordDelays bool) (*sim.Result, error) {
-	src, err := contact.NewHomogeneousStream(sc.Nodes, sc.Mu, sc.Duration, rand.New(rand.NewPCG(seed, seed^0xabcdef)))
+	src, err := sc.HomogeneousSource()(seed)
 	if err != nil {
 		return nil, err
 	}
-	cfg := sim.Config{
-		Rho:          sc.Rho,
-		Utility:      u,
-		Pop:          sc.Pop(),
-		Contacts:     src,
-		Policy:       core.Static{Label: "oracle"},
-		Initial:      initial,
-		NoSticky:     true,
-		Seed:         sc.Seed*1_000_003 + uint64(trial)*101,
-		WarmupFrac:   sc.WarmupFrac,
-		RecordDelays: recordDelays,
-	}
+	cfg := sc.staticConfig(u, initial, trial)
+	cfg.Contacts, cfg.RecordDelays = src, recordDelays
 	return sim.Run(cfg)
 }
 
@@ -52,19 +39,17 @@ func (sc Scenario) RunStaticStream(u utility.Function, initial alloc.Counts, tri
 // model matching the homogeneous µ. The oracle's hybrid ladder compares
 // its welfare against the full-sim trial CI of RunStaticStream.
 func (sc Scenario) RunStaticHybrid(u utility.Function, initial alloc.Counts, m *rates.Model, trial int, seed uint64) (*sim.Result, error) {
-	cfg := sim.Config{
-		Rho:        sc.Rho,
-		Utility:    u,
-		Pop:        sc.Pop(),
-		Policy:     core.Static{Label: "oracle"},
-		Initial:    initial,
-		NoSticky:   true,
-		Seed:       sc.Seed*1_000_003 + uint64(trial)*101,
-		WarmupFrac: sc.WarmupFrac,
-	}
 	hy := sc.Hybrid
 	hy.ContactSeed = seed
-	return sim.RunHybrid(cfg, m, sc.Duration, hy)
+	return sim.RunHybrid(sc.staticConfig(u, initial, trial), m, sc.Duration, hy)
+}
+
+// staticConfig is the oracle's fixed-allocation config for one trial.
+func (sc Scenario) staticConfig(u utility.Function, initial alloc.Counts, trial int) sim.Config {
+	cfg := sc.trialConfig(u, uint64(trial))
+	cfg.Policy = core.Static{Label: "oracle"}
+	cfg.Initial, cfg.NoSticky = initial, true
+	return cfg
 }
 
 // Homogeneous returns the scenario's closed-form welfare system (pure

@@ -133,16 +133,12 @@ func (sc Scenario) StreamingScale(u utility.Function, trial uint64) (*ScaleRepor
 	if err != nil {
 		return nil, err
 	}
-	m := newMeteredSource(src)
-	cfg := sim.Config{
-		Rho:        sc.Rho,
-		Utility:    u,
-		Pop:        sc.Pop(),
-		Contacts:   m,
-		Policy:     sc.qcrPolicy(u, sc.Mu, true, sc.Seed*7919+trial),
-		Seed:       sc.Seed*1_000_003 + trial*101,
-		WarmupFrac: sc.WarmupFrac,
+	cfg, err := sc.schemeConfig(SchemeQCR, u, nil, sc.Mu, trial, false, nil)
+	if err != nil {
+		return nil, err
 	}
+	m := newMeteredSource(src)
+	cfg.Contacts = m
 	res, err := sim.Run(cfg)
 	if err != nil {
 		return nil, err

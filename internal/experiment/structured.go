@@ -90,7 +90,7 @@ func (sc Scenario) RunStructuredComparison(u utility.Function, m *rates.Model, s
 	}
 	mu := m.MeanPairRate()
 	gen := sc.StructuredSources(m)
-	rows, err := parallel.RunTrials(sc.Trials, sc.Workers, sc.Seed, func(trial int, seed uint64) ([]float64, error) {
+	rows, err := runTrials(sc, func(trial int, seed uint64) ([]float64, error) {
 		var results []*sim.Result
 		var err error
 		if sc.Hybrid.Enabled {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"impatience/internal/parallel"
 	"impatience/internal/plot"
 	"impatience/internal/trace"
 	"impatience/internal/utility"
@@ -34,7 +33,7 @@ type pointFunc func(xi int, trial uint64) (sweepPoint, error)
 // reductions do not depend on the worker count. A non-empty xlabel names
 // the failing point in errors.
 func (sc Scenario) sweep(gen SourceGen, schemes []string, xs []float64, xlabel string, point pointFunc) ([][][]float64, error) {
-	return parallel.RunTrials(sc.Trials, sc.Workers, sc.Seed, func(trial int, seed uint64) ([][]float64, error) {
+	return runTrials(sc, func(trial int, seed uint64) ([][]float64, error) {
 		src, err := gen(seed)
 		if err != nil {
 			return nil, err
