@@ -129,8 +129,10 @@ func (sc Scenario) timeSeries(run seriesRunner, tables []seriesTable, x []float6
 	for ti, tb := range tables {
 		table := &plot.Table{Title: tb.title, XLabel: "time (min)", X: x}
 		for ci, c := range tb.cols {
-			y := constant(len(x), c.value)
-			if c.read != nil {
+			var y []float64
+			if c.read == nil {
+				y = constant(len(x), c.value)
+			} else {
 				trials := make([][]float64, len(outs))
 				for t, o := range outs {
 					trials[t] = o.cols[ti][ci]
