@@ -184,7 +184,11 @@ func PlaceAllocation(c AllocationCounts, servers, rho int) (*Placement, error) {
 
 // The QCR protocol (Section 5) and the simulator (Section 6).
 type (
-	// ReplicationPolicy is the simulator's replication hook.
+	// ReplicationPolicy is the simulator's replication hook: Name, Init,
+	// OnFulfill and OnMeeting, plus OnCrash (discard a crashed node's
+	// protocol state) and Counters (the policy's mandate tallies). Faults
+	// and adversaries reach a policy only through the cache its hooks are
+	// handed, so a policy wrapping another must forward every method.
 	ReplicationPolicy = core.Policy
 	// QCR is Query Counting Replication with mandate routing.
 	QCR = core.QCR

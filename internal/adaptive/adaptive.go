@@ -123,11 +123,11 @@ func (p *Policy) LastEstimate() (float64, bool) { return p.lastNu, p.haveNu }
 // Observations returns the number of feedback samples consumed.
 func (p *Policy) Observations() int { return p.est.N() }
 
-// TotalMandates exposes the inner QCR's pending-mandate count.
-func (p *Policy) TotalMandates() int { return p.Inner.TotalMandates() }
+// OnCrash implements core.Policy by forwarding to the inner QCR.
+func (p *Policy) OnCrash(node int) int { return p.Inner.OnCrash(node) }
 
-// MandatesMoved exposes the inner QCR's routing traffic.
-func (p *Policy) MandatesMoved() int { return p.Inner.MandatesMoved() }
+// Counters implements core.Policy with the inner QCR's tallies.
+func (p *Policy) Counters() core.Counters { return p.Inner.Counters() }
 
 // OnFulfill implements core.Policy: records feedback, periodically
 // re-tunes, and delegates mandate creation to the inner QCR.
@@ -149,12 +149,9 @@ func (p *Policy) OnFulfill(c core.Cache, node, peer, item, queries int, age, now
 }
 
 // OnMeeting implements core.Policy.
-func (p *Policy) OnMeeting(c Cache, a, b int, now float64) {
+func (p *Policy) OnMeeting(c core.Cache, a, b int, now float64) {
 	p.Inner.OnMeeting(c, a, b, now)
 }
-
-// Cache aliases core.Cache so callers need not import both packages.
-type Cache = core.Cache
 
 // Validate reports configuration errors.
 func (p *Policy) Validate() error {

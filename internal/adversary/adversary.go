@@ -170,8 +170,8 @@ func (in *Injector) Config() Config { return in.cfg }
 // Dishonest reports whether node inflates its query counters.
 func (in *Injector) Dishonest(node int) bool { return in.dishonest[node] }
 
-// FreeRider implements core.Misbehavior: whether node consumes without
-// serving.
+// FreeRider reports whether node consumes without serving; the
+// simulator exposes it to policies through core.Cache.
 func (in *Injector) FreeRider(node int) bool { return in.freeRider[node] }
 
 // Roles returns the number of dishonest and free-riding nodes.

@@ -10,11 +10,11 @@ import "testing"
 
 func conserved(t *testing.T, q *QCR, crashed int) {
 	t.Helper()
-	dropped, expired, abandoned := q.FaultCounters()
-	got := q.TotalMandates() + q.MandatesExecuted() + expired + abandoned + dropped + crashed
-	if got != q.MandatesCreated() {
+	n := q.Counters()
+	got := n.Pending + n.Executed + n.Expired + n.Abandoned + n.Dropped + crashed
+	if got != n.Created {
 		t.Errorf("conservation: pending+executed+expired+abandoned+dropped+crashed = %d, created = %d",
-			got, q.MandatesCreated())
+			got, n.Created)
 	}
 }
 
@@ -26,10 +26,10 @@ func TestMandateTTLExpires(t *testing.T) {
 	q.addMandates(0, 3, 2, 0) // born at t=0, nobody holds item 3
 
 	q.OnMeeting(c, 0, 1, 20) // age 20 > TTL 10
-	if got := q.TotalMandates(); got != 0 {
+	if got := q.Counters().Pending; got != 0 {
 		t.Fatalf("pending after expiry = %d, want 0", got)
 	}
-	if _, expired, _ := q.FaultCounters(); expired != 2 {
+	if expired := q.Counters().Expired; expired != 2 {
 		t.Errorf("expired = %d, want 2", expired)
 	}
 	conserved(t, q, 0)
@@ -46,7 +46,7 @@ func TestMandateTTLKeepsFresh(t *testing.T) {
 	if got := q.count(0, 3); got != 2 {
 		t.Fatalf("pending fresh mandates = %d, want 2", got)
 	}
-	if _, expired, _ := q.FaultCounters(); expired != 0 {
+	if expired := q.Counters().Expired; expired != 0 {
 		t.Errorf("expired = %d, want 0", expired)
 	}
 	conserved(t, q, 0)
@@ -66,10 +66,10 @@ func TestBoundedRetryAbandons(t *testing.T) {
 		t.Fatalf("pending after first failure = %d, want 1 (retry)", got)
 	}
 	q.OnMeeting(c, 0, 1, 2) // attempt 2 fails, budget exhausted
-	if got := q.TotalMandates(); got != 0 {
+	if got := q.Counters().Pending; got != 0 {
 		t.Fatalf("pending after exhausting retries = %d, want 0", got)
 	}
-	if _, _, abandoned := q.FaultCounters(); abandoned != 1 {
+	if abandoned := q.Counters().Abandoned; abandoned != 1 {
 		t.Errorf("abandoned = %d, want 1", abandoned)
 	}
 	conserved(t, q, 0)
@@ -103,37 +103,31 @@ func TestOnCrashClearsMandates(t *testing.T) {
 	if got := q.OnCrash(0); got != 5 {
 		t.Fatalf("OnCrash(0) = %d, want 5", got)
 	}
-	if got := q.TotalMandates(); got != 4 {
+	if got := q.Counters().Pending; got != 4 {
 		t.Fatalf("pending after crash = %d, want 4 (node 1 untouched)", got)
 	}
 	conserved(t, q, 5)
 }
-
-// alwaysDrop is a Disruptor losing every mandate handoff.
-type alwaysDrop struct{}
-
-func (alwaysDrop) DropMandate() bool { return true }
 
 func TestDropInFlight(t *testing.T) {
 	q := newQCR(true)
 	q.StrictSource = true
 	c := newFakeCache(2, 5)
 	c.has[[2]int{1, 3}] = true // node 1 is item 3's sole holder
+	c.dropAll = true           // the fault layer loses every handoff
 	q.Init(c)
-	q.SetDisruptor(alwaysDrop{})
 	q.addMandates(0, 3, 2, 0)
 
 	// Routing sends both mandates toward the sole holder; each is lost in
 	// flight.
 	q.OnMeeting(c, 0, 1, 1)
-	if got := q.TotalMandates(); got != 0 {
+	if got := q.Counters().Pending; got != 0 {
 		t.Fatalf("pending = %d, want 0 (all dropped)", got)
 	}
-	dropped, _, _ := q.FaultCounters()
-	if dropped != 2 {
+	if dropped := q.Counters().Dropped; dropped != 2 {
 		t.Errorf("dropped = %d, want 2", dropped)
 	}
-	if moved := q.MandatesMoved(); moved != 0 {
+	if moved := q.Counters().Moved; moved != 0 {
 		t.Errorf("moved = %d, want 0 (a dropped mandate never arrives)", moved)
 	}
 	conserved(t, q, 0)
@@ -170,11 +164,10 @@ func TestStarvationAfterHolderCrash(t *testing.T) {
 	for k := 1; k <= 10; k++ {
 		q.OnMeeting(c, 0, 1, 5+float64(k)*10) // t = 15 … 105
 	}
-	if got := q.TotalMandates(); got != 0 {
+	if got := q.Counters().Pending; got != 0 {
 		t.Fatalf("hardened QCR: %d mandates still circulating, want 0", got)
 	}
-	_, expired, _ := q.FaultCounters()
-	if expired != 3 {
+	if expired := q.Counters().Expired; expired != 3 {
 		t.Errorf("expired = %d, want 3", expired)
 	}
 	conserved(t, q, crashed)
@@ -185,7 +178,7 @@ func TestStarvationAfterHolderCrash(t *testing.T) {
 	for k := 1; k <= 10; k++ {
 		q0.OnMeeting(c0, 0, 1, 5+float64(k)*10)
 	}
-	if got := q0.TotalMandates(); got != 3 {
+	if got := q0.Counters().Pending; got != 3 {
 		t.Fatalf("unhardened QCR: pending = %d, want 3 (starved mandates never clear)", got)
 	}
 	conserved(t, q0, 0)

@@ -53,6 +53,15 @@ type Cache interface {
 	// reaction uses it as the supply side of its replica clamp, standing
 	// in for the gossip-estimated count a deployment would carry.
 	Count(item int) int
+	// FreeRider reports whether node consumes content without serving
+	// (the adversary layer's free-rider role): it refuses cache writes
+	// and will not carry replication mandates. Always false when the
+	// adversary layer is off.
+	FreeRider(node int) bool
+	// DropMandate draws whether one mandate handed to the other node at
+	// a meeting is lost in flight (the fault layer's PDrop). Always false,
+	// and drawing nothing, when fault injection is off.
+	DropMandate() bool
 }
 
 // MaxQueryCount saturates the query counters: the simulator's per-meeting
@@ -65,6 +74,9 @@ const MaxQueryCount = math.MaxInt32
 
 // Policy decides replication. The simulator invokes OnFulfill once per
 // fulfilled request and OnMeeting once per meeting (after fulfillments).
+// Faults and adversaries reach a policy only through the Cache its hooks
+// receive, and crash handling and tallies are methods here, so a policy
+// wrapping another has no optional capability to forget.
 type Policy interface {
 	Name() string
 	// Init is called once before the simulation starts.
@@ -75,47 +87,37 @@ type Policy interface {
 	OnFulfill(c Cache, node, peer, item, queries int, age, now float64)
 	// OnMeeting is invoked for every meeting of a and b at time now.
 	OnMeeting(c Cache, a, b int, now float64)
-}
-
-// Disruptor models transport-level faults the simulator injects into the
-// protocol's control plane. It is implemented by faults.Injector.
-type Disruptor interface {
-	// DropMandate draws whether one mandate handed to the other node at a
-	// meeting is lost in flight.
-	DropMandate() bool
-}
-
-// FaultAware policies accept fault wiring from the simulator before the
-// run starts.
-type FaultAware interface {
-	SetDisruptor(d Disruptor)
-}
-
-// CrashAware policies are notified when a node crashes and must discard
-// all protocol state held at that node. The return value is the number
-// of pending mandates lost, for the run's fault tally.
-type CrashAware interface {
+	// OnCrash reports that node crashed: the policy discards all protocol
+	// state held there and returns the number of pending mandates lost,
+	// for the run's fault tally.
 	OnCrash(node int) int
+	// Counters reports the policy's mandate bookkeeping.
+	Counters() Counters
 }
 
-// Misbehavior exposes the adversary layer's node roles to a policy. It is
-// implemented by adversary.Injector.
-type Misbehavior interface {
-	// FreeRider reports whether node consumes content without serving:
-	// it refuses cache writes and will not carry replication mandates.
-	FreeRider(node int) bool
-}
-
-// AdversaryAware policies accept misbehavior wiring from the simulator
-// before the run starts, so mandate routing can keep mandates off nodes
-// that would refuse to carry them.
-type AdversaryAware interface {
-	SetMisbehavior(m Misbehavior)
+// Counters is a policy's mandate bookkeeping. Every mandate minted is
+// accounted for exactly once by the conservation law
+//
+//	Created = Pending + Executed + Expired + Abandoned + Dropped + crashed
+//
+// where crashed is the sum of OnCrash's return values (tallied by the
+// simulator).
+type Counters struct {
+	Pending   int // mandates waiting at nodes now (Figure 3's divergence indicator)
+	Moved     int // mandates that changed nodes: routing traffic beyond content transfers
+	Created   int // mandates minted by OnFulfill
+	Executed  int // mandates consumed by replication (incl. rewriting)
+	Dropped   int // mandates lost in flight at a handoff
+	Expired   int // mandates discarded by TTL expiry
+	Abandoned int // mandates discarded after exhausting their retry budget
+	Capped    int // counter reports saturated by Hardening.CounterCap
+	Clamped   int // mandates withheld by Hardening.ReplicaClamp
 }
 
 // Static is the no-op policy used for the fixed-allocation competitors
 // (OPT, UNI, SQRT, PROP, DOM): the cache is set up once by an oracle with
-// a perfect control channel and never changes.
+// a perfect control channel and never changes. The simulator recognizes
+// the type and, with the adversary layer off, skips its hooks entirely.
 type Static struct{ Label string }
 
 // Name implements Policy.
@@ -135,27 +137,11 @@ func (Static) OnFulfill(Cache, int, int, int, int, float64, float64) {}
 // OnMeeting implements Policy.
 func (Static) OnMeeting(Cache, int, int, float64) {}
 
-// PassiveHooks implements PassivePolicy: a static allocation never reacts.
-func (Static) PassiveHooks() bool { return true }
+// OnCrash implements Policy: a static allocation holds no mandates.
+func (Static) OnCrash(int) int { return 0 }
 
-// PassivePolicy marks policies whose OnFulfill and OnMeeting hooks are
-// guaranteed no-ops for the whole run: the simulator's devirtualized
-// meeting loop elides the two virtual calls per contact (and one per
-// fulfillment) entirely, which is measurable at millions of contacts per
-// run. Implementations must return a constant; a policy whose hooks are
-// only *sometimes* inert must not implement this interface. Eliding calls
-// to true no-ops cannot change any simulation result — the digest tests
-// pin that.
-type PassivePolicy interface {
-	PassiveHooks() bool
-}
-
-// IsPassive reports whether p declares both its per-meeting hooks to be
-// no-ops (see PassivePolicy).
-func IsPassive(p Policy) bool {
-	pp, ok := p.(PassivePolicy)
-	return ok && pp.PassiveHooks()
-}
+// Counters implements Policy: a static allocation mints no mandates.
+func (Static) Counters() Counters { return Counters{} }
 
 // ReactionFunc maps a final query-counter value to the (real-valued)
 // number of replicas to create for the fulfilled item.
@@ -330,7 +316,7 @@ type QCR struct {
 	// (Figure 3's divergence, resurrected by faults). Expiry is lazy: a
 	// meeting is the only synchronization point an opportunistic network
 	// has, so mandates parked on a node that never meets again linger in
-	// TotalMandates until the run ends.
+	// Counters().Pending until the run ends.
 	MandateTTL float64
 	// MaxAttempts bounds how many failed content-transfer attempts one
 	// mandate survives (0 = unlimited). Truncated meetings (faults.PLoss)
@@ -346,19 +332,11 @@ type QCR struct {
 	// byte-identical to a build without the hardening layer.
 	Hardening *Hardening
 
-	rng         *rand.Rand
-	disruptor   Disruptor
-	misbehavior Misbehavior
-	ewma        []float64            // per item: smoothed reaction input (0 = no report yet)
-	capped      int                  // reports saturated by Hardening.CounterCap
-	clamped     int                  // mandates withheld by Hardening.ReplicaClamp
-	piles       arena.Lists[mandate] // per node: items with pending mandates, oldest first
-	moved       int                  // mandates that changed nodes (routing traffic)
-	created     int                  // mandates minted by OnFulfill
-	executed    int                  // mandates consumed by replication (incl. rewriting)
-	expired     int                  // mandates discarded by TTL expiry
-	abandoned   int                  // mandates discarded after exhausting MaxAttempts
-	dropped     int                  // mandates lost in flight at handoff
+	rng   *rand.Rand
+	ewma  []float64            // per item: smoothed reaction input (0 = no report yet)
+	piles arena.Lists[mandate] // per node: items with pending mandates, oldest first
+	// tally holds every counter but Pending, which Counters reads off piles.
+	tally Counters
 }
 
 // Name implements Policy.
@@ -382,56 +360,19 @@ func (q *QCR) Init(c Cache) {
 	}
 }
 
-// SetDisruptor implements FaultAware: the simulator wires its fault
-// injector in before the run when fault injection is enabled.
-func (q *QCR) SetDisruptor(d Disruptor) { q.disruptor = d }
-
-// SetMisbehavior implements AdversaryAware: the simulator wires the
-// adversary layer's node roles in before the run, so mandate routing
-// steers mandates away from free-riders that would refuse to carry them.
-func (q *QCR) SetMisbehavior(m Misbehavior) { q.misbehavior = m }
-
-// HardeningCounters reports the hardened reaction's interventions:
-// counter reports saturated by CounterCap and mandates withheld by the
-// ReplicaClamp supply bound. Both are zero when Hardening is nil.
-func (q *QCR) HardeningCounters() (capped, clamped int) {
-	return q.capped, q.clamped
-}
-
-// OnCrash implements CrashAware: a crashed node loses its pending
-// mandates along with its cache. Returns the number lost.
+// OnCrash implements Policy: a crashed node loses its pending mandates
+// along with its cache. Returns the number lost.
 func (q *QCR) OnCrash(node int) int { return q.piles.Clear(node) }
 
-// TotalMandates returns the number of pending mandates across all nodes,
-// the divergence indicator of Figure 3.
-func (q *QCR) TotalMandates() int { return q.piles.Total() }
-
-// MandatesMoved returns the cumulative number of mandates transferred
-// between nodes by mandate routing — the protocol's control overhead
-// beyond content transfers (mandates are tiny, but we account for them).
-func (q *QCR) MandatesMoved() int { return q.moved }
+// Counters implements Policy. Pending walks the per-node pile lists.
+func (q *QCR) Counters() Counters {
+	c := q.tally
+	c.Pending = q.piles.Total()
+	return c
+}
 
 // MandatesFor returns pending mandates for one item across all nodes.
 func (q *QCR) MandatesFor(item int) int { return q.piles.TotalItem(item) }
-
-// MandatesCreated returns the cumulative number of mandates minted by
-// OnFulfill, the input side of the mandate conservation law:
-//
-//	created = pending + executed + expired + abandoned + dropped + crashed
-//
-// (crashed is tallied by the simulator via OnCrash).
-func (q *QCR) MandatesCreated() int { return q.created }
-
-// MandatesExecuted returns mandates consumed by successful replication
-// (including vacuous rewriting consumptions).
-func (q *QCR) MandatesExecuted() int { return q.executed }
-
-// FaultCounters reports the hardening tallies: mandates lost in flight
-// at handoff, discarded by TTL expiry, and abandoned after exhausting
-// their retry budget.
-func (q *QCR) FaultCounters() (dropped, expired, abandoned int) {
-	return q.dropped, q.expired, q.abandoned
-}
 
 // count returns the pending mandates for item at node (test hook).
 func (q *QCR) count(node, item int) int { return len(q.piles.Find(node, item)) }
@@ -452,7 +393,7 @@ func (q *QCR) mint(node, item, n int, now float64) {
 		pile = append(pile, mandate{born: now})
 	}
 	c.Set(pile)
-	q.created += n
+	q.tally.Created += n
 }
 
 // OnFulfill implements Policy: convert the query count into mandates via
@@ -488,7 +429,7 @@ func (q *QCR) OnFulfill(c Cache, node, peer, item, queries int, age, now float64
 			room = 0
 		}
 		if k > room {
-			q.clamped += k - room
+			q.tally.Clamped += k - room
 			k = room
 		}
 	}
@@ -508,7 +449,7 @@ func (q *QCR) hardenedInput(item, queries int) int {
 	y := queries
 	if h.CounterCap > 0 && y > h.CounterCap {
 		y = h.CounterCap
-		q.capped++
+		q.tally.Capped++
 	}
 	if h.SmoothAlpha > 0 && h.SmoothAlpha < 1 {
 		yf := float64(y)
@@ -530,7 +471,7 @@ func (q *QCR) hardenedInput(item, queries int) int {
 // consume removes the oldest mandate of a pile (FIFO: the mandates that
 // have waited longest execute first) and counts the execution.
 func (q *QCR) consume(pile []mandate) []mandate {
-	q.executed++
+	q.tally.Executed++
 	return pile[1:]
 }
 
@@ -540,7 +481,7 @@ func (q *QCR) consume(pile []mandate) []mandate {
 func (q *QCR) retryOrAbandon(pile []mandate) []mandate {
 	pile[0].tries++
 	if q.MaxAttempts > 0 && pile[0].tries >= q.MaxAttempts {
-		q.abandoned++
+		q.tally.Abandoned++
 		return pile[1:]
 	}
 	return pile
@@ -552,7 +493,7 @@ func (q *QCR) expireOld(pile []mandate, now float64) []mandate {
 	keep := pile[:0]
 	for _, m := range pile {
 		if now-m.born > q.MandateTTL {
-			q.expired++
+			q.tally.Expired++
 		} else {
 			keep = append(keep, m)
 		}
@@ -573,6 +514,8 @@ func (q *QCR) OnMeeting(c Cache, a, b int, now float64) {
 	// side without a pile gets an empty one at its cursor (reusing a
 	// drained pile's storage, so routing into it does not allocate);
 	// piles left empty are removed after the walk.
+	// Free-rider roles are fixed for the run: read them once per meeting.
+	frA, frB := c.FreeRider(a), c.FreeRider(b)
 	ca, cb := l.Walk(a), l.Walk(b)
 	for {
 		item, ok := ca.Item()
@@ -584,7 +527,7 @@ func (q *QCR) OnMeeting(c Cache, a, b int, now float64) {
 		}
 		ca.Seek(item)
 		cb.Seek(item)
-		q.meetItem(c, a, b, item, &ca, &cb, now)
+		q.meetItem(c, a, b, item, frA, frB, &ca, &cb, now)
 		ca.Next()
 		cb.Next()
 	}
@@ -594,8 +537,8 @@ func (q *QCR) OnMeeting(c Cache, a, b int, now float64) {
 
 // meetItem runs one item's share of a meeting on the piles under ca (at
 // a) and cb (at b): expire stale mandates, execute at most one, then
-// route the remainder.
-func (q *QCR) meetItem(c Cache, a, b, item int, ca, cb *arena.Cursor[mandate], now float64) {
+// route the remainder. frA and frB report whether a and b free-ride.
+func (q *QCR) meetItem(c Cache, a, b, item int, frA, frB bool, ca, cb *arena.Cursor[mandate], now float64) {
 	pa, pb := ca.Vals(), cb.Vals()
 	origA, origB := len(pa), len(pb) // pre-meeting piles, for moved accounting
 	if q.MandateTTL > 0 {
@@ -670,26 +613,23 @@ func (q *QCR) meetItem(c Cache, a, b, item int, ca, cb *arena.Cursor[mandate], n
 		wantA, _ := q.route(c, a, b, item, len(pa)+len(pb), hasA, hasB)
 		// A free-rider refuses to carry mandates: nothing may cross to
 		// it, and a non-free-riding peer takes everything it holds.
-		if m := q.misbehavior; m != nil {
-			frA, frB := m.FreeRider(a), m.FreeRider(b)
-			switch {
-			case frA && frB:
-				wantA = len(pa)
-			case frA:
-				wantA = 0
-			case frB:
-				wantA = len(pa) + len(pb)
-			}
+		switch {
+		case frA && frB:
+			wantA = len(pa)
+		case frA:
+			wantA = 0
+		case frB:
+			wantA = len(pa) + len(pb)
 		}
-		pa, pb = q.redistribute(pa, pb, wantA)
+		pa, pb = q.redistribute(c, pa, pb, wantA)
 	}
 	// Routing traffic: any increase relative to the pre-meeting pile
 	// crossed over (net of executions, matching the original metric).
 	if gain := len(pa) - origA; gain > 0 {
-		q.moved += gain
+		q.tally.Moved += gain
 	}
 	if gain := len(pb) - origB; gain > 0 {
-		q.moved += gain
+		q.tally.Moved += gain
 	}
 	ca.Set(pa)
 	cb.Set(pb)
@@ -697,17 +637,17 @@ func (q *QCR) meetItem(c Cache, a, b, item int, ca, cb *arena.Cursor[mandate], n
 
 // redistribute realizes the routing split: mandates cross from the side
 // holding more than its share to the other, oldest first. Each crossing
-// mandate is independently lost in flight when a disruptor injects
-// mandate-drop faults.
-func (q *QCR) redistribute(pa, pb []mandate, wantA int) (na, nb []mandate) {
+// mandate is independently lost in flight when the cache's fault layer
+// drops it.
+func (q *QCR) redistribute(c Cache, pa, pb []mandate, wantA int) (na, nb []mandate) {
 	switch {
 	case wantA > len(pa): // b → a
 		k := wantA - len(pa)
 		for j := 0; j < k; j++ {
 			m := pb[0]
 			pb = pb[1:]
-			if q.disruptor != nil && q.disruptor.DropMandate() {
-				q.dropped++
+			if c.DropMandate() {
+				q.tally.Dropped++
 				continue
 			}
 			pa = append(pa, m)
@@ -717,8 +657,8 @@ func (q *QCR) redistribute(pa, pb []mandate, wantA int) (na, nb []mandate) {
 		for j := 0; j < k; j++ {
 			m := pa[0]
 			pa = pa[1:]
-			if q.disruptor != nil && q.disruptor.DropMandate() {
-				q.dropped++
+			if c.DropMandate() {
+				q.tally.Dropped++
 				continue
 			}
 			pb = append(pb, m)

@@ -48,19 +48,19 @@ func TestCounterCapSaturatesForgedReports(t *testing.T) {
 	}
 	q.Init(c)
 	q.OnFulfill(c, 0, 1, 0, 5000, 1, 1)
-	if got := q.MandatesCreated(); got != 5 {
+	if got := q.Counters().Created; got != 5 {
 		t.Fatalf("created %d mandates from a capped counter, want 5", got)
 	}
-	capped, _ := q.HardeningCounters()
+	capped := q.Counters().Capped
 	if capped != 1 {
 		t.Fatalf("capped tally %d, want 1", capped)
 	}
 	// An honest report below the cap passes through untouched.
 	q.OnFulfill(c, 0, 1, 1, 3, 1, 2)
-	if got := q.MandatesCreated(); got != 8 {
+	if got := q.Counters().Created; got != 8 {
 		t.Fatalf("created %d mandates total, want 8", got)
 	}
-	if capped, _ = q.HardeningCounters(); capped != 1 {
+	if capped = q.Counters().Capped; capped != 1 {
 		t.Fatalf("honest report was capped (tally %d)", capped)
 	}
 }
@@ -79,19 +79,19 @@ func TestEWMARateLimitsReactionInput(t *testing.T) {
 	}
 	q.Init(c)
 	q.OnFulfill(c, 0, 1, 0, 4, 1, 1) // first report seeds the EWMA: ŷ = 4
-	if got := q.MandatesCreated(); got != 4 {
+	if got := q.Counters().Created; got != 4 {
 		t.Fatalf("first report minted %d, want 4", got)
 	}
 	q.OnFulfill(c, 0, 1, 0, 100, 1, 2) // ŷ = 0.5·100 + 0.5·4 = 52; input min(100,52)
-	if got := q.MandatesCreated(); got != 4+52 {
+	if got := q.Counters().Created; got != 4+52 {
 		t.Fatalf("second report minted %d total, want 56", got)
 	}
 	q.OnFulfill(c, 0, 1, 0, 2, 1, 3) // below ŷ: passes through untouched
-	if got := q.MandatesCreated(); got != 56+2 {
+	if got := q.Counters().Created; got != 56+2 {
 		t.Fatalf("below-mean report minted %d total, want 58", got)
 	}
 	q.OnFulfill(c, 0, 1, 1, 10, 1, 4) // fresh item, fresh history
-	if got := q.MandatesCreated(); got != 58+10 {
+	if got := q.Counters().Created; got != 58+10 {
 		t.Fatalf("fresh item minted %d total, want 68", got)
 	}
 }
@@ -111,19 +111,19 @@ func TestReplicaClampBoundsSupply(t *testing.T) {
 	}
 	q.Init(c)
 	q.OnFulfill(c, 0, 1, 0, 10, 1, 1) // room = 3 - 2 - 0 = 1
-	if got := q.MandatesCreated(); got != 1 {
+	if got := q.Counters().Created; got != 1 {
 		t.Fatalf("minted %d mandates with 1 slot of headroom, want 1", got)
 	}
-	if _, clamped := q.HardeningCounters(); clamped != 9 {
+	if clamped := q.Counters().Clamped; clamped != 9 {
 		t.Fatalf("clamped tally %d, want 9", clamped)
 	}
 	// The pending mandate now fills the last slot: further minting is
 	// fully suppressed.
 	q.OnFulfill(c, 0, 1, 0, 10, 1, 2)
-	if got := q.MandatesCreated(); got != 1 {
+	if got := q.Counters().Created; got != 1 {
 		t.Fatalf("minted %d mandates at the clamp, want still 1", got)
 	}
-	if _, clamped := q.HardeningCounters(); clamped != 19 {
+	if clamped := q.Counters().Clamped; clamped != 19 {
 		t.Fatalf("clamped tally %d, want 19", clamped)
 	}
 }
@@ -145,10 +145,10 @@ func TestHardenedReactionOverflowRegression(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		q.OnFulfill(c, 0, 1, 0, MaxQueryCount, 1, float64(i))
 	}
-	if got := q.MandatesCreated(); got < 0 || got > 8 {
+	if got := q.Counters().Created; got < 0 || got > 8 {
 		t.Fatalf("minted %d mandates from saturated counters, want within clamp 8", got)
 	}
-	if capped, _ := q.HardeningCounters(); capped != 50 {
+	if capped := q.Counters().Capped; capped != 50 {
 		t.Fatalf("capped tally %d, want 50", capped)
 	}
 	// The unhardened reaction also survives the saturated counter: the
@@ -156,7 +156,7 @@ func TestHardenedReactionOverflowRegression(t *testing.T) {
 	q0 := &QCR{Reaction: PathReplication(1), MandateRouting: true, MaxMandates: 5, Seed: 3}
 	q0.Init(c)
 	q0.OnFulfill(c, 0, 1, 0, MaxQueryCount, 1, 1)
-	if got := q0.MandatesCreated(); got != 5 {
+	if got := q0.Counters().Created; got != 5 {
 		t.Fatalf("vanilla minted %d from a saturated counter, want MaxMandates 5", got)
 	}
 }
@@ -171,17 +171,12 @@ func TestHardeningZeroKnobsMatchesVanilla(t *testing.T) {
 		for i := 1; i <= 20; i++ {
 			q.OnFulfill(c, 0, 1, i%3, i, 1, float64(i))
 		}
-		return q.MandatesCreated()
+		return q.Counters().Created
 	}
 	if a, b := mint(nil), mint(&Hardening{}); a != b {
 		t.Fatalf("zero-knob hardening minted %d, vanilla %d", b, a)
 	}
 }
-
-// fakeMisbehavior marks a fixed node set as free-riding.
-type fakeMisbehavior map[int]bool
-
-func (f fakeMisbehavior) FreeRider(node int) bool { return f[node] }
 
 // TestRoutingAvoidsFreeRiders: mandates never cross onto a node that
 // refuses to carry them, even when routing would send them there.
@@ -195,7 +190,7 @@ func TestRoutingAvoidsFreeRiders(t *testing.T) {
 		Seed:           5,
 	}
 	q.Init(c)
-	q.SetMisbehavior(fakeMisbehavior{1: true})
+	c.freeRiders = map[int]bool{1: true}
 	q.addMandates(0, 0, 3, 0)
 	q.OnMeeting(c, 0, 1, 1)
 	// Routing wants all three at the holder, but the holder free-rides:
@@ -210,7 +205,7 @@ func TestRoutingAvoidsFreeRiders(t *testing.T) {
 	// A free-riding origin hands everything to an honest peer.
 	q2 := &QCR{Reaction: PathReplication(1), MandateRouting: true, Seed: 5}
 	q2.Init(c)
-	q2.SetMisbehavior(fakeMisbehavior{0: true})
+	c.freeRiders = map[int]bool{0: true}
 	q2.addMandates(0, 1, 3, 0)
 	q2.OnMeeting(c, 0, 2, 1)
 	if got := q2.count(2, 1); got != 3 {
@@ -220,7 +215,7 @@ func TestRoutingAvoidsFreeRiders(t *testing.T) {
 	// Two free-riders meeting leave the piles untouched.
 	q3 := &QCR{Reaction: PathReplication(1), MandateRouting: true, Seed: 5}
 	q3.Init(c)
-	q3.SetMisbehavior(fakeMisbehavior{0: true, 2: true})
+	c.freeRiders = map[int]bool{0: true, 2: true}
 	q3.addMandates(0, 1, 2, 0)
 	q3.OnMeeting(c, 0, 2, 1)
 	if got := q3.count(0, 1); got != 2 {

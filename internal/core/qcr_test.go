@@ -14,6 +14,8 @@ type fakeCache struct {
 	sticky       map[int]int
 	writeOK      bool
 	writes       [][2]int
+	freeRiders   map[int]bool // nodes that refuse to serve or carry mandates
+	dropAll      bool         // every mandate handoff is lost in flight
 }
 
 func newFakeCache(nodes, items int) *fakeCache {
@@ -43,6 +45,8 @@ func (f *fakeCache) Count(item int) int {
 	}
 	return c
 }
+func (f *fakeCache) FreeRider(n int) bool { return f.freeRiders[n] }
+func (f *fakeCache) DropMandate() bool    { return f.dropAll }
 func (f *fakeCache) Write(n, i int) bool {
 	if !f.writeOK || f.Has(n, i) {
 		return false
@@ -69,6 +73,9 @@ func TestStaticPolicyIsInert(t *testing.T) {
 	s.OnMeeting(c, 0, 1, 1.0)
 	if len(c.writes) != 0 {
 		t.Error("static policy wrote to the cache")
+	}
+	if s.OnCrash(0) != 0 || s.Counters() != (Counters{}) {
+		t.Error("static policy reports mandates")
 	}
 	if s.Name() != "static" {
 		t.Errorf("Name=%q", s.Name())
@@ -116,7 +123,7 @@ func TestOnFulfillCreatesMandatesInExpectation(t *testing.T) {
 	for k := 0; k < n; k++ {
 		q.OnFulfill(c, 0, 1, 0, 3, 0, 0)
 	}
-	got := float64(q.TotalMandates()) / n
+	got := float64(q.Counters().Pending) / n
 	if math.Abs(got-2.5) > 0.05 {
 		t.Errorf("mean mandates per fulfillment %g, want 2.5 (randomized rounding)", got)
 	}
@@ -128,8 +135,8 @@ func TestOnFulfillIntegerReactionExact(t *testing.T) {
 	q.Reaction = func(y int) float64 { return 3 }
 	q.Init(c)
 	q.OnFulfill(c, 0, 1, 0, 5, 0, 0)
-	if q.TotalMandates() != 3 {
-		t.Errorf("got %d mandates, want exactly 3", q.TotalMandates())
+	if q.Counters().Pending != 3 {
+		t.Errorf("got %d mandates, want exactly 3", q.Counters().Pending)
 	}
 }
 
@@ -143,8 +150,8 @@ func TestMeetingExecutesOneMandate(t *testing.T) {
 	if len(c.writes) != 1 || c.writes[0] != [2]int{1, 0} {
 		t.Fatalf("writes=%v, want item 0 copied to node 1", c.writes)
 	}
-	if q.TotalMandates() != 4 {
-		t.Errorf("mandates after execution: %d, want 4", q.TotalMandates())
+	if q.Counters().Pending != 4 {
+		t.Errorf("mandates after execution: %d, want 4", q.Counters().Pending)
 	}
 }
 
@@ -159,8 +166,8 @@ func TestMeetingExecutesTowardHolderlessSide(t *testing.T) {
 	if len(c.writes) != 1 || c.writes[0] != [2]int{0, 0} {
 		t.Fatalf("writes=%v, want item copied to node 0", c.writes)
 	}
-	if q.TotalMandates() != 0 {
-		t.Errorf("mandate not consumed: %d", q.TotalMandates())
+	if q.Counters().Pending != 0 {
+		t.Errorf("mandate not consumed: %d", q.Counters().Pending)
 	}
 }
 
@@ -173,8 +180,8 @@ func TestMeetingNoExecutionWithoutCopy(t *testing.T) {
 	if len(c.writes) != 0 {
 		t.Error("replica created out of thin air")
 	}
-	if q.TotalMandates() != 4 {
-		t.Errorf("mandates changed: %d", q.TotalMandates())
+	if q.Counters().Pending != 4 {
+		t.Errorf("mandates changed: %d", q.Counters().Pending)
 	}
 	// Routing: split evenly between the two nodes.
 	if q.count(0, 0) != 2 || q.count(1, 0) != 2 {
@@ -193,8 +200,8 @@ func TestMeetingBothHoldNoRewriting(t *testing.T) {
 	if len(c.writes) != 0 {
 		t.Error("wrote despite both holding")
 	}
-	if q.TotalMandates() != 4 {
-		t.Errorf("mandates consumed without rewriting: %d", q.TotalMandates())
+	if q.Counters().Pending != 4 {
+		t.Errorf("mandates consumed without rewriting: %d", q.Counters().Pending)
 	}
 }
 
@@ -207,8 +214,8 @@ func TestMeetingBothHoldWithRewriting(t *testing.T) {
 	q.Init(c)
 	q.addMandates(0, 0, 4, 0)
 	q.OnMeeting(c, 0, 1, 1)
-	if q.TotalMandates() != 3 {
-		t.Errorf("rewriting should consume one mandate: %d left", q.TotalMandates())
+	if q.Counters().Pending != 3 {
+		t.Errorf("rewriting should consume one mandate: %d left", q.Counters().Pending)
 	}
 }
 
@@ -278,8 +285,8 @@ func TestMandatesForAccounting(t *testing.T) {
 	if q.MandatesFor(0) != 3 || q.MandatesFor(1) != 4 {
 		t.Errorf("MandatesFor wrong: %d, %d", q.MandatesFor(0), q.MandatesFor(1))
 	}
-	if q.TotalMandates() != 7 {
-		t.Errorf("TotalMandates=%d", q.TotalMandates())
+	if q.Counters().Pending != 7 {
+		t.Errorf("pending mandates = %d", q.Counters().Pending)
 	}
 }
 
@@ -298,7 +305,7 @@ func TestOnFulfillIgnoresZeroAndNaN(t *testing.T) {
 	q.Reaction = func(y int) float64 { return math.NaN() }
 	q.Init(c)
 	q.OnFulfill(c, 0, 1, 0, 3, 0, 0)
-	if q.TotalMandates() != 0 {
+	if q.Counters().Pending != 0 {
 		t.Error("NaN reaction created mandates")
 	}
 }

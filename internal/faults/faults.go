@@ -230,7 +230,7 @@ func (in *Injector) TruncateMeeting() bool {
 }
 
 // DropMandate draws whether one mandate handoff loses the mandate in
-// flight. It implements the core package's Disruptor interface.
+// flight; the simulator exposes it to policies through core.Cache.
 func (in *Injector) DropMandate() bool {
 	if in.cfg.PDrop <= 0 {
 		return false

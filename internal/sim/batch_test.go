@@ -193,43 +193,3 @@ func TestBatchStepZeroAllocSteadyState(t *testing.T) {
 		})
 	}
 }
-
-// utilitySink defeats dead-code elimination in BenchmarkUtilityFor.
-var utilitySink utility.Function
-
-// BenchmarkUtilityFor quantifies the satellite's cached per-item utility
-// table: the hot path's s.utilityFor(i) is one slice load, versus the
-// per-fulfillment resolveUtility fallback chain it replaced.
-func BenchmarkUtilityFor(b *testing.B) {
-	const items = 64
-	utils := make([]utility.Function, items)
-	for i := range utils {
-		if i%2 == 0 {
-			utils[i] = utility.Step{Tau: float64(i + 1)}
-		}
-	}
-	cfg := Config{
-		Rho:       3,
-		Utility:   utility.Step{Tau: 10},
-		Utilities: utils,
-		Pop:       demand.Uniform(items, 1),
-		Policy:    core.Static{Label: "uni"},
-		NoSticky:  true,
-		Seed:      1,
-	}
-	runners, err := newRunners([]Config{cfg}, (&trace.Trace{Nodes: 8, Duration: 100}).Source())
-	if err != nil {
-		b.Fatalf("newRunners: %v", err)
-	}
-	r := runners[0]
-	b.Run("cached", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			utilitySink = r.s.utilityFor(i % items)
-		}
-	})
-	b.Run("resolve", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			utilitySink = resolveUtility(&cfg, i%items)
-		}
-	})
-}

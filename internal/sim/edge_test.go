@@ -28,6 +28,8 @@ func (r *recordingPolicy) OnFulfill(_ core.Cache, node, peer, item, queries int,
 	r.fulfills = append(r.fulfills, fulfillEvent{node, peer, item, queries, age, now})
 }
 func (r *recordingPolicy) OnMeeting(_ core.Cache, a, b int, now float64) { r.meetings++ }
+func (r *recordingPolicy) OnCrash(int) int                               { return 0 }
+func (r *recordingPolicy) Counters() core.Counters                       { return core.Counters{} }
 
 // TestQueryCounterSemantics pins down the counter definition: it counts
 // every meeting since the request was created, including the fulfilling

@@ -125,14 +125,14 @@ func TestChurnConservation(t *testing.T) {
 	if ft.MandatesDropped == 0 {
 		t.Error("no mandates dropped despite p_drop = 0.1")
 	}
-	dropped, expired, abandoned := pol.FaultCounters()
-	if ft.MandatesDropped != dropped || ft.MandatesExpired != expired || ft.MandatesAbandoned != abandoned {
+	n := pol.Counters()
+	if ft.MandatesDropped != n.Dropped || ft.MandatesExpired != n.Expired || ft.MandatesAbandoned != n.Abandoned {
 		t.Errorf("tally (%d,%d,%d) disagrees with policy counters (%d,%d,%d)",
-			ft.MandatesDropped, ft.MandatesExpired, ft.MandatesAbandoned, dropped, expired, abandoned)
+			ft.MandatesDropped, ft.MandatesExpired, ft.MandatesAbandoned, n.Dropped, n.Expired, n.Abandoned)
 	}
-	accounted := pol.TotalMandates() + pol.MandatesExecuted() + expired + abandoned + dropped + ft.MandatesCrashed
-	if accounted != pol.MandatesCreated() {
-		t.Errorf("mandate conservation violated: accounted %d, created %d", accounted, pol.MandatesCreated())
+	accounted := n.Pending + n.Executed + n.Expired + n.Abandoned + n.Dropped + ft.MandatesCrashed
+	if accounted != n.Created {
+		t.Errorf("mandate conservation violated: accounted %d, created %d", accounted, n.Created)
 	}
 }
 

@@ -44,7 +44,6 @@ import (
 	"impatience/internal/numeric"
 	"impatience/internal/rates"
 	"impatience/internal/stats"
-	"impatience/internal/utility"
 )
 
 // minWindowArrivals is the fewest probe request arrivals a window must
@@ -53,11 +52,17 @@ import (
 // happened yet".
 const minWindowArrivals = 8
 
-// Probe-set and error-controller constants.
+// Probe-set, feedback and error-controller constants.
 const (
+	// hybridBoundaryPerComm is the number of measurement probes per
+	// community (at most the whole community).
+	hybridBoundaryPerComm = 8
 	// hybridMaxBoundary caps the total probe count: the event cost
 	// scales with it, and the fluid speedup is the point.
 	hybridMaxBoundary = 512
+	// hybridFeedbackAlpha is the EWMA weight of the per-window demand
+	// estimate fed back into the fluid drift.
+	hybridFeedbackAlpha = 0.2
 	// hybridWindows is the number of controller accounting windows per
 	// run; fluid state syncs 16 times per window.
 	hybridWindows = 16
@@ -75,24 +80,14 @@ const (
 	hybridBreach = 2
 )
 
-// HybridOptions tunes the hybrid engine. The zero value of every field
-// except Enabled picks a sensible default (withDefaults); the probe cap
-// and the error controller's window, confidence, tolerance and breach
-// count are package constants.
+// HybridOptions carries what a caller sets per run. The probe set, the
+// demand feedback weight and the error controller's window, confidence,
+// tolerance and breach count are package constants.
 type HybridOptions struct {
 	// Enabled marks the options as active; RunHybrid itself ignores it
 	// (calling RunHybrid is the opt-in), but the experiment wiring uses
 	// it to choose between the hybrid and full-fidelity paths.
 	Enabled bool
-	// BoundaryPerComm is the number of measurement probes per community
-	// (default 8). 0 after defaulting disables the probe set entirely —
-	// pure fluid, no error controller.
-	BoundaryPerComm int
-	// FeedbackAlpha is the EWMA weight of the per-window demand estimate
-	// fed back into the fluid drift (default 0.2; negative disables
-	// feedback — the fluid then never learns a demand switch, which is
-	// how the demotion tests force a fallback).
-	FeedbackAlpha float64
 	// ContactSeed seeds the probe event streams, and the sharded contact
 	// source when the run falls back to full simulation.
 	ContactSeed uint64
@@ -100,19 +95,6 @@ type HybridOptions struct {
 	// burst normalization); it becomes the fluid PsiScale so fluid and
 	// event transients run on the same clock. 0 means 1.
 	ReactionScale float64
-}
-
-// withDefaults resolves zero-valued knobs.
-func (hy HybridOptions) withDefaults() HybridOptions {
-	if hy.BoundaryPerComm == 0 {
-		hy.BoundaryPerComm = 8
-	} else if hy.BoundaryPerComm < 0 {
-		hy.BoundaryPerComm = 0
-	}
-	if hy.FeedbackAlpha == 0 {
-		hy.FeedbackAlpha = 0.2
-	}
-	return hy
 }
 
 // HybridTally reports what the hybrid engine did; Result.Hybrid is nil
@@ -183,8 +165,9 @@ func hybridFallback(cfg Config, m *rates.Model, duration float64, hy HybridOptio
 // RunHybrid simulates cfg over the structured rate model m for the
 // given duration on the hybrid engine. The configuration must leave
 // Contacts nil — the engine builds its own contact process (and, on
-// fallback, the model's sharded source seeded by hy.ContactSeed). The
-// returned Result always carries a non-nil Hybrid tally.
+// fallback, the model's sharded source seeded by hy.ContactSeed) — and
+// pass the simulator's own validation. The returned Result always
+// carries a non-nil Hybrid tally.
 func RunHybrid(cfg Config, m *rates.Model, duration float64, hy HybridOptions) (*Result, error) {
 	if m == nil {
 		return nil, fmt.Errorf("%w: nil rate model", ErrHybrid)
@@ -195,33 +178,34 @@ func RunHybrid(cfg Config, m *rates.Model, duration float64, hy HybridOptions) (
 	if cfg.Contacts != nil {
 		return nil, fmt.Errorf("%w: the engine builds its own contact process; leave Contacts nil", ErrHybrid)
 	}
-	if cfg.Policy == nil {
-		return nil, fmt.Errorf("%w: nil policy", ErrHybrid)
+	// validate normalizes the warmup fraction in place; the fallback gets
+	// the caller's config, which Run validates (and normalizes) itself.
+	norm := cfg
+	if err := validate(&norm, m.Nodes()); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrHybrid, err)
 	}
-	if cfg.Utility == nil {
-		return nil, fmt.Errorf("%w: nil utility", ErrHybrid)
-	}
-	if cfg.Pop.Items() == 0 {
-		return nil, fmt.Errorf("%w: empty catalog", ErrHybrid)
-	}
-	if cfg.Rho <= 0 {
-		return nil, fmt.Errorf("%w: rho=%d", ErrHybrid, cfg.Rho)
-	}
-	if !utility.SupportsPureP2P(cfg.Utility) {
-		return nil, fmt.Errorf("%w: utility %s has unbounded h(0⁺) (pure P2P)", ErrHybrid, cfg.Utility.Name())
-	}
-	hy = hy.withDefaults()
-	if reason := hybridIneligible(&cfg, m); reason != "" {
+	if reason := hybridIneligible(&norm, m); reason != "" {
 		return hybridFallback(cfg, m, duration, hy, &HybridTally{Reason: reason})
 	}
-	return runHybridFluid(cfg, m, duration, hy)
+	h, err := newHybridRun(&norm, m, duration, hy)
+	if err != nil {
+		return nil, err
+	}
+	if err := h.drive(); err != nil {
+		return nil, err
+	}
+	if h.demoted {
+		h.tally.Demotions = 1
+		return hybridFallback(cfg, m, duration, hy, h.tally)
+	}
+	h.finish()
+	return h.res, nil
 }
 
 // hybridRun is the live state of one fluid-path run.
 type hybridRun struct {
 	cfg      *Config
 	m        *rates.Model
-	hy       HybridOptions
 	duration float64
 
 	b       meanfield.BlockSystem
@@ -272,33 +256,6 @@ type openReq struct {
 	t0   float64
 }
 
-func runHybridFluid(cfg Config, m *rates.Model, duration float64, hy HybridOptions) (*Result, error) {
-	rawWarmup := cfg.WarmupFrac
-	switch {
-	case cfg.WarmupFrac == 0:
-		cfg.WarmupFrac = 0.2
-	case cfg.WarmupFrac < 0:
-		cfg.WarmupFrac = 0
-	case cfg.WarmupFrac >= 1:
-		return nil, fmt.Errorf("%w: warmup fraction %g", ErrHybrid, cfg.WarmupFrac)
-	}
-
-	h, err := newHybridRun(&cfg, m, duration, hy)
-	if err != nil {
-		return nil, err
-	}
-	if err := h.drive(); err != nil {
-		return nil, err
-	}
-	if h.demoted {
-		cfg.WarmupFrac = rawWarmup
-		h.tally.Demotions = 1
-		return hybridFallback(cfg, m, duration, hy, h.tally)
-	}
-	h.finish()
-	return h.res, nil
-}
-
 func newHybridRun(cfg *Config, m *rates.Model, duration float64, hy HybridOptions) (*hybridRun, error) {
 	nodes := m.Nodes()
 	items := cfg.Pop.Items()
@@ -347,7 +304,7 @@ func newHybridRun(cfg *Config, m *rates.Model, duration float64, hy HybridOption
 	}
 
 	h := &hybridRun{
-		cfg: cfg, m: m, hy: hy, duration: duration,
+		cfg: cfg, m: m, duration: duration,
 		b: b, kern: b.Kernel(), xs: append([]float64(nil), x0...), belief: belief,
 		nodes: nodes, items: items, comms: comms, sizes: sizes,
 		measureStart: cfg.WarmupFrac * duration,
@@ -384,13 +341,13 @@ func newHybridRun(cfg *Config, m *rates.Model, duration float64, hy HybridOption
 		h.partnerCDF[k] = cdf
 	}
 
-	// Probe set: BoundaryPerComm per community (at most the whole
+	// Probe set: hybridBoundaryPerComm per community (at most the whole
 	// community), capped at hybridMaxBoundary by shaving the largest
 	// allocations first (deterministic).
 	per := make([]int, comms)
 	total := 0
 	for k, n := range sizes {
-		bk := min(hy.BoundaryPerComm, n)
+		bk := min(hybridBoundaryPerComm, n)
 		per[k] = bk
 		total += bk
 	}
@@ -741,8 +698,7 @@ func (h *hybridRun) flushBin(t1 float64) {
 // then the error controller on post-warmup windows.
 func (h *hybridRun) window(t0, t1 float64) {
 	winLen := t1 - t0
-	alpha := h.hy.FeedbackAlpha
-	if alpha > 0 && h.probes > 0 {
+	if h.probes > 0 {
 		// Feed probe arrivals back into the drift only when they are
 		// inconsistent with the current belief: a Poisson dispersion
 		// test over the per-item window counts. Blindly EWMA-ing every
@@ -764,7 +720,7 @@ func (h *hybridRun) window(t0, t1 float64) {
 			scale := float64(h.nodes) / float64(h.probes) / winLen
 			for i := range h.belief {
 				obs := h.winArr[i] * scale
-				h.belief[i] = (1-alpha)*h.belief[i] + alpha*obs
+				h.belief[i] = (1-hybridFeedbackAlpha)*h.belief[i] + hybridFeedbackAlpha*obs
 			}
 			h.pushBelief()
 			h.uPrev = h.kern.Welfare(h.xs) // belief moved: restart the trapezoid

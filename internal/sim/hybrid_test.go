@@ -87,24 +87,28 @@ func TestHybridRejectsBadConfig(t *testing.T) {
 	m := hybridModel(t, 200)
 	base := hybridStaticConfig(200)
 	cases := []struct {
-		name string
-		mut  func(*Config) (mo *rates.Model, dur float64)
+		name  string
+		cause string
+		mut   func(*Config) (mo *rates.Model, dur float64)
 	}{
-		{"nil-model", func(c *Config) (*rates.Model, float64) { return nil, 100 }},
-		{"zero-duration", func(c *Config) (*rates.Model, float64) { return m, 0 }},
-		{"nan-duration", func(c *Config) (*rates.Model, float64) { return m, math.NaN() }},
-		{"contacts-set", func(c *Config) (*rates.Model, float64) {
+		{"nil-model", "nil rate model", func(c *Config) (*rates.Model, float64) { return nil, 100 }},
+		{"zero-duration", "duration 0", func(c *Config) (*rates.Model, float64) { return m, 0 }},
+		{"nan-duration", "duration NaN", func(c *Config) (*rates.Model, float64) { return m, math.NaN() }},
+		{"contacts-set", "leave Contacts nil", func(c *Config) (*rates.Model, float64) {
 			src, _ := rates.NewSharded(m, 10, 1, 0)
 			c.Contacts = src
 			return m, 100
 		}},
-		{"nil-policy", func(c *Config) (*rates.Model, float64) { c.Policy = nil; return m, 100 }},
-		{"nil-utility", func(c *Config) (*rates.Model, float64) { c.Utility = nil; return m, 100 }},
-		{"empty-pop", func(c *Config) (*rates.Model, float64) { c.Pop = demand.Popularity{}; return m, 100 }},
-		{"zero-rho", func(c *Config) (*rates.Model, float64) { c.Rho = 0; return m, 100 }},
-		{"warmup-1", func(c *Config) (*rates.Model, float64) { c.WarmupFrac = 1; return m, 100 }},
-		{"short-initial", func(c *Config) (*rates.Model, float64) { c.Initial = alloc.Counts{1}; return m, 100 }},
-		{"p2p-unbounded-h0", func(c *Config) (*rates.Model, float64) {
+		{"nil-policy", "nil policy", func(c *Config) (*rates.Model, float64) { c.Policy = nil; return m, 100 }},
+		{"nil-utility", "nil utility", func(c *Config) (*rates.Model, float64) { c.Utility = nil; return m, 100 }},
+		{"empty-pop", "empty catalog", func(c *Config) (*rates.Model, float64) { c.Pop = demand.Popularity{}; return m, 100 }},
+		{"zero-rho", "ρ=0", func(c *Config) (*rates.Model, float64) { c.Rho = 0; return m, 100 }},
+		{"warmup-1", "warmup fraction 1", func(c *Config) (*rates.Model, float64) { c.WarmupFrac = 1; return m, 100 }},
+		{"short-initial", "1 initial counts for 24 items", func(c *Config) (*rates.Model, float64) {
+			c.Initial = alloc.Counts{1}
+			return m, 100
+		}},
+		{"p2p-unbounded-h0", "unbounded h(0+)", func(c *Config) (*rates.Model, float64) {
 			c.Utility = utility.NegLog{}
 			return m, 100
 		}},
@@ -113,8 +117,12 @@ func TestHybridRejectsBadConfig(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := base
 			mo, dur := tc.mut(&cfg)
-			if _, err := RunHybrid(cfg, mo, dur, HybridOptions{}); err == nil {
+			_, err := RunHybrid(cfg, mo, dur, HybridOptions{})
+			if err == nil {
 				t.Fatal("invalid hybrid config accepted")
+			}
+			if !errors.Is(err, ErrHybrid) || !strings.Contains(err.Error(), tc.cause) {
+				t.Errorf("error %q: want ErrHybrid naming %q", err, tc.cause)
 			}
 		})
 	}
@@ -270,9 +278,7 @@ func TestHybridDemotionTrigger(t *testing.T) {
 		NoSticky: true, Seed: 11,
 		DemandSwitch: &rev, DemandSwitchTime: 1200,
 	}
-	r, err := RunHybrid(cfg, m, 3000, HybridOptions{
-		ContactSeed: 7, FeedbackAlpha: -1, BoundaryPerComm: 16,
-	})
+	r, err := RunHybrid(cfg, m, 3000, HybridOptions{ContactSeed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,9 +294,7 @@ func TestHybridDemotionTrigger(t *testing.T) {
 	}
 	// Control: the same run without the switch must stay on the fluid.
 	cfg.DemandSwitch = nil
-	ok, err := RunHybrid(cfg, m, 3000, HybridOptions{
-		ContactSeed: 7, FeedbackAlpha: -1, BoundaryPerComm: 16,
-	})
+	ok, err := RunHybrid(cfg, m, 3000, HybridOptions{ContactSeed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,9 +355,39 @@ func TestHybridTallyGatesDigest(t *testing.T) {
 	}
 }
 
+// TestHybridErrIdentity: every configuration the simulator's own
+// validation rejects is rejected up front, wrapped in ErrHybrid and
+// naming its cause — including the layers (faults, adversaries,
+// dedicated servers) that would otherwise only fail inside the fallback.
 func TestHybridErrIdentity(t *testing.T) {
+	const n = 200
+	m := hybridModel(t, n)
 	if _, err := RunHybrid(hybridStaticConfig(10), nil, 10, HybridOptions{}); !errors.Is(err, ErrHybrid) {
 		t.Errorf("error %v does not wrap ErrHybrid", err)
+	}
+	cases := []struct {
+		name, cause string
+		mut         func(*Config)
+	}{
+		{"faults", "p_loss", func(c *Config) { c.Faults = &faults.Config{PLoss: 2} }},
+		{"adversary", "counter multiplier", func(c *Config) { c.Adversary = &adversary.Config{DishonestFrac: 0.2, Mult: -1} }},
+		{"server-count", "ServerCount", func(c *Config) { c.ServerCount = n }},
+		{"per-item-utilities", "per-item utilities", func(c *Config) { c.Utilities = []utility.Function{c.Utility} }},
+		{"sticky-capacity", "sticky replicas impossible", func(c *Config) { c.NoSticky = false; c.Rho = 1; c.Pop = demand.Pareto(n+1, 1, 1) }},
+		{"demand-switch", "demand switch catalog", func(c *Config) {
+			sw := demand.Pareto(3, 1, 1)
+			c.DemandSwitch = &sw
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := hybridStaticConfig(n)
+			tc.mut(&cfg)
+			_, err := RunHybrid(cfg, m, 100, HybridOptions{})
+			if !errors.Is(err, ErrHybrid) || !strings.Contains(err.Error(), tc.cause) {
+				t.Errorf("error %v: want ErrHybrid naming %q", err, tc.cause)
+			}
+		})
 	}
 }
 
@@ -366,7 +400,7 @@ func TestHybridCheckpointWindowAllocs(t *testing.T) {
 	const n, duration = 200, 800.0
 	m := hybridModel(t, n)
 	cfg, scale := hybridQCRConfig(t, n, m.MeanPairRate())
-	hy := HybridOptions{ContactSeed: 5, ReactionScale: scale}.withDefaults()
+	hy := HybridOptions{ContactSeed: 5, ReactionScale: scale}
 	h, err := newHybridRun(&cfg, m, duration, hy)
 	if err != nil {
 		t.Fatal(err)
@@ -412,7 +446,7 @@ func TestHybridBeliefPushRefreshesDrift(t *testing.T) {
 	m := hybridModel(t, n)
 	build := func() *hybridRun {
 		cfg, scale := hybridQCRConfig(t, n, m.MeanPairRate())
-		hy := HybridOptions{ContactSeed: 5, ReactionScale: scale}.withDefaults()
+		hy := HybridOptions{ContactSeed: 5, ReactionScale: scale}
 		h, err := newHybridRun(&cfg, m, duration, hy)
 		if err != nil {
 			t.Fatal(err)

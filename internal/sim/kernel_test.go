@@ -24,17 +24,16 @@ import (
 // switch.
 type opaqueUtility struct{ utility.Function }
 
-// hookedPolicy hides core.PassivePolicy, so the runner invokes every
-// (no-op) hook instead of eliding it.
+// hookedPolicy hides a policy's concrete type, so the runner does not
+// recognize a core.Static and invokes every (no-op) hook instead of
+// eliding it.
 type hookedPolicy struct{ core.Policy }
 
 // nextOnlySource hides trace.BulkSource (and every other optional
 // interface), so trace.FillBatch falls back to Next.
 type nextOnlySource struct{ trace.Source }
 
-// asReference rewires cfg onto the reference path. Only passive policies
-// are wrapped: the others already run every hook, and wrapping would hide
-// their optional interfaces (mandate counts, fault awareness).
+// asReference rewires cfg onto the reference path.
 func asReference(cfg *Config) {
 	if cfg.Utility != nil {
 		cfg.Utility = opaqueUtility{cfg.Utility}
@@ -48,9 +47,7 @@ func asReference(cfg *Config) {
 		}
 		cfg.Utilities = us
 	}
-	if core.IsPassive(cfg.Policy) {
-		cfg.Policy = hookedPolicy{cfg.Policy}
-	}
+	cfg.Policy = hookedPolicy{cfg.Policy}
 }
 
 // TestKernelReferenceEquivalence is the correctness anchor of the

@@ -135,7 +135,7 @@ type Bin struct {
 	T0, T1       float64
 	Gain         float64 // Σ h(age) over fulfillments in the bin
 	Fulfillments int
-	Mandates     int          // pending mandates at T1 (policies that expose them)
+	Mandates     int          // the policy's pending mandates at T1 (Counters().Pending)
 	Counts       alloc.Counts // replica snapshot at T1 when RecordCounts
 }
 
@@ -193,7 +193,7 @@ type Overhead struct {
 	// non-immediate fulfillments plus replicas created by the policy.
 	ContentTransfers int
 	// MandateTransfers counts mandates moved between nodes by routing
-	// (policies exposing MandatesMoved; zero otherwise).
+	// (the policy's Counters().Moved).
 	MandateTransfers int
 }
 
@@ -205,13 +205,9 @@ type state struct {
 	servers int // nodes [0, servers) have caches; == nodes in pure P2P
 	rho     int
 	rng     *rand.Rand
-	// ufns caches each item's resolved delay-utility: one slice read on
-	// the warm paths instead of re-resolving the Utilities override
-	// against the default every time. Built once at setup; the resolution
-	// rule itself lives in resolveUtility.
-	ufns []utility.Function
-	// uks is the monomorphic fast path over ufns: each item's utility
-	// resolved to a flat family-tagged kernel (see kernel.go), so the
+	// uks holds each item's delay-utility (the Utilities override, else
+	// the population default) resolved once at setup to a flat
+	// family-tagged kernel (see kernel.go), so the
 	// per-fulfillment h(age) and h(0⁺) evaluations in fulfillSide,
 	// handleArrival, crash and the horizon accounting are a tag switch
 	// instead of an interface call.
@@ -268,6 +264,15 @@ func (s *state) StickyNode(item int) int { return s.stickyN[item] }
 // the counter maintained by place/Write/crash (O(1)).
 func (s *state) Count(item int) int { return s.counts[item] }
 
+// FreeRider implements core.Cache: the adversary layer's free-rider role,
+// false when the layer is off.
+func (s *state) FreeRider(node int) bool { return s.adv != nil && s.adv.FreeRider(node) }
+
+// DropMandate implements core.Cache: one in-flight mandate-loss draw from
+// the fault injector's stream; false, drawing nothing, when the fault
+// layer is off.
+func (s *state) DropMandate() bool { return s.inj != nil && s.inj.DropMandate() }
+
 // Write implements core.Cache: random replacement over non-sticky slots.
 // During a truncated meeting the content payload cannot cross, so every
 // write fails and the driving mandate stays pending for a later retry.
@@ -277,7 +282,7 @@ func (s *state) Write(node, item int) bool {
 	if s.truncated {
 		return false
 	}
-	if s.adv != nil && s.adv.FreeRider(node) {
+	if s.FreeRider(node) {
 		s.atally.RefusedWrites++
 		return false
 	}
@@ -335,20 +340,6 @@ func (s *state) place(node, item int, sticky bool) error {
 	return fmt.Errorf("sim: node %d has no free slot for item %d", node, item)
 }
 
-// utilityFor returns item i's delay-utility from the per-item cache.
-func (s *state) utilityFor(i int) utility.Function { return s.ufns[i] }
-
-// resolveUtility is the resolution rule behind the utilityFor cache:
-// the per-item override when present, the population default otherwise.
-// Kept as a standalone function so the cache-vs-resolve micro-benchmark
-// can measure exactly what the hot path stopped paying.
-func resolveUtility(cfg *Config, i int) utility.Function {
-	if i < len(cfg.Utilities) && cfg.Utilities[i] != nil {
-		return cfg.Utilities[i]
-	}
-	return cfg.Utility
-}
-
 // slotRange returns the bounds of node's slot row in slots and stickyS;
 // the row is empty for a dedicated client.
 func (s *state) slotRange(node int) (lo, hi int) {
@@ -387,7 +378,7 @@ func (s *state) reseed(node, item int) {
 }
 
 // crash wipes a node: its whole cache (sticky replicas included), its
-// open requests, and — via core.CrashAware — any pending mandates the
+// open requests, and — via Policy.OnCrash — any pending mandates the
 // policy parked there. The accrued waiting cost of the wiped requests is
 // charged exactly like the horizon accounting for outstanding requests.
 func (s *state) crash(n int, t float64, res *Result) {
@@ -429,9 +420,7 @@ func (s *state) crash(n int, t float64, res *Result) {
 		}
 	}
 	s.reqs.Clear(n)
-	if ca, ok := s.cfg.Policy.(core.CrashAware); ok {
-		s.tally.MandatesCrashed += ca.OnCrash(n)
-	}
+	s.tally.MandatesCrashed += s.cfg.Policy.OnCrash(n)
 }
 
 // applyFault processes one churn event. Events are idempotent: a crash
@@ -474,17 +463,14 @@ type runner struct {
 	bins   []Bin
 	binIdx int
 
-	mc          mandateCounter
-	hasMandates bool
-
 	totalFulfilled, totalImmediate int // whole-run counts for overhead
 
 	duration float64
-	// passive elides the policy hooks: set when the policy declares both
-	// its hooks no-ops (core.IsPassive) and the adversary layer is off
+	// passive elides the policy hooks: set when the policy is a
+	// core.Static, whose hooks are no-ops, and the adversary layer is off
 	// (its tallies piggyback on the hook call sites). Eliding a call to a
 	// guaranteed no-op is invisible to every Result field — the kernel
-	// equivalence tests pin it against a policy that hides passivity.
+	// equivalence tests pin it against a wrapped Static.
 	passive bool
 	// hasBins gates the per-contact flushTo call: with no time series the
 	// call is a guaranteed no-op (flushTo returns immediately when
@@ -541,11 +527,13 @@ func buildRunner(cfg *Config, nodes int, duration float64) (*runner, error) {
 	for i := range s.stickyN {
 		s.stickyN[i] = -1
 	}
-	s.ufns = make([]utility.Function, items)
 	s.uks = make([]utilKernel, items)
-	for i := range s.ufns {
-		s.ufns[i] = resolveUtility(cfg, i)
-		s.uks[i] = kernelFor(s.ufns[i])
+	for i := range s.uks {
+		f := cfg.Utility
+		if i < len(cfg.Utilities) && cfg.Utilities[i] != nil {
+			f = cfg.Utilities[i]
+		}
+		s.uks[i] = kernelFor(f)
 	}
 	if err := s.initCaches(); err != nil {
 		return nil, err
@@ -591,9 +579,6 @@ func buildRunner(cfg *Config, nodes int, duration float64) (*runner, error) {
 	if s.inj != nil {
 		s.down = make([]bool, nodes)
 		fevents = s.inj.Timeline(nodes, duration)
-		if fa, ok := cfg.Policy.(core.FaultAware); ok {
-			fa.SetDisruptor(s.inj)
-		}
 	}
 
 	// Adversary layer: a nil injector keeps every misbehavior path
@@ -607,9 +592,6 @@ func buildRunner(cfg *Config, nodes int, duration float64) (*runner, error) {
 	if s.adv != nil {
 		shifts = s.adv.Schedule()
 		s.atally.DishonestNodes, s.atally.FreeRiders = s.adv.Roles()
-		if aa, ok := cfg.Policy.(core.AdversaryAware); ok {
-			aa.SetMisbehavior(s.adv)
-		}
 	}
 
 	cfg.Policy.Init(s)
@@ -657,8 +639,8 @@ func buildRunner(cfg *Config, nodes int, duration float64) (*runner, error) {
 		// batch steady state allocation-free.
 		r.bins = make([]Bin, 0, int(duration/cfg.BinWidth)+2)
 	}
-	r.mc, r.hasMandates = cfg.Policy.(mandateCounter)
-	r.passive = core.IsPassive(cfg.Policy) && s.adv == nil
+	_, static := cfg.Policy.(core.Static)
+	r.passive = static && s.adv == nil
 	r.hasBins = cfg.BinWidth > 0
 	r.next, r.ok = proc.Next()
 	return r, nil
@@ -671,22 +653,26 @@ func (r *runner) flushTo(t float64) {
 		return
 	}
 	for target := int(t / cfg.BinWidth); r.binIdx < target; {
-		if r.binIdx >= 0 && r.binIdx < len(r.bins) {
-			// Finalize the closing bin with snapshots. The snapshot copies
-			// straight from the live counters — one allocation per bin, not
-			// two through an intermediate conversion.
-			if cfg.RecordCounts {
-				c := make(alloc.Counts, len(r.s.counts))
-				copy(c, r.s.counts)
-				r.bins[r.binIdx].Counts = c
-			}
-			if r.hasMandates {
-				r.bins[r.binIdx].Mandates = r.mc.TotalMandates()
-			}
-		}
+		r.closeBin()
 		r.binIdx++
 		r.bins = append(r.bins, Bin{T0: float64(r.binIdx) * cfg.BinWidth, T1: float64(r.binIdx+1) * cfg.BinWidth})
 	}
+}
+
+// closeBin finalizes the open bin, if any, with its closing snapshots:
+// the replica counts when RecordCounts is set, and the policy's pending
+// mandates. The counts copy straight from the live counters — one
+// allocation per bin, not two through an intermediate conversion.
+func (r *runner) closeBin() {
+	if r.binIdx < 0 {
+		return
+	}
+	b := &r.bins[r.binIdx]
+	if r.cfg.RecordCounts {
+		b.Counts = make(alloc.Counts, len(r.s.counts))
+		copy(b.Counts, r.s.counts)
+	}
+	b.Mandates = r.cfg.Policy.Counters().Pending
 }
 
 // record books one fulfillment of item with the given delay (0 for an
@@ -916,15 +902,8 @@ func (r *runner) finish() (*Result, error) {
 	r.flushTo(r.duration)
 	// Finalize the last open bin and drop any bin starting at or past the
 	// end of the trace.
-	if cfg.BinWidth > 0 && r.binIdx >= 0 && r.binIdx < len(r.bins) {
-		if cfg.RecordCounts {
-			c := make(alloc.Counts, len(s.counts))
-			copy(c, s.counts)
-			r.bins[r.binIdx].Counts = c
-		}
-		if r.hasMandates {
-			r.bins[r.binIdx].Mandates = r.mc.TotalMandates()
-		}
+	if cfg.BinWidth > 0 {
+		r.closeBin()
 		for len(r.bins) > 0 && r.bins[len(r.bins)-1].T0 >= r.duration {
 			r.bins = r.bins[:len(r.bins)-1]
 		}
@@ -966,32 +945,24 @@ func (r *runner) finish() (*Result, error) {
 	}
 	res.ReplicasMade = s.writes
 	res.Bins = r.bins
+	n := cfg.Policy.Counters()
 	res.Overhead = Overhead{
 		MetadataMsgs:     2 * res.Meetings,
 		ContentTransfers: r.totalFulfilled - r.totalImmediate + s.writes,
-	}
-	if mm, ok := cfg.Policy.(interface{ MandatesMoved() int }); ok {
-		res.Overhead.MandateTransfers = mm.MandatesMoved()
+		MandateTransfers: n.Moved,
 	}
 	if s.inj != nil {
-		if fc, ok := cfg.Policy.(interface{ FaultCounters() (int, int, int) }); ok {
-			s.tally.MandatesDropped, s.tally.MandatesExpired, s.tally.MandatesAbandoned = fc.FaultCounters()
-		}
+		s.tally.MandatesDropped, s.tally.MandatesExpired, s.tally.MandatesAbandoned = n.Dropped, n.Expired, n.Abandoned
 		t := s.tally
 		res.Faults = &t
 	}
 	if s.adv != nil {
-		if hc, ok := cfg.Policy.(interface{ HardeningCounters() (int, int) }); ok {
-			s.atally.CountersCapped, s.atally.ReactionsClamped = hc.HardeningCounters()
-		}
+		s.atally.CountersCapped, s.atally.ReactionsClamped = n.Capped, n.Clamped
 		t := s.atally
 		res.Adversary = &t
 	}
 	return res, nil
 }
-
-// mandateCounter is implemented by policies that track pending mandates.
-type mandateCounter interface{ TotalMandates() int }
 
 // validate checks one configuration against the shared contact source's
 // (already checked) dimensions. It also normalizes cfg.WarmupFrac in
