@@ -3,6 +3,7 @@ package contact
 import (
 	"math"
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"impatience/internal/trace"
@@ -103,6 +104,28 @@ func TestGenerateRejectsInvalidRates(t *testing.T) {
 	}
 	if len(tr.Contacts) != 0 {
 		t.Errorf("zero matrix produced %d discrete contacts", len(tr.Contacts))
+	}
+}
+
+// TestGeneratorsRejectOverflowingTotal: finite rates whose total
+// overflows to +Inf used to pass validation. The clock then stepped by
+// ExpFloat64()/Inf = 0, so a continuous-time stream never reached its
+// duration. Every generator must refuse the matrix and name the cause.
+func TestGeneratorsRejectOverflowingTotal(t *testing.T) {
+	rm := trace.NewRateMatrix(3)
+	rm.Set(0, 1, 1e308)
+	rm.Set(0, 2, 5e307)
+	rm.Set(1, 2, 1e308)
+	errs := map[string]error{}
+	_, errs["Generate"] = Generate(rm, 100, newRNG(8))
+	_, errs["GenerateDiscrete"] = GenerateDiscrete(rm, 100, 1, newRNG(8))
+	_, errs["NewStream"] = NewStream(rm, 100, newRNG(8))
+	_, errs["NewDiscreteStream"] = NewDiscreteStream(rm, 100, 1, newRNG(8))
+	_, errs["NewReplayStream"] = NewReplayStream(rm, 100, 1, 2)
+	for name, err := range errs {
+		if err == nil || !strings.Contains(err.Error(), "overflows") {
+			t.Errorf("%s: error %v, want the overflowing total named", name, err)
+		}
 	}
 }
 

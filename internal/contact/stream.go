@@ -30,7 +30,9 @@ import (
 // intensities are modelling errors, not samplable weights) and returns
 // the total rate. The materialized generators used to trust the matrix
 // and could silently mis-sample from a non-monotonic CDF; now every
-// generator shares this gate.
+// generator shares this gate. Finite rates can still sum to +Inf, which
+// would make every clock step ExpFloat64()/Inf = 0, so a stream would
+// never pass its duration: that total is rejected too.
 func validRates(rm *trace.RateMatrix) (float64, error) {
 	var total float64
 	for i, r := range rm.Rates() {
@@ -39,6 +41,9 @@ func validRates(rm *trace.RateMatrix) (float64, error) {
 			return 0, fmt.Errorf("contact: pair (%d,%d) has invalid rate %g", a, b, r)
 		}
 		total += r
+	}
+	if math.IsInf(total, 0) {
+		return 0, fmt.Errorf("contact: total contact rate overflows float64")
 	}
 	return total, nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand/v2"
+	"strings"
 	"testing"
 )
 
@@ -62,18 +63,23 @@ func TestAliasMatchesWeights(t *testing.T) {
 
 // TestAliasRejectsBadWeights pins the error conventions: NaN entries
 // surface ErrNaN, negative/infinite entries and degenerate totals surface
-// ErrBadWeights — never a silently corrupt table.
+// ErrBadWeights — never a silently corrupt table. The overflowing total
+// is finite entry by entry; built anyway, its table never returned
+// column 1, which carries a fifth of the weight.
 func TestAliasRejectsBadWeights(t *testing.T) {
 	cases := []struct {
 		name    string
 		weights []float64
 		want    error
+		cause   string
 	}{
-		{"empty", nil, ErrBadWeights},
-		{"all-zero", []float64{0, 0, 0}, ErrBadWeights},
-		{"negative", []float64{1, -0.5, 2}, ErrBadWeights},
-		{"inf", []float64{1, math.Inf(1)}, ErrBadWeights},
-		{"nan", []float64{1, math.NaN(), 2}, ErrNaN},
+		{"empty", nil, ErrBadWeights, "empty"},
+		{"all-zero", []float64{0, 0, 0}, ErrBadWeights, "zero"},
+		{"negative", []float64{1, -0.5, 2}, ErrBadWeights, "weight 1 is -0.5"},
+		{"inf", []float64{1, math.Inf(1)}, ErrBadWeights, "weight 1 is +Inf"},
+		{"nan", []float64{1, math.NaN(), 2}, ErrNaN, "weight 1 is NaN"},
+		{"overflowing-total", []float64{1e308, 5e307, 1e308}, ErrBadWeights, "overflows"},
+		{"overflowing-equal", []float64{1e308, 1e308}, ErrBadWeights, "overflows"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -84,6 +90,9 @@ func TestAliasRejectsBadWeights(t *testing.T) {
 			if !errors.Is(err, tc.want) {
 				t.Errorf("error %v does not wrap %v", err, tc.want)
 			}
+			if !strings.Contains(err.Error(), tc.cause) {
+				t.Errorf("error %q does not name its cause %q", err, tc.cause)
+			}
 			if a != nil {
 				t.Errorf("non-nil table returned with error")
 			}
@@ -92,9 +101,9 @@ func TestAliasRejectsBadWeights(t *testing.T) {
 }
 
 // TestAliasPropertyRandomWeights fuzzes construction over random weight
-// vectors (with zeros mixed in) and checks the table is well-formed: every
-// prob in [0,1], every alias a valid positive-weight column, and
-// zero-weight columns unreachable.
+// vectors (with zeros mixed in, and every fifth vector equal-weight) and
+// checks the realized distribution: every probability in [0,1], zero
+// exactly on the zero-weight columns, which are never sampled.
 func TestAliasPropertyRandomWeights(t *testing.T) {
 	rng := aliasRNG(7)
 	for trial := 0; trial < 200; trial++ {
@@ -102,12 +111,15 @@ func TestAliasPropertyRandomWeights(t *testing.T) {
 		w := make([]float64, n)
 		positive := false
 		for i := range w {
-			if rng.Float64() < 0.3 {
+			switch {
+			case trial%5 == 0:
+				w[i] = 2.5
+			case rng.Float64() < 0.3:
 				w[i] = 0
-			} else {
+			default:
 				w[i] = rng.ExpFloat64()
-				positive = true
 			}
+			positive = positive || w[i] > 0
 		}
 		if !positive {
 			w[rng.IntN(n)] = 1
@@ -116,17 +128,15 @@ func TestAliasPropertyRandomWeights(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: NewAlias(%v): %v", trial, w, err)
 		}
-		for i := range a.prob {
-			if a.prob[i] < 0 || a.prob[i] > 1 || math.IsNaN(a.prob[i]) {
-				t.Fatalf("trial %d: prob[%d]=%g out of [0,1]", trial, i, a.prob[i])
+		if a.Len() != n {
+			t.Fatalf("trial %d: Len() = %d, want %d", trial, a.Len(), n)
+		}
+		for i, p := range a.Probabilities() {
+			if p < 0 || p > 1 || math.IsNaN(p) {
+				t.Fatalf("trial %d: P[%d]=%g out of [0,1]", trial, i, p)
 			}
-			al := int(a.alias[i])
-			if al < 0 || al >= n {
-				t.Fatalf("trial %d: alias[%d]=%d out of range", trial, i, al)
-			}
-			// A column reachable via alias must have positive weight.
-			if a.prob[i] < 1 && w[al] == 0 {
-				t.Fatalf("trial %d: alias[%d] points at zero-weight column %d", trial, i, al)
+			if (p == 0) != (w[i] == 0) {
+				t.Fatalf("trial %d: P[%d]=%g for weight %g", trial, i, p, w[i])
 			}
 		}
 		for i := 0; i < 2000; i++ {
@@ -135,6 +145,74 @@ func TestAliasPropertyRandomWeights(t *testing.T) {
 			}
 		}
 	}
+}
+
+// maxSource is a rand.Source stuck at its largest output, so Float64
+// returns its largest value, 1 − 2⁻⁵³: the top-end draw of a table.
+type maxSource struct{}
+
+func (maxSource) Uint64() uint64 { return math.MaxUint64 }
+
+// FuzzAliasEqualWeights checks that the array-free table NewAlias builds
+// for n equal weights w is the full Vose table, draw for draw: vose
+// builds the identity (prob 1, alias itself) for them, and from one seed
+// both tables return the same indices and leave the RNG in the same
+// state. Each input also takes the top-end draw, where the column index
+// is clamped to n−1. (For Go's 53-bit Float64 the product never rounds
+// up to n: n·2⁻⁵³ is more than half an ulp of n. The clamp is a guard.)
+func FuzzAliasEqualWeights(f *testing.F) {
+	f.Add(uint32(1), 1.0, uint64(1))
+	f.Add(uint32(3), 1.0, uint64(2))
+	f.Add(uint32(1_000_003), 1.0, uint64(3))
+	f.Add(uint32(7), 0.1, uint64(4))
+	f.Add(uint32(48), 3.7e-300, uint64(5))
+	f.Add(uint32(1000), 2.5e300, uint64(6))
+	f.Fuzz(func(t *testing.T, n uint32, w float64, seed uint64) {
+		n = 1 + n%(1<<20)
+		weights := make([]float64, n)
+		for i := range weights {
+			weights[i] = w
+		}
+		total, equal, err := aliasTotal(weights)
+		if err != nil {
+			t.Skip()
+		}
+		if !equal {
+			t.Fatalf("%d copies of %g not reported equal", n, w)
+		}
+		fast, err := NewAlias(weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fast.prob != nil || fast.alias != nil {
+			t.Fatalf("n=%d w=%g: equal weights built arrays", n, w)
+		}
+		full := vose(weights, total)
+		for i := range full.prob {
+			if full.prob[i] != 1 || int(full.alias[i]) != i {
+				t.Fatalf("n=%d w=%g: vose column %d is (prob %g, alias %d), want (1, %d)", n, w, i, full.prob[i], full.alias[i], i)
+			}
+		}
+		rf, rv := aliasRNG(seed), aliasRNG(seed)
+		for d := 0; d < 1000; d++ {
+			if x, y := fast.Sample(rf), full.Sample(rv); x != y {
+				t.Fatalf("n=%d w=%g seed=%d: draw %d returned %d (array-free) vs %d (full)", n, w, seed, d, x, y)
+			}
+		}
+		if rf.Uint64() != rv.Uint64() {
+			t.Fatalf("n=%d w=%g seed=%d: RNG states diverged", n, w, seed)
+		}
+		top := rand.New(maxSource{})
+		if x, y := fast.Sample(top), full.Sample(top); x != int(n)-1 || y != int(n)-1 {
+			t.Fatalf("n=%d: top-end draw returned %d (array-free) and %d (full), want %d", n, x, y, n-1)
+		}
+		fp, vp := fast.Probabilities(), full.Probabilities()
+		for i := range fp {
+			if fp[i] != vp[i] {
+				t.Fatalf("n=%d w=%g: P[%d] = %g (array-free) vs %g (full)", n, w, i, fp[i], vp[i])
+			}
+		}
+	})
 }
 
 func BenchmarkAliasSample(b *testing.B) {

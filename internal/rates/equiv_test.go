@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"impatience/internal/contact"
+	"impatience/internal/numeric"
 	"impatience/internal/stats"
 	"impatience/internal/trace"
 )
@@ -311,5 +312,94 @@ func TestGapsAreSorted(t *testing.T) {
 	}
 	if !sort.Float64sAreSorted(ts) {
 		t.Fatal("contact times not sorted")
+	}
+}
+
+// fullTable is an alias table with explicit arrays, drawn as
+// numeric.Alias.Sample draws from one.
+type fullTable struct {
+	prob  []float64
+	alias []int32
+}
+
+func (f fullTable) sample(rng *rand.Rand) int {
+	u := rng.Float64() * float64(len(f.prob))
+	i := int(u)
+	if i >= len(f.prob) {
+		i = len(f.prob) - 1
+	}
+	if u-float64(i) < f.prob[i] {
+		return i
+	}
+	return int(f.alias[i])
+}
+
+// TestSamplePairIndexExact pins samplePair's draws, index for index, to
+// the table path: a member alias table with arrays and a members[c]
+// lookup. Equal-weight communities get the Vose table of equal weights,
+// the identity (prob 1, alias itself); weighted ones keep their arrays,
+// so they are their own reference. The four models cover the offset
+// path with array-free tables (community, hub-spoke), the lookup
+// (distance kernel) and weighted tables (weighted).
+func TestSamplePairIndexExact(t *testing.T) {
+	models := equivModels(t)
+	contiguous := map[string]bool{"community": true, "hubspoke": true, "weighted": true}
+	for _, name := range []string{"community", "hubspoke", "distance", "weighted"} {
+		m := models[name]
+		t.Run(name, func(t *testing.T) {
+			gaps := false
+			for c := range m.members {
+				gaps = gaps || m.first[c] < 0
+			}
+			if gaps == contiguous[name] {
+				t.Fatalf("contiguous communities = %v, want %v", !gaps, contiguous[name])
+			}
+			member, err := m.memberAliases()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := make([]func(*rand.Rand) int, len(member))
+			for c, mem := range m.members {
+				ref[c] = member[c].Sample
+				if m.UniformWeights() {
+					id := fullTable{prob: make([]float64, len(mem)), alias: make([]int32, len(mem))}
+					for j := range mem {
+						id.prob[j], id.alias[j] = 1, int32(j)
+					}
+					ref[c] = id.sample
+				}
+			}
+			refMember := func(c int, rng *rand.Rand) int { return int(m.members[c][ref[c](rng)]) }
+			top, err := numeric.NewAlias(m.pairW)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := rand.New(rand.NewPCG(5, 17))
+			want := rand.New(rand.NewPCG(5, 17))
+			for k := 0; k < 10_000; k++ {
+				cd := m.pairC[top.Sample(got)]
+				if wcd := m.pairC[top.Sample(want)]; wcd != cd {
+					t.Fatalf("draw %d: block pairs diverged", k)
+				}
+				c, d := int(cd[0]), int(cd[1])
+				a, b := samplePair(m, member, c, d, got)
+				var ra, rb int
+				for {
+					ra, rb = refMember(c, want), refMember(d, want)
+					if ra != rb {
+						break
+					}
+				}
+				if ra > rb {
+					ra, rb = rb, ra
+				}
+				if a != ra || b != rb {
+					t.Fatalf("draw %d in block (%d,%d): samplePair = (%d,%d), table path = (%d,%d)", k, c, d, a, b, ra, rb)
+				}
+			}
+			if got.Uint64() != want.Uint64() {
+				t.Fatal("RNG states diverged")
+			}
+		})
 	}
 }

@@ -47,6 +47,11 @@ type Model struct {
 	members [][]int32 // community → member node ids, ascending
 	weight  []float64 // per-node weight; nil means uniform 1
 
+	// first[c] is community c's first member when its members are the
+	// contiguous range first[c], first[c]+1, …; −1 otherwise. Member
+	// then maps an index by offset instead of loading members[c].
+	first []int32
+
 	block  [][]float64 // C×C symmetric block rates
 	commW  []float64   // Σ_{i∈c} w_i
 	commSq []float64   // Σ_{i∈c} w_i²
@@ -149,6 +154,13 @@ func NewAssigned(comm []int32, block [][]float64, weights []float64) (*Model, er
 	for i, c := range comm {
 		m.members[c] = append(m.members[c], int32(i))
 	}
+	m.first = make([]int32, nc)
+	for c, mem := range m.members {
+		m.first[c] = -1
+		if int(mem[len(mem)-1]-mem[0]) == len(mem)-1 { // ascending, so contiguous
+			m.first[c] = mem[0]
+		}
+	}
 	for c := 0; c < nc; c++ {
 		if m.commW[c] <= 0 {
 			return nil, fmt.Errorf("%w: community %d has zero total weight", ErrModel, c)
@@ -224,7 +236,12 @@ func (m *Model) MeanPairRate() float64 {
 func (m *Model) CommunitySize(c int) int { return len(m.members[c]) }
 
 // Member returns the j-th node id of community c (ascending order).
-func (m *Model) Member(c, j int) int { return int(m.members[c][j]) }
+func (m *Model) Member(c, j int) int {
+	if f := m.first[c]; f >= 0 {
+		return int(f) + j
+	}
+	return int(m.members[c][j])
+}
 
 // BlockRate returns β_cd, the pairwise contact rate between one node of
 // community c and one node of community d (before per-node weights).

@@ -109,17 +109,16 @@ func samplePair(m *Model, member []*numeric.Alias, c, d int, rng *rand.Rand) (in
 		// both gives P{a,b} = 2·q_a·q_b / (1 − Σ q_i²) ∝ w_a·w_b — the
 		// exact within-block distribution the aggregate (CW²−CSq)/2
 		// assumes (pinned to 1e-12 by the property test).
-		mem := m.members[c]
 		for {
-			a = int(mem[member[c].Sample(rng)])
-			b = int(mem[member[c].Sample(rng)])
+			a = m.Member(c, member[c].Sample(rng))
+			b = m.Member(c, member[c].Sample(rng))
 			if a != b {
 				break
 			}
 		}
 	} else {
-		a = int(m.members[c][member[c].Sample(rng)])
-		b = int(m.members[d][member[d].Sample(rng)])
+		a = m.Member(c, member[c].Sample(rng))
+		b = m.Member(d, member[d].Sample(rng))
 	}
 	if a > b {
 		a, b = b, a
