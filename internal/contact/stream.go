@@ -51,7 +51,8 @@ func validRates(rm *trace.RateMatrix) (float64, error) {
 // Stream draws the continuous-time contact process lazily: the
 // superposition of all pairwise Poisson processes, with each event
 // assigned to a pair by one alias-method draw. State is the alias table
-// over pair intensities — ~12 bytes per pair — regardless of duration.
+// over pair intensities, regardless of duration: 12 bytes per pair, and
+// none when every pair has the same rate (NewHomogeneousStream).
 type Stream struct {
 	nodes    int
 	duration float64

@@ -9,10 +9,10 @@ import (
 
 // ErrBadWeights is returned when an alias table is built from weights that
 // are not a usable discrete distribution: a negative or infinite entry, or
-// a total weight that is zero or overflows float64. NaN entries return ErrNaN, consistent with the
-// root finders: every comparison against NaN is false, so a NaN weight
-// would otherwise slip through the small/large partition and corrupt the
-// table silently.
+// a total weight that is zero or overflows float64. NaN entries return
+// ErrNaN, consistent with the root finders: every comparison against NaN
+// is false, so a NaN weight would otherwise slip through the small/large
+// partition and corrupt the table silently.
 var ErrBadWeights = errors.New("numeric: invalid sampling weights")
 
 // Alias is a Walker/Vose alias table: O(n) construction, O(1) sampling

@@ -360,14 +360,15 @@ func TestSamplePairIndexExact(t *testing.T) {
 			}
 			ref := make([]func(*rand.Rand) int, len(member))
 			for c, mem := range m.members {
-				ref[c] = member[c].Sample
-				if m.UniformWeights() {
-					id := fullTable{prob: make([]float64, len(mem)), alias: make([]int32, len(mem))}
-					for j := range mem {
-						id.prob[j], id.alias[j] = 1, int32(j)
-					}
-					ref[c] = id.sample
+				if !m.UniformWeights() {
+					ref[c] = member[c].Sample
+					continue
 				}
+				id := fullTable{prob: make([]float64, len(mem)), alias: make([]int32, len(mem))}
+				for j := range mem {
+					id.prob[j], id.alias[j] = 1, int32(j)
+				}
+				ref[c] = id.sample
 			}
 			refMember := func(c int, rng *rand.Rand) int { return int(m.members[c][ref[c](rng)]) }
 			top, err := numeric.NewAlias(m.pairW)

@@ -6,7 +6,10 @@
 // is O(N + C²) and each contact costs O(1) draws. This replaces the
 // dense O(N²) pair alias table of internal/contact in the large-N
 // regime: at a million nodes the dense table alone would be ~6 TB, while
-// the hierarchical state stays near 40 bytes per node.
+// the hierarchical state is 8 bytes per node for uniform weights (the
+// node → community map and the member lists; member alias tables of
+// equal weights hold no arrays) and 20 bytes per node plus the caller's
+// weights for weighted models.
 //
 // The two-level decomposition is exact, not approximate: the pair rate
 // of the block model is rate(a,b) = block[c_a][c_b]·w_a·w_b, so drawing
