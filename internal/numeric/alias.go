@@ -92,10 +92,16 @@ func vose(weights []float64, total float64) *Alias {
 	n := len(weights)
 	a := &Alias{n: n, prob: make([]float64, n), alias: make([]int32, n)}
 	// Scale so the average column is exactly 1, then pair each deficient
-	// ("small") column with a surplus ("large") one.
+	// ("small") column with a surplus ("large") one. w·n can overflow
+	// where the total does not; only then is w/total·n taken, so every
+	// other table keeps its bits.
 	scaled := make([]float64, n)
 	for i, w := range weights {
-		scaled[i] = w * float64(n) / total
+		if wn := w * float64(n); !math.IsInf(wn, 0) {
+			scaled[i] = wn / total
+		} else {
+			scaled[i] = w / total * float64(n)
+		}
 	}
 	small := make([]int32, 0, n)
 	large := make([]int32, 0, n)

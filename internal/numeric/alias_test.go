@@ -272,3 +272,21 @@ func TestAliasProbabilities(t *testing.T) {
 		}
 	}
 }
+
+// TestAliasProbabilitiesNearOverflow pins the scaling of weights whose
+// product with the column count overflows although their total does not:
+// scaled as w·n/total, both large columns of [7e307, 7e307, 1] read +Inf,
+// and the table returned P = [1/3, 2/3, ~0] instead of [1/2, 1/2, ~0].
+func TestAliasProbabilitiesNearOverflow(t *testing.T) {
+	w := []float64{7e307, 7e307, 1}
+	a, err := NewAlias(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := w[0] + w[1] + w[2]
+	for i, p := range a.Probabilities() {
+		if want := w[i] / total; math.Abs(p-want) > 1e-12 {
+			t.Errorf("P[%d] = %g, want %g", i, p, want)
+		}
+	}
+}

@@ -18,18 +18,22 @@ import (
 //     from it, usually in one or two fills, and closes that tight bracket
 //     with the same Brent search on ln λ the cold solver uses: 8–10 fills
 //     of Σ x_i(λ) per re-solve at 3000 items;
-//   - each coordinate's inversion starts from its previous allocation and
-//     uses a log-space secant, which is exact in one step for power-law
-//     derivatives and needs a handful of evaluations otherwise;
+//   - each coordinate's inversion is the problem's closed-form Inverse
+//     when it has one (cmd/aged passes Table 1's ϕ⁻¹), one call per item
+//     per fill; otherwise, or when Inverse returns a non-finite value, a
+//     log-space secant from the coordinate's previous allocation, which
+//     is exact in one step for power-law derivatives and needs a handful
+//     of evaluations otherwise, with the cold inversion behind it;
 //   - the λ-independent clamp probes Deriv(Cap_i) and Deriv(tiny) are
 //     computed once per solve instead of once per fill.
 //
 // The warm path reproduces WaterFill's clamp decisions and its slack/budget
 // certification exactly; only the root-finding trajectory differs, so the
 // two solvers agree on the allocation to solver tolerance (the property
-// suite pins 1e-9). Any bracketing or convergence trouble is reported as
-// ErrWarmStart so callers can fall back to the cold solver — warm starting
-// is an optimization, never a source of silently different answers.
+// suite pins 1e-9, with and without Inverse). Any bracketing or
+// convergence trouble is reported as ErrWarmStart so callers can fall back
+// to the cold solver — warm starting is an optimization, never a source of
+// silently different answers.
 
 // WarmState carries the reusable part of a previous water-filling solution:
 // the dual level λ (the common interior marginal value of Property 1) and
@@ -128,7 +132,8 @@ func RecoverLambda(p WaterFillProblem, x []float64) (float64, error) {
 
 // warmFiller evaluates Σ x_i(λ) re-using per-coordinate state across fills:
 // the λ-independent clamp probes are computed once, and each interior
-// inversion starts from the coordinate's most recent allocation.
+// inversion the closed-form inverse does not settle starts from the
+// coordinate's most recent allocation.
 type warmFiller struct {
 	p     WaterFillProblem
 	dCap  []float64 // Deriv_i(Cap_i)
@@ -161,7 +166,8 @@ func newWarmFiller(p WaterFillProblem, prev []float64) *warmFiller {
 }
 
 // fill mirrors WaterFillProblem.fillAt's clamp logic exactly; only the
-// interior inversion differs (warm secant instead of cold bracketing).
+// interior inversion differs (closed form or warm secant instead of cold
+// bracketing).
 func (w *warmFiller) fill(lambda float64, x []float64, fillErr *error) float64 {
 	p := w.p
 	var total float64
@@ -177,19 +183,12 @@ func (w *warmFiller) fill(lambda float64, x []float64, fillErr *error) float64 {
 		} else if d0 := w.dTiny[i]; d0 <= target && !math.IsInf(d0, 1) {
 			x[i] = 0
 		} else {
-			deriv := p.derivFor(i)
-			v, err := invertWarm(deriv, target, w.guess[i], p.Caps[i])
+			v, err := w.invert(i, target)
 			if err != nil {
-				// The secant lost the root: re-solve this coordinate with
-				// the unconditionally robust cold inversion before giving
-				// up on the whole solve.
-				v, err = InvertDecreasing(deriv, target, p.Caps[i]/2)
-				if err != nil {
-					if *fillErr == nil {
-						*fillErr = err
-					}
-					v = 0
+				if *fillErr == nil {
+					*fillErr = err
 				}
+				v = 0
 			}
 			if v < 0 {
 				v = 0
@@ -205,6 +204,24 @@ func (w *warmFiller) fill(lambda float64, x []float64, fillErr *error) float64 {
 		total += x[i]
 	}
 	return total
+}
+
+// invert solves Deriv_i(v) = target for an interior coordinate: by the
+// closed-form inverse when there is one and it returns a finite value,
+// else by the warm secant, and if the secant loses the root, by the
+// unconditionally robust cold inversion before giving up on the solve.
+func (w *warmFiller) invert(i int, target float64) (float64, error) {
+	if w.p.Inverse != nil && w.p.DerivFor == nil {
+		if v := w.p.Inverse(target); !math.IsNaN(v) && !math.IsInf(v, 0) {
+			return v, nil
+		}
+	}
+	deriv := w.p.derivFor(i)
+	v, err := invertWarm(deriv, target, w.guess[i], w.p.Caps[i])
+	if err != nil {
+		v, err = InvertDecreasing(deriv, target, w.p.Caps[i]/2)
+	}
+	return v, err
 }
 
 // invertWarm solves deriv(v) = target for a strictly decreasing positive

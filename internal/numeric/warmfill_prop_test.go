@@ -1,6 +1,7 @@
 package numeric
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -13,8 +14,11 @@ const warmTol = 1e-9
 
 // randomWarmProblem draws a water-filling instance from the serving
 // regime: Pareto-ish weights over a catalog, per-item caps equal to the
-// server count, a power- or exponential-family derivative, and a budget
-// strictly inside (0, Σcaps) so the solve is non-degenerate.
+// server count, a power-, step- or exponential-family derivative, and a
+// budget strictly inside (0, Σcaps) so the solve is non-degenerate. Half
+// of the problems carry the family's closed-form inverse, so the warm
+// solve takes the path the serving solver takes; the other half exercise
+// the secant.
 func randomWarmProblem(rng *rand.Rand) WaterFillProblem {
 	n := 2 + rng.IntN(40)
 	servers := 5 + rng.IntN(200)
@@ -31,23 +35,25 @@ func randomWarmProblem(rng *rand.Rand) WaterFillProblem {
 	for i := range caps {
 		caps[i] = float64(servers)
 	}
-	var deriv func(x float64) float64
+	var deriv, inverse func(float64) float64
 	mu := 0.01 + 0.2*rng.Float64()
 	switch rng.IntN(3) {
 	case 0: // power family: Phi ∝ x^{α−2}
 		alpha := -1.5 + 2.4*rng.Float64() // α ∈ (−1.5, 0.9)
-		deriv = func(x float64) float64 {
-			return math.Pow(mu, alpha-1) * math.Gamma(2-alpha) * math.Pow(x, alpha-2)
-		}
+		c := math.Pow(mu, alpha-1) * math.Gamma(2-alpha)
+		deriv = func(x float64) float64 { return c * math.Pow(x, alpha-2) }
+		inverse = func(t float64) float64 { return math.Pow(t/c, 1/(alpha-2)) }
 	case 1: // step family: Phi = µτ e^{−µτx}
-		tau := 1 + 30*rng.Float64()
-		deriv = func(x float64) float64 { return mu * tau * math.Exp(-mu*tau*x) }
+		k := mu * (1 + 30*rng.Float64())
+		deriv = func(x float64) float64 { return k * math.Exp(-k*x) }
+		inverse = func(t float64) float64 { return (math.Log(k) - math.Log(t)) / k }
 	default: // exponential family: Phi = µν/(µx+ν)²
 		nu := 0.05 + rng.Float64()
 		deriv = func(x float64) float64 {
 			d := mu*x + nu
 			return mu * nu / (d * d)
 		}
+		inverse = func(t float64) float64 { return (math.Sqrt(mu*nu/t) - nu) / mu }
 	}
 	var effCap float64
 	for i := range caps {
@@ -56,7 +62,10 @@ func randomWarmProblem(rng *rand.Rand) WaterFillProblem {
 		}
 	}
 	budget := effCap * (0.05 + 0.9*rng.Float64())
-	return WaterFillProblem{Weights: weights, Caps: caps, Budget: budget, Deriv: deriv}
+	if rng.IntN(2) == 0 {
+		inverse = nil
+	}
+	return WaterFillProblem{Weights: weights, Caps: caps, Budget: budget, Deriv: deriv, Inverse: inverse}
 }
 
 // drift perturbs the weights the way the demand estimator does between
@@ -193,6 +202,34 @@ func TestWaterFillWarmDegenerateSingleItem(t *testing.T) {
 	p.Weights[3] = 0
 	p.Weights[9] = 1.25
 	checkAgainstCold(t, p, state)
+}
+
+// TestWaterFillWarmInverseFallback pins the fallback of a non-finite
+// Inverse: a coordinate whose closed form returns NaN or ±Inf is
+// re-inverted by the secant, so the warm solve still equals the cold one.
+func TestWaterFillWarmInverseFallback(t *testing.T) {
+	rng := rand.New(rand.NewPCG(0xfa11, 3))
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		name := fmt.Sprint(bad)
+		for trial := 0; trial < 20; trial++ {
+			p := randomWarmProblem(rng)
+			cold, err := WaterFill(p)
+			if err != nil {
+				t.Fatalf("%s trial %d cold seed solve: %v", name, trial, err)
+			}
+			lambda, err := RecoverLambda(p, cold)
+			if err != nil {
+				continue
+			}
+			calls := 0
+			p.Inverse = func(float64) float64 { calls++; return bad }
+			p.Weights = drift(rng, p.Weights)
+			checkAgainstCold(t, p, &WarmState{Lambda: lambda, X: cold})
+			if calls == 0 {
+				t.Fatalf("%s trial %d: the warm solve never called Inverse", name, trial)
+			}
+		}
+	}
 }
 
 // TestWaterFillWarmRejectsUselessState documents the fallback contract:

@@ -26,6 +26,11 @@ type WaterFillProblem struct {
 	// (per-item delay-utilities: maximize Σ w_i·G_i(x_i) with balance
 	// condition w_i·G_i'(x_i) = λ). Takes precedence over Deriv.
 	DerivFor func(i int, x float64) float64
+	// Inverse, when non-nil, is Deriv⁻¹: the x > 0 with Deriv(x) = t.
+	// Only the warm re-solve reads it, and only when DerivFor is nil; a
+	// non-finite result falls back to numeric inversion. WaterFill never
+	// reads it, so it stays the numeric reference.
+	Inverse func(t float64) float64
 }
 
 // derivFor resolves the derivative for coordinate i.

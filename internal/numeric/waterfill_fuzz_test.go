@@ -12,7 +12,9 @@ import (
 // for a zero byte, and a cap in [0, 63.75]), at most 64 of them; family
 // picks a step, exponential or power ϕ transform with its parameter drawn
 // from param; budgetFrac places the budget inside the reachable capacity.
-func fuzzProblem(items []byte, family uint8, param, budgetFrac float64) (WaterFillProblem, bool) {
+// With inverse set the problem carries the transform's closed-form
+// inverse.
+func fuzzProblem(items []byte, family uint8, param, budgetFrac float64, inverse bool) (WaterFillProblem, bool) {
 	n := min(len(items)/2, 64)
 	if n == 0 || math.IsNaN(param) || math.IsInf(param, 0) || math.IsNaN(budgetFrac) || math.IsInf(budgetFrac, 0) {
 		return WaterFillProblem{}, false
@@ -33,15 +35,21 @@ func fuzzProblem(items []byte, family uint8, param, budgetFrac float64) (WaterFi
 	case 0: // step: µτ e^{−µτx}, µτ ∈ [0.01, 6]
 		k := 0.01 + 6*frac
 		p.Deriv = func(x float64) float64 { return k * math.Exp(-k*x) }
+		p.Inverse = func(t float64) float64 { return (math.Log(k) - math.Log(t)) / k }
 	case 1: // exponential: µν/(µx+ν)², µ = 0.05, ν ∈ [0.05, 1.05]
 		nu := 0.05 + frac
 		p.Deriv = func(x float64) float64 {
 			d := 0.05*x + nu
 			return 0.05 * nu / (d * d)
 		}
+		p.Inverse = func(t float64) float64 { return (math.Sqrt(0.05*nu/t) - nu) / 0.05 }
 	default: // power: x^{α−2}, α ∈ [−1.5, 0.9]
 		e := -3.5 + 2.4*frac
 		p.Deriv = func(x float64) float64 { return math.Pow(x, e) }
+		p.Inverse = func(t float64) float64 { return math.Pow(t, 1/e) }
+	}
+	if !inverse {
+		p.Inverse = nil
 	}
 	p.Budget = effCap * math.Abs(math.Mod(budgetFrac, 1))
 	return p, true
@@ -62,13 +70,14 @@ func namedErr(err error) bool {
 // cold solve meets the budget, the box and the Property-1 balance, or
 // returns a named error; a warm solve started from the cold dual level on
 // perturbed weights equals the cold solve of the perturbed problem within
-// warmTol, or returns ErrWarmStart.
+// warmTol, or returns ErrWarmStart. Odd seeds give the problem its
+// closed-form inverse, which only the warm solve reads.
 func FuzzWaterFill(f *testing.F) {
 	f.Add([]byte{200, 40, 150, 40, 128, 40, 90, 40}, uint8(0), 0.3, 0.4, uint64(1))
 	f.Add([]byte{255, 255, 1, 255, 0, 255, 130, 1, 129, 0}, uint8(1), 0.9, 0.99, uint64(2))
 	f.Add([]byte{128, 8, 136, 16, 144, 32, 152, 64, 160, 128, 168, 255}, uint8(2), 0.5, 0.05, uint64(3))
 	f.Fuzz(func(t *testing.T, items []byte, family uint8, param, budgetFrac float64, seed uint64) {
-		p, ok := fuzzProblem(items, family, param, budgetFrac)
+		p, ok := fuzzProblem(items, family, param, budgetFrac, seed&1 == 1)
 		if !ok {
 			return
 		}

@@ -81,6 +81,7 @@ func (s *Solver) problem(pop demand.Popularity) numeric.WaterFillProblem {
 		Caps:    caps,
 		Budget:  budget,
 		Deriv:   func(x float64) float64 { return s.f.Phi(s.mu, x) },
+		Inverse: func(t float64) float64 { return s.f.PhiInv(s.mu, t) },
 	}
 }
 

@@ -9,11 +9,13 @@ import (
 	"impatience/internal/utility"
 )
 
-// countingUtility counts ϕ evaluations, the unit of water-filling work:
-// every fill of the λ search inverts ϕ once per interior item.
+// countingUtility counts ϕ and ϕ⁻¹ evaluations, the units of
+// water-filling work: the warm fill probes ϕ at each item's clamps and
+// certifies with it, and inverts ϕ once per interior item on every fill of
+// the λ search; the cold fill inverts through ϕ alone.
 type countingUtility struct {
 	utility.Function
-	calls *int
+	calls, invCalls *int
 }
 
 func (c countingUtility) Phi(mu, x float64) float64 {
@@ -21,23 +23,30 @@ func (c countingUtility) Phi(mu, x float64) float64 {
 	return c.Function.Phi(mu, x)
 }
 
+func (c countingUtility) PhiInv(mu, t float64) float64 {
+	*c.invCalls++
+	return c.Function.PhiInv(mu, t)
+}
+
 // TestSolverEvaluationBudget pins the cost of the λ search on a fixed
 // flash-crowd sequence shaped like the aged-flash benchmark: 3000 items,
 // 100 servers, ρ=10, step:10, half-life 10 s, drift threshold 0.01, and a
-// Pareto ranking rotated by 37 every 4 windows of 0.5 s. The bounds sit
-// under half of what bisecting ln λ to machine precision spends here
-// (≈140k ϕ evaluations per warm solve on average, 2.54M cold). The warm
-// pin is on the mean: the first warm solve after the cold one starts its
-// per-item inversions from cold guesses and costs about twice the rest.
+// Pareto ranking rotated by 37 every 4 windows of 0.5 s. The cold bound
+// sits under half of what bisecting ln λ to machine precision spends here
+// (2.54M ϕ evaluations). A warm solve inverts ϕ in closed form, so its ϕ
+// evaluations are the two clamp probes per item plus certification,
+// ≈6.5k, and its ϕ⁻¹ evaluations one per interior item per fill, ≈5k.
+// Both warm pins are on the mean.
 func TestSolverEvaluationBudget(t *testing.T) {
 	const (
 		items, windows = 3000, 16
 		window, drift  = 0.5, 0.01
-		maxWarm        = 60_000
+		maxWarm        = 10_000
+		maxWarmInv     = 10_000
 		maxCold        = 1_200_000
 	)
-	var calls int
-	s, err := NewSolver(countingUtility{utility.Step{Tau: 10}, &calls}, 0.05, 100, 10)
+	var calls, invCalls int
+	s, err := NewSolver(countingUtility{utility.Step{Tau: 10}, &calls, &invCalls}, 0.05, 100, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +58,7 @@ func TestSolverEvaluationBudget(t *testing.T) {
 	perm := rand.New(rand.NewPCG(1, 1^0x5eed)).Perm(items)
 	counts := make([]float64, items)
 	var solved demand.Popularity
-	var warm, cold, warmCalls int
+	var warm, cold, warmCalls, warmInvCalls int
 	for k := 0; k < windows; k++ {
 		shift := (k / 4) * 37
 		for i, r := range base.Rates {
@@ -62,16 +71,17 @@ func TestSolverEvaluationBudget(t *testing.T) {
 		if solved.Items() != 0 && demand.DriftL1(solved, cur) < drift {
 			continue
 		}
-		calls = 0
+		calls, invCalls = 0, 0
 		start := time.Now()
 		_, _, isWarm, err := s.Solve(cur)
 		if err != nil {
 			t.Fatalf("window %d: %v", k, err)
 		}
-		t.Logf("window %2d warm=%-5v ϕ evaluations %8d  %v", k, isWarm, calls, time.Since(start))
+		t.Logf("window %2d warm=%-5v ϕ evaluations %8d  ϕ⁻¹ %6d  %v", k, isWarm, calls, invCalls, time.Since(start))
 		if isWarm {
 			warm++
 			warmCalls += calls
+			warmInvCalls += invCalls
 		} else {
 			cold++
 			if calls > maxCold {
@@ -85,5 +95,8 @@ func TestSolverEvaluationBudget(t *testing.T) {
 	}
 	if mean := warmCalls / warm; mean > maxWarm {
 		t.Errorf("warm solves spent %d ϕ evaluations on average, want ≤ %d", mean, maxWarm)
+	}
+	if mean := warmInvCalls / warm; mean > maxWarmInv {
+		t.Errorf("warm solves spent %d ϕ⁻¹ evaluations on average, want ≤ %d", mean, maxWarmInv)
 	}
 }

@@ -4,9 +4,10 @@
 // A delay-utility function h(t) maps the fulfillment delay of a request to
 // the gain it produces for the network; it is monotonically non-increasing
 // (waiting longer never makes a user happier). The paper's analysis rests
-// on three derived objects, all provided here in closed form for the five
-// families of Table 1 (step, exponential decay, inverse power, negative
-// power and negative logarithm) and numerically for arbitrary functions:
+// on three derived objects, provided here, with the inverse of the third,
+// in closed form for the five families of Table 1 (step, exponential
+// decay, inverse power, negative power and negative logarithm) and
+// numerically for arbitrary functions:
 //
 //   - the differential delay-utility c, with c(t) = -h'(t) (a density plus
 //     possibly atoms where h jumps, e.g. the step function's Dirac at τ);
@@ -16,7 +17,10 @@
 //   - the transform ϕ(x) = ∫ µ t e^{-µtx} c(t) dt of Property 1, whose
 //     balance condition d_i·ϕ(x_i) = const characterizes the optimal cache
 //     allocation, and the associated reaction function ψ of Property 2,
-//     ψ(y) ∝ (S/y)·ϕ(S/y), which tunes Query Counting Replication.
+//     ψ(y) ∝ (S/y)·ϕ(S/y), which tunes Query Counting Replication;
+//   - the inverse ϕ⁻¹ (PhiInv), which turns the balance condition into
+//     the allocation x_i = ϕ⁻¹(λ/d_i) directly, so the serving solver's
+//     warm re-solve needs no per-item root search.
 package utility
 
 import (
@@ -65,6 +69,12 @@ type Function interface {
 	// for pairwise contact rate µ and (real-valued) replica count x > 0.
 	// Phi is positive and strictly decreasing in x.
 	Phi(mu, x float64) float64
+
+	// PhiInv is ϕ⁻¹: the replica count x > 0 with Phi(mu, x) = t, for
+	// t > 0 in the range of ϕ. Outside that range the result is
+	// whatever the closed form gives (possibly negative or infinite);
+	// NaN reports a failed numeric inversion.
+	PhiInv(mu, t float64) float64
 
 	// Density is the absolutely continuous part of c(t) = -h'(t).
 	Density(t float64) float64
@@ -130,6 +140,13 @@ func (s Step) Phi(mu, x float64) float64 {
 	return mu * s.Tau * math.Exp(-mu*s.Tau*x)
 }
 
+// PhiInv implements Function: x = (ln(µτ) − ln t)/(µτ). The logarithms
+// are taken separately because µτ/t overflows for tiny t.
+func (s Step) PhiInv(mu, t float64) float64 {
+	k := mu * s.Tau
+	return (math.Log(k) - math.Log(t)) / k
+}
+
 // Density implements Function: the continuous part of c is zero.
 func (s Step) Density(t float64) float64 { return 0 }
 
@@ -169,6 +186,11 @@ func (e Exponential) ExpectedGain(rate float64) float64 {
 func (e Exponential) Phi(mu, x float64) float64 {
 	d := mu*x + e.Nu
 	return mu * e.Nu / (d * d)
+}
+
+// PhiInv implements Function: x = (√(µν/t) − ν)/µ.
+func (e Exponential) PhiInv(mu, t float64) float64 {
+	return (math.Sqrt(mu*e.Nu/t) - e.Nu) / mu
 }
 
 // Density implements Function: c(t) = ν e^{−νt}.
@@ -229,6 +251,11 @@ func (p Power) Phi(mu, x float64) float64 {
 	return math.Pow(mu, p.Alpha-1) * math.Gamma(2-p.Alpha) * math.Pow(x, p.Alpha-2)
 }
 
+// PhiInv implements Function: x = (t/(µ^{α−1}Γ(2−α)))^{1/(α−2)}.
+func (p Power) PhiInv(mu, t float64) float64 {
+	return math.Pow(t/(math.Pow(mu, p.Alpha-1)*math.Gamma(2-p.Alpha)), 1/(p.Alpha-2))
+}
+
 // Density implements Function: c(t) = t^{−α}.
 func (p Power) Density(t float64) float64 { return math.Pow(t, -p.Alpha) }
 
@@ -269,6 +296,9 @@ func (NegLog) ExpectedGain(rate float64) float64 {
 
 // Phi implements Function: ϕ(x) = 1/x, independent of µ (Table 1).
 func (NegLog) Phi(mu, x float64) float64 { return 1 / x }
+
+// PhiInv implements Function: x = 1/t.
+func (NegLog) PhiInv(mu, t float64) float64 { return 1 / t }
 
 // Density implements Function: c(t) = 1/t.
 func (NegLog) Density(t float64) float64 { return 1 / t }
@@ -367,6 +397,16 @@ func (g Generic) ExpectedGain(rate float64) float64 {
 // Phi implements Function by quadrature.
 func (g Generic) Phi(mu, x float64) float64 {
 	v, err := NumericPhi(g, mu, x)
+	if err != nil {
+		return math.NaN()
+	}
+	return v
+}
+
+// PhiInv implements Function by inverting the quadrature Phi numerically;
+// NaN when the inversion fails.
+func (g Generic) PhiInv(mu, t float64) float64 {
+	v, err := numeric.InvertDecreasing(func(x float64) float64 { return g.Phi(mu, x) }, t, 1)
 	if err != nil {
 		return math.NaN()
 	}
