@@ -416,8 +416,8 @@ func runStructured(o options, u utility.Function, sc experiment.Scenario) error 
 	fmt.Printf("utility         %s\n", u.Name())
 	fmt.Printf("rate model      %s: %d nodes, %d communities, mean pair rate %.3g/min\n",
 		o.ratesSpec, rep.Nodes, rep.Communities, rep.MeanPairRate)
-	fmt.Printf("contacts        %d streamed over %.0f min, %d shards, %d rate groups\n",
-		rep.Contacts, rep.Duration, rep.Shards, rates.DefaultGroups)
+	fmt.Printf("contacts        %d streamed over %.0f min, %d shards\n",
+		rep.Contacts, rep.Duration, rep.Shards)
 	fmt.Printf("avg utility     %.6g (gain per minute)\n", rep.AvgUtility[0])
 	fmt.Printf("fulfillments    %d\n", rep.Fulfillments)
 	fmt.Printf("peak heap       %.1f MB (O(N + C²) state; a dense rate matrix alone would be %.1f MB)\n",

@@ -41,10 +41,10 @@ type Scenario struct {
 	// are pure functions of (Seed, trial) — see internal/parallel.
 	Workers int
 	// Shards partitions each trial's lockstep batch across a worker set
-	// (sim.RunBatchSharded): the shared contact stream is produced once
-	// and every worker steps the scheme runners it owns. ≤ 1 runs the
-	// serial executor. Results are bit-identical at every shard count,
-	// so Shards is purely a throughput knob — unlike Workers it
+	// (sim.RunBatchSharded): one producer draws the shared contact stream
+	// serially and every worker steps the scheme runners it owns. ≤ 1
+	// runs the serial executor. Results are bit-identical at every shard
+	// count, so Shards is purely a throughput knob — unlike Workers it
 	// parallelizes within a trial, which is what the million-node runs
 	// (one trial, many schemes) need.
 	Shards int

@@ -16,13 +16,13 @@ import (
 // paths: the per-trial O(N²) empirical-rate pass is skipped entirely
 // (the ψ plug-in rate comes from the model's MeanPairRate, and OPT —
 // the only scheme that consumes a rate matrix — is rejected), and the
-// contact source is the group-decomposed sampler, so generation itself
-// partitions across shards. Peak state is O(N + C²) end to end, which
-// is what admits the N = 10⁶ rung of the scale ladder.
+// contact source is the model's two-level sampler (rates.ShardedSource)
+// rather than a dense alias table. Peak state is O(N + C²) end to end,
+// which is what admits the N = 10⁶ rung of the scale ladder.
 
 // StructuredSources adapts a structured rate model to the SourceGen
 // seam: each trial streams the model's contact process through the
-// group-decomposed (Partitionable) sampler with the trial's seed.
+// structured sampler with the trial's seed and DefaultGroups groups.
 func (sc Scenario) StructuredSources(m *rates.Model) SourceGen {
 	return func(seed uint64) (trace.Source, error) {
 		return rates.NewSharded(m, sc.Duration, seed, 0)
@@ -149,10 +149,9 @@ type StructuredReport struct {
 }
 
 // StructuredScale runs one trial of the given schemes over the model on
-// the sharded executor (sc.Shards) and meters it. The contact stream is
-// counted and heap-sampled through the metering wrapper, which costs the
-// producer the Partitionable fast path for generation — the sim worker
-// fan-out, which dominates, still applies.
+// the sharded executor (sc.Shards) and meters it: the contact stream is
+// counted and heap-sampled through the metering wrapper, on the same
+// serial producer path RunStructuredComparison takes.
 func (sc Scenario) StructuredScale(u utility.Function, m *rates.Model, schemes []string, trial uint64) (*StructuredReport, error) {
 	if err := checkStructuredSchemes(schemes); err != nil {
 		return nil, err

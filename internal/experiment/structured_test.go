@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -124,21 +125,34 @@ func TestStructuredScaleReport(t *testing.T) {
 }
 
 // TestStructuredComparison: the trial engine runs over the structured
-// source generator and aggregates like any other comparison.
+// source generator and aggregates like any other comparison, and the
+// aggregate is identical at shard counts 1, 2 and 4 — this path hands
+// the raw structured sampler to the executor, unlike StructuredScale's
+// metering wrapper.
 func TestStructuredComparison(t *testing.T) {
 	sc, m := structuredTiny(t)
-	sc.Shards = 2
 	schemes := []string{SchemeQCR, SchemeUNI}
-	cmp, err := sc.RunStructuredComparison(utility.Step{Tau: 10}, m, schemes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range schemes {
-		if cmp.Utility[s].N != sc.Trials {
-			t.Errorf("%s trials %d, want %d", s, cmp.Utility[s].N, sc.Trials)
+	var base *Comparison
+	for _, shards := range []int{1, 2, 4} {
+		sc.Shards = shards
+		cmp, err := sc.RunStructuredComparison(utility.Step{Tau: 10}, m, schemes)
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		if cmp.Utility[s].Mean <= 0 {
-			t.Errorf("%s mean utility %g", s, cmp.Utility[s].Mean)
+		if base == nil {
+			base = cmp
+			for _, s := range schemes {
+				if cmp.Utility[s].N != sc.Trials {
+					t.Errorf("%s trials %d, want %d", s, cmp.Utility[s].N, sc.Trials)
+				}
+				if cmp.Utility[s].Mean <= 0 {
+					t.Errorf("%s mean utility %g", s, cmp.Utility[s].Mean)
+				}
+			}
+			continue
+		}
+		if !reflect.DeepEqual(cmp, base) {
+			t.Errorf("shards=%d: comparison %+v differs from shards=1 %+v", shards, cmp, base)
 		}
 	}
 }

@@ -41,12 +41,8 @@ func TestSetupAllocLinear(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		src, err := NewSharded(m, 1000, 1, 0)
-		if err != nil {
+		if _, err := NewSharded(m, 1000, 1, 0); err != nil {
 			t.Fatal(err)
-		}
-		if _, ok := src.Partition(4); !ok {
-			t.Fatal("partition refused")
 		}
 	})
 	if budget := uint64(nodes*perNodeBudget + slack); got > budget {
@@ -70,13 +66,13 @@ func TestSetupAllocLinear(t *testing.T) {
 }
 
 // TestSourceNextZeroAlloc pins the O(1) per-contact claim: draining the
-// hierarchical sampler allocates nothing after construction.
+// single-group sampler allocates nothing after construction.
 func TestSourceNextZeroAlloc(t *testing.T) {
 	m, err := NewCommunity(CommunityConfig{Nodes: 1000, Communities: 8, In: 0.2, Out: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := NewSource(m, 10, 3)
+	src, err := NewSharded(m, 10, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,6 +80,6 @@ func TestSourceNextZeroAlloc(t *testing.T) {
 		src.Next()
 	})
 	if avg != 0 {
-		t.Errorf("Source.Next allocates %.2f objects per contact, want 0", avg)
+		t.Errorf("ShardedSource.Next allocates %.2f objects per contact, want 0", avg)
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 // TestShardedNextBatchMatchesNext: the bulk seam over the group-merged
 // structured source must reproduce the scalar Next sequence exactly —
-// same lazy construction, same heap pops, same contacts — for random
+// same heap pops, same contacts — for random
 // community shapes, group counts and batch sizes, including interleaved
 // scalar draws mid-stream.
 func TestShardedNextBatchMatchesNext(t *testing.T) {
@@ -74,26 +74,5 @@ func TestShardedNextBatchMatchesNext(t *testing.T) {
 					trial, nodes, groups, batch, i, got[i], want[i])
 			}
 		}
-	}
-}
-
-// TestShardedNextBatchAfterPartition pins the drained-receiver contract:
-// once Partition hands the groups out, the receiver's bulk path — like
-// its scalar path — reports exhaustion rather than replaying.
-func TestShardedNextBatchAfterPartition(t *testing.T) {
-	m, err := NewCommunity(CommunityConfig{Nodes: 12, Communities: 3, In: 0.1, Out: 0.01})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewSharded(m, 50, 7, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.Partition(4); !ok {
-		t.Fatal("Partition refused on a fresh source")
-	}
-	buf := make([]trace.Contact, 16)
-	if n := s.NextBatch(buf); n != 0 {
-		t.Fatalf("NextBatch on a partitioned-away source filled %d contacts, want 0", n)
 	}
 }

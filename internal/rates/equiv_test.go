@@ -11,8 +11,9 @@ import (
 	"impatience/internal/trace"
 )
 
-// The statistical-equivalence suite: the hierarchical two-level samplers
-// (Source and ShardedSource) must be indistinguishable from the dense
+// The statistical-equivalence suite: the two-level structured sampler
+// (ShardedSource, with one group and with DefaultGroups) must be
+// indistinguishable from the dense
 // alias sampler (contact.NewStream over DenseRates) on the same rate
 // matrix. Gates are deliberately loose (α = 0.001 with fixed seeds) so
 // they only fire on real distributional defects, not sampling noise.
@@ -72,9 +73,10 @@ func pairCounts(t *testing.T, src trace.Source, nodes int) []float64 {
 	return counts
 }
 
-// TestPairMarginalChiSquare runs both chi-square gates per model: each
-// hierarchical sampler against the analytic pair distribution (GOF), and
-// hierarchical vs dense head-to-head (two-sample homogeneity). The
+// TestPairMarginalChiSquare runs both chi-square gates per model: the
+// structured sampler at one group and at DefaultGroups against the
+// analytic pair distribution (GOF), and each against the dense sampler
+// head-to-head (two-sample homogeneity). The
 // dense sampler also passes its own GOF gate, pinning that the reference
 // itself is sound.
 func TestPairMarginalChiSquare(t *testing.T) {
@@ -93,7 +95,7 @@ func TestPairMarginalChiSquare(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			hier, err := NewSource(m, duration, 11)
+			single, err := NewSharded(m, duration, 11, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,7 +105,7 @@ func TestPairMarginalChiSquare(t *testing.T) {
 			}
 
 			denseCounts := pairCounts(t, dense, m.Nodes())
-			hierCounts := pairCounts(t, hier, m.Nodes())
+			singleCounts := pairCounts(t, single, m.Nodes())
 			shardCounts := pairCounts(t, sharded, m.Nodes())
 
 			sum := func(cs []float64) float64 {
@@ -122,7 +124,7 @@ func TestPairMarginalChiSquare(t *testing.T) {
 				return exp
 			}
 			for sampler, counts := range map[string][]float64{
-				"dense": denseCounts, "hierarchical": hierCounts, "sharded": shardCounts,
+				"dense": denseCounts, "single-group": singleCounts, "sharded": shardCounts,
 			} {
 				stat, df, err := stats.ChiSquareGOF(counts, expected(sum(counts)))
 				if err != nil {
@@ -134,7 +136,7 @@ func TestPairMarginalChiSquare(t *testing.T) {
 				}
 			}
 			for sampler, counts := range map[string][]float64{
-				"hierarchical": hierCounts, "sharded": shardCounts,
+				"single-group": singleCounts, "sharded": shardCounts,
 			} {
 				stat, df, err := stats.ChiSquareTwoSample(counts, denseCounts)
 				if err != nil {
@@ -206,7 +208,7 @@ func TestInterContactKS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hier, err := NewSource(m, duration, 17)
+	single, err := NewSharded(m, duration, 17, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +217,7 @@ func TestInterContactKS(t *testing.T) {
 		t.Fatal(err)
 	}
 	for sampler, src := range map[string]trace.Source{
-		"dense": dense, "hierarchical": hier, "sharded": sharded,
+		"dense": dense, "single-group": single, "sharded": sharded,
 	} {
 		gs := collect(src)
 		// Subsample the global gaps: KSCritical's finite-n threshold at
@@ -247,12 +249,12 @@ func TestInterContactKS(t *testing.T) {
 	}
 }
 
-// TestSourceStreamContract checks the trace.Source contract mechanics on
-// every structured sampler: time-ordered, within duration, valid
+// TestSourceStreamContract checks the trace.Source contract mechanics of
+// the single-group sampler on every structured model: time-ordered, within duration, valid
 // endpoints, and a sorted A < B convention; plus Reopen bit-equality.
 func TestSourceStreamContract(t *testing.T) {
 	for name, m := range equivModels(t) {
-		src, err := NewSource(m, 200, 5)
+		src, err := NewSharded(m, 200, 5, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -298,7 +300,7 @@ func TestGapsAreSorted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := NewSource(m, 500, 23)
+	src, err := NewSharded(m, 500, 23, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -199,11 +199,15 @@ func TestTwoLevelProbabilityProperty(t *testing.T) {
 	const configs = 500
 	for cfg := 0; cfg < configs; cfg++ {
 		m := randomCommunityModel(rng)
-		src, err := NewSource(m, 100, 1)
+		src, err := NewSharded(m, 100, 1, 1)
 		if err != nil {
 			t.Fatalf("config %d: %v", cfg, err)
 		}
-		topP := src.top.Probabilities()
+		g, err := src.group(0) // the one group owns every block pair, in order
+		if err != nil {
+			t.Fatalf("config %d: %v", cfg, err)
+		}
+		topP := g.top.Probabilities()
 		memP := make([][]float64, len(m.members))
 		rejNorm := make([]float64, len(m.members)) // 1 − Σ q_i² per community
 		for c := range m.members {

@@ -10,21 +10,19 @@ import (
 )
 
 // DefaultGroups is the number of independent block-group sub-streams a
-// ShardedSource decomposes into. The group count — not the shard count —
-// defines the canonical contact sequence, so it must stay fixed while
-// shards vary; 32 groups keep the serial merge heap shallow (5
-// comparisons per contact) while leaving enough parallel slack for any
-// realistic core count.
+// ShardedSource decomposes into. The group count is part of the model's
+// canonical contact sequence, so it must stay fixed across runs that
+// compare digests; 32 groups keep the merge heap shallow (5 comparisons
+// per contact).
 const DefaultGroups = 32
 
 // groupSource streams the sub-process of the block pairs assigned to one
 // group (block pair k belongs to group k mod groups): a Poisson clock at
-// the group's aggregate rate plus the same two-level endpoint draw as
-// Source, with an RNG derived from the parent seed by the group's fixed
-// SplitMix64 sub-stream. Distinct groups are independent by
-// construction, so any time-ordered merge of all groups reproduces one
-// well-defined contact process regardless of how the groups are batched
-// onto shards.
+// the group's aggregate rate, the block pair from one draw of the
+// group's top table, and the endpoints from samplePair, with an RNG
+// derived from the parent seed by the group's fixed SplitMix64
+// sub-stream. Distinct groups are independent by construction, so their
+// time-ordered merge is the superposed contact process.
 type groupSource struct {
 	m        *Model
 	member   []*numeric.Alias
@@ -36,9 +34,6 @@ type groupSource struct {
 	t        float64
 	done     bool
 }
-
-func (g *groupSource) Nodes() int        { return g.m.nodes }
-func (g *groupSource) Duration() float64 { return g.duration }
 
 func (g *groupSource) Next() (trace.Contact, bool) {
 	if g.done {
@@ -56,8 +51,7 @@ func (g *groupSource) Next() (trace.Contact, bool) {
 
 // contactLess is the canonical merge order: time, then endpoints
 // lexicographically. A contact is exactly its key, so two contacts that
-// compare equal are interchangeable — which is why the merged sequence
-// is invariant to how the group sources are partitioned.
+// compare equal are interchangeable.
 func contactLess(x, y trace.Contact) bool {
 	if x.T != y.T {
 		return x.T < y.T
@@ -68,20 +62,18 @@ func contactLess(x, y trace.Contact) bool {
 	return x.B < y.B
 }
 
-// merged is a k-way merge of independent, individually ordered contact
-// sources, ordered by contactLess. It implements trace.Source; each Next
-// is one heap pop plus one refill (O(log k)).
+// merged is a k-way merge of the individually ordered group streams,
+// ordered by contactLess. Each Next is one heap pop plus one refill
+// (O(log k)).
 type merged struct {
-	nodes    int
-	duration float64
-	srcs     []trace.Source
-	heads    []trace.Contact // binary min-heap, parallel to srcs
+	srcs  []*groupSource
+	heads []trace.Contact // binary min-heap, parallel to srcs
 }
 
 // newMerged primes the heap with each source's first contact; exhausted
 // sources drop out immediately.
-func newMerged(nodes int, duration float64, srcs []trace.Source) *merged {
-	mg := &merged{nodes: nodes, duration: duration}
+func newMerged(srcs []*groupSource) *merged {
+	mg := &merged{}
 	for _, s := range srcs {
 		if c, ok := s.Next(); ok {
 			mg.srcs = append(mg.srcs, s)
@@ -93,9 +85,6 @@ func newMerged(nodes int, duration float64, srcs []trace.Source) *merged {
 	}
 	return mg
 }
-
-func (mg *merged) Nodes() int        { return mg.nodes }
-func (mg *merged) Duration() float64 { return mg.duration }
 
 func (mg *merged) Next() (trace.Contact, bool) {
 	if len(mg.heads) == 0 {
@@ -113,23 +102,6 @@ func (mg *merged) Next() (trace.Contact, bool) {
 		mg.siftDown(0)
 	}
 	return c, true
-}
-
-// NextBatch implements trace.BulkSource by repeated concrete Next calls:
-// the heap pops happen in the identical order, so the merged sequence is
-// unchanged — the bulk seam only removes the per-contact interface
-// dispatch between the executor and the merge.
-func (mg *merged) NextBatch(buf []trace.Contact) int {
-	n := 0
-	for n < len(buf) {
-		c, ok := mg.Next()
-		if !ok {
-			break
-		}
-		buf[n] = c
-		n++
-	}
-	return n
 }
 
 func (mg *merged) siftDown(i int) {
@@ -152,13 +124,12 @@ func (mg *merged) siftDown(i int) {
 	}
 }
 
-// ShardedSource streams the same structured contact process as a merge
-// of `groups` independent block-group sub-streams, each with its own
-// SplitMix64-derived RNG. Because the groups — not the shards — carry
-// the randomness, the sequence is bit-identical however the groups are
-// batched: drained serially through Next, or split across workers with
-// Partition and re-merged by (T, A, B). It implements trace.Source,
-// trace.Reopenable, and trace.Partitionable.
+// ShardedSource streams a structured model's contact process with
+// two-level alias sampling, as a merge of `groups` independent
+// block-group sub-streams (see groupSource), each with its own
+// SplitMix64-derived RNG. Setup is O(N + C²) and each contact is O(1)
+// expected work plus an O(log groups) heap step. It implements
+// trace.Source, trace.BulkSource and trace.Reopenable.
 type ShardedSource struct {
 	m        *Model
 	duration float64
@@ -166,7 +137,6 @@ type ShardedSource struct {
 	groups   int
 	member   []*numeric.Alias
 	mg       *merged
-	started  bool
 }
 
 // NewSharded builds the group-decomposed sampler. groups ≤ 0 selects
@@ -189,14 +159,16 @@ func NewSharded(m *Model, duration float64, seed uint64, groups int) (*ShardedSo
 	if err != nil {
 		return nil, err
 	}
-	return &ShardedSource{m: m, duration: duration, seed: seed, groups: groups, member: member}, nil
+	s := &ShardedSource{m: m, duration: duration, seed: seed, groups: groups, member: member}
+	srcs := make([]*groupSource, groups)
+	for g := range srcs {
+		if srcs[g], err = s.group(g); err != nil {
+			return nil, err
+		}
+	}
+	s.mg = newMerged(srcs)
+	return s, nil
 }
-
-// Groups returns the effective group count.
-func (s *ShardedSource) Groups() int { return s.groups }
-
-// Model returns the rate model the source samples from.
-func (s *ShardedSource) Model() *Model { return s.m }
 
 // Nodes implements trace.Source.
 func (s *ShardedSource) Nodes() int { return s.m.nodes }
@@ -226,57 +198,26 @@ func (s *ShardedSource) group(g int) (*groupSource, error) {
 	return gs, nil
 }
 
-// buildAll constructs every group sub-stream.
-func (s *ShardedSource) buildAll() ([]trace.Source, error) {
-	out := make([]trace.Source, s.groups)
-	for g := 0; g < s.groups; g++ {
-		gs, err := s.group(g)
-		if err != nil {
-			return nil, err
-		}
-		out[g] = gs
-	}
-	return out, nil
-}
+// Next implements trace.Source: the next contact of the merge. Zero
+// allocations.
+func (s *ShardedSource) Next() (trace.Contact, bool) { return s.mg.Next() }
 
-// Next implements trace.Source by lazily merging all groups in-process.
-func (s *ShardedSource) Next() (trace.Contact, bool) {
-	if s.mg == nil {
-		if s.started {
-			return trace.Contact{}, false // partitioned away: receiver is drained
-		}
-		srcs, err := s.buildAll()
-		if err != nil {
-			// Construction validated everything that can fail here; treat
-			// an impossible failure as an empty stream rather than panic.
-			s.started = true
-			return trace.Contact{}, false
-		}
-		s.mg = newMerged(s.m.nodes, s.duration, srcs)
-		s.started = true
-	}
-	return s.mg.Next()
-}
-
-// NextBatch implements trace.BulkSource: it lazily builds the in-process
-// merge exactly like Next, then bulk-fills from it. The group draws and
-// the (T, A, B) merge order are identical to the per-contact path —
-// NextBatch(buf) followed by Next() resumes mid-stream seamlessly.
+// NextBatch implements trace.BulkSource by repeated concrete Next calls:
+// the heap pops happen in the identical order, so NextBatch(buf)
+// followed by Next() resumes mid-stream seamlessly — the bulk seam only
+// removes the per-contact interface dispatch between the executor and
+// the merge.
 func (s *ShardedSource) NextBatch(buf []trace.Contact) int {
-	if s.mg == nil {
-		if s.started {
-			return 0 // partitioned away: receiver is drained
+	n := 0
+	for n < len(buf) {
+		c, ok := s.mg.Next()
+		if !ok {
+			break
 		}
-		srcs, err := s.buildAll()
-		if err != nil {
-			// Same impossible-failure stance as Next: an empty stream.
-			s.started = true
-			return 0
-		}
-		s.mg = newMerged(s.m.nodes, s.duration, srcs)
-		s.started = true
+		buf[n] = c
+		n++
 	}
-	return s.mg.NextBatch(buf)
+	return n
 }
 
 // Reopen implements trace.Reopenable.
@@ -284,31 +225,32 @@ func (s *ShardedSource) Reopen() (trace.Source, error) {
 	return NewSharded(s.m, s.duration, s.seed, s.groups)
 }
 
-// Partition implements trace.Partitionable: it deals the group
-// sub-streams round-robin into at most max individually ordered sources
-// (each itself a merge of its groups) and reports false once the
-// receiver has started streaming — a partially drained source cannot
-// split without replaying. After a successful Partition the receiver is
-// drained; the handed-out sources own the process.
-func (s *ShardedSource) Partition(max int) ([]trace.Source, bool) {
-	if s.started || max < 1 {
-		return nil, false
+// samplePair draws the endpoints of one contact in block pair (c, d),
+// returned with A < B per the digest-stable ordering convention.
+func samplePair(m *Model, member []*numeric.Alias, c, d int, rng *rand.Rand) (int, int) {
+	var a, b int
+	if c == d {
+		// Reject and redraw the WHOLE pair on a == b: redrawing only the
+		// second endpoint would distribute pairs as q_a·q_b/(1−q_a),
+		// which is weight-bilinear only for uniform weights. Redrawing
+		// both gives P{a,b} = 2·q_a·q_b / (1 − Σ q_i²) ∝ w_a·w_b — the
+		// exact within-block distribution the aggregate (CW²−CSq)/2
+		// assumes (pinned to 1e-12 by the property test). It terminates
+		// with probability one because zero-aggregate blocks (fewer than
+		// two positive-weight members) never enter a top table.
+		for {
+			a = m.Member(c, member[c].Sample(rng))
+			b = m.Member(c, member[c].Sample(rng))
+			if a != b {
+				break
+			}
+		}
+	} else {
+		a = m.Member(c, member[c].Sample(rng))
+		b = m.Member(d, member[d].Sample(rng))
 	}
-	if max > s.groups {
-		max = s.groups
+	if a > b {
+		a, b = b, a
 	}
-	all, err := s.buildAll()
-	if err != nil {
-		return nil, false
-	}
-	buckets := make([][]trace.Source, max)
-	for g, src := range all {
-		buckets[g%max] = append(buckets[g%max], src)
-	}
-	out := make([]trace.Source, max)
-	for i, b := range buckets {
-		out[i] = newMerged(s.m.nodes, s.duration, b)
-	}
-	s.started = true
-	return out, true
+	return a, b
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
-	"runtime"
 	"testing"
 
 	"impatience/internal/trace"
@@ -52,103 +51,6 @@ func shardedModels(t *testing.T) map[string]*Model {
 	return map[string]*Model{"community": community, "hubspoke": hub, "distance": dist}
 }
 
-// TestShardCountInvariance is the core determinism claim: the contact
-// sequence of a ShardedSource is bit-identical whether drained serially
-// or partitioned into any number of shards and re-merged by (T, A, B).
-// Shard counts cover {1, 2, 4, NumCPU} plus a deliberately awkward 3.
-func TestShardCountInvariance(t *testing.T) {
-	for name, m := range shardedModels(t) {
-		t.Run(name, func(t *testing.T) {
-			serial, err := NewSharded(m, 400, 97, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			refDigest, refN := contactDigest(serial)
-			if refN == 0 {
-				t.Fatal("empty reference stream")
-			}
-			shardCounts := []int{1, 2, 3, 4, runtime.NumCPU()}
-			for _, k := range shardCounts {
-				src, err := NewSharded(m, 400, 97, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				parts, ok := src.Partition(k)
-				if !ok {
-					t.Fatalf("shards=%d: Partition refused on a fresh source", k)
-				}
-				if len(parts) < 1 || len(parts) > k {
-					t.Fatalf("shards=%d: got %d parts", k, len(parts))
-				}
-				// Each partition must itself be time-ordered; their merge
-				// must reproduce the serial sequence exactly.
-				d, n := contactDigest(newMerged(m.Nodes(), 400, parts))
-				if n != refN || d != refDigest {
-					t.Errorf("shards=%d: digest %016x (n=%d), serial %016x (n=%d)", k, d, n, refDigest, refN)
-				}
-				// The partitioned-away receiver is drained.
-				if _, ok := src.Next(); ok {
-					t.Errorf("shards=%d: receiver still streams after Partition", k)
-				}
-			}
-		})
-	}
-}
-
-// TestPartitionSemantics pins the Partitionable contract edges: a
-// started source refuses to split, max below 1 refuses, Reopen restores
-// partitionability, and partitions are individually ordered.
-func TestPartitionSemantics(t *testing.T) {
-	m, err := NewCommunity(CommunityConfig{Nodes: 30, Communities: 3, In: 0.5, Out: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := NewSharded(m, 100, 7, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := src.Partition(0); ok {
-		t.Error("Partition(0) accepted")
-	}
-	if _, err := src.Next(); err != true {
-		t.Fatal("source unexpectedly empty")
-	}
-	if _, ok := src.Partition(2); ok {
-		t.Error("Partition accepted on a started source")
-	}
-	re, err := src.Reopen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts, ok := re.(trace.Partitionable).Partition(4)
-	if !ok {
-		t.Fatal("reopened source refused to partition")
-	}
-	for i, p := range parts {
-		prev := math.Inf(-1)
-		for {
-			c, ok := p.Next()
-			if !ok {
-				break
-			}
-			if c.T < prev {
-				t.Fatalf("partition %d out of order: %g after %g", i, c.T, prev)
-			}
-			prev = c.T
-		}
-	}
-	// A partition wider than the group count collapses to one source per
-	// group.
-	re2, _ := src.Reopen()
-	parts2, ok := re2.(trace.Partitionable).Partition(10_000)
-	if !ok {
-		t.Fatal("wide partition refused")
-	}
-	if len(parts2) != re2.(*ShardedSource).Groups() {
-		t.Fatalf("wide partition gave %d parts, want %d (one per group)", len(parts2), re2.(*ShardedSource).Groups())
-	}
-}
-
 // TestShardedGoldenDigests pins the structured-rate contact streams
 // bit-for-bit: any change to the samplers' RNG consumption, merge order,
 // group assignment, or alias construction shows up here before it can
@@ -177,8 +79,8 @@ func TestShardedGoldenDigests(t *testing.T) {
 	}
 }
 
-// TestGroupCountChangesStream documents that the group count — unlike
-// the shard count — is part of the stream's identity: different group
+// TestGroupCountChangesStream documents that the group count is part of
+// the stream's identity: different group
 // counts give different (equally valid) sequences, which is why
 // DefaultGroups must stay fixed across comparison runs.
 func TestGroupCountChangesStream(t *testing.T) {

@@ -40,11 +40,9 @@ func (e shardError) before(o shardError) bool {
 	return e.class < o.class
 }
 
-// RunBatchSharded is RunBatch partitioned across a worker set: the
-// shared contact stream is produced (and, for trace.Partitionable
-// sources such as the structured rate models, generated in parallel
-// sub-streams and re-merged in (T, A, B) order) on a producer pipeline,
-// broadcast in chunks, and each worker steps the runners it owns —
+// RunBatchSharded is RunBatch partitioned across a worker set: one
+// producer goroutine drains and validates the shared contact stream,
+// broadcasts it in chunks, and each worker steps the runners it owns —
 // config i belongs to worker i mod W. Because every runner's state and
 // RNG streams are private and each consumes the identical validated
 // contact sequence, Results[i] is bit-identical to RunBatch's — and
@@ -73,9 +71,9 @@ func RunBatchSharded(cfgs []Config, contacts trace.Source, shards int) ([]*Resul
 		feeds[w] = make(chan shardChunk, 4)
 	}
 
-	// Producer: generate → validate → chunk → broadcast. Runs on the
-	// caller's goroutine? No — it must overlap with the workers, so it
-	// gets its own; the caller just joins everyone at the end.
+	// Producer: generate → validate → chunk → broadcast, on its own
+	// goroutine so it overlaps with the workers; the caller joins
+	// everyone at the end.
 	var prodErr *shardError
 	var prodWG sync.WaitGroup
 	prodWG.Add(1)
@@ -86,8 +84,6 @@ func RunBatchSharded(cfgs []Config, contacts trace.Source, shards int) ([]*Resul
 				close(f)
 			}
 		}()
-		stream := newShardStream(contacts, shards)
-		defer stream.stop()
 		prevT := 0.0
 		var ord int64
 		for prodErr == nil {
@@ -95,7 +91,7 @@ func RunBatchSharded(cfgs []Config, contacts trace.Source, shards int) ([]*Resul
 			// per-contact staging copy. Each chunk is freshly allocated
 			// because the workers hold references to broadcast chunks.
 			chunk := make([]trace.Contact, shardChunkSize)
-			n := stream.fill(chunk)
+			n := trace.FillBatch(contacts, chunk)
 			if n == 0 {
 				break
 			}
@@ -123,8 +119,8 @@ func RunBatchSharded(cfgs []Config, contacts trace.Source, shards int) ([]*Resul
 				}
 			}
 		}
-		if prodErr == nil {
-			if err := stream.err(); err != nil {
+		if es, ok := contacts.(trace.ErrSource); ok && prodErr == nil {
+			if err := es.Err(); err != nil {
 				prodErr = &shardError{ord: ord, class: -1, err: err}
 			}
 		}
@@ -186,159 +182,4 @@ func RunBatchSharded(cfgs []Config, contacts trace.Source, shards int) ([]*Resul
 		return nil, best.err
 	}
 	return results, nil
-}
-
-// shardStream adapts the contact source for the producer: when the
-// source is trace.Partitionable, generation itself fans out — each
-// sub-stream is drained on its own goroutine into a buffered chunk
-// channel, and the producer re-merges the chunk heads in (T, A, B)
-// order, which by the Partitionable contract reconstructs the canonical
-// sequence bit-for-bit. Otherwise next just forwards the source.
-type shardStream struct {
-	src   trace.Source
-	parts []*shardPart
-	done  chan struct{}
-}
-
-type shardPart struct {
-	ch  chan []trace.Contact
-	cur []trace.Contact
-	i   int
-}
-
-// head returns the part's current front contact; ok is false once the
-// part is exhausted.
-func (p *shardPart) head() (trace.Contact, bool) {
-	for p.i >= len(p.cur) {
-		cur, ok := <-p.ch
-		if !ok {
-			return trace.Contact{}, false
-		}
-		p.cur, p.i = cur, 0
-	}
-	return p.cur[p.i], true
-}
-
-func newShardStream(src trace.Source, shards int) *shardStream {
-	s := &shardStream{src: src}
-	p, ok := src.(trace.Partitionable)
-	if !ok {
-		return s
-	}
-	subs, ok := p.Partition(shards)
-	if !ok || len(subs) == 0 {
-		return s
-	}
-	s.done = make(chan struct{})
-	s.parts = make([]*shardPart, len(subs))
-	for i, sub := range subs {
-		part := &shardPart{ch: make(chan []trace.Contact, 2)}
-		s.parts[i] = part
-		go func(sub trace.Source) {
-			defer close(part.ch)
-			buf := make([]trace.Contact, 0, shardChunkSize)
-			for {
-				c, ok := sub.Next()
-				if !ok {
-					break
-				}
-				buf = append(buf, c)
-				if len(buf) == shardChunkSize {
-					select {
-					case part.ch <- buf:
-					case <-s.done:
-						return
-					}
-					buf = make([]trace.Contact, 0, shardChunkSize)
-				}
-			}
-			if len(buf) > 0 {
-				select {
-				case part.ch <- buf:
-				case <-s.done:
-				}
-			}
-		}(sub)
-	}
-	return s
-}
-
-// next returns the globally next contact: the minimum head across parts
-// under (T, A, B) order — the partition sub-streams are few (≤ shard
-// count), so a linear scan beats heap bookkeeping.
-func (s *shardStream) next() (trace.Contact, bool) {
-	if s.parts == nil {
-		return s.src.Next()
-	}
-	bestI := -1
-	var bestC trace.Contact
-	for i, p := range s.parts {
-		c, ok := p.head()
-		if !ok {
-			continue
-		}
-		if bestI < 0 || shardContactLess(c, bestC) {
-			bestI, bestC = i, c
-		}
-	}
-	if bestI < 0 {
-		return trace.Contact{}, false
-	}
-	s.parts[bestI].i++
-	return bestC, true
-}
-
-// fill bulk-fills buf with the globally next contacts. The
-// non-partitioned path goes through the trace.BulkSource seam (one
-// interface call per chunk instead of per contact); the partitioned
-// path loops the concrete linear-scan merge, which carries no dispatch
-// to elide. Either way the sequence is exactly what repeated next()
-// would yield.
-func (s *shardStream) fill(buf []trace.Contact) int {
-	if s.parts == nil {
-		return trace.FillBatch(s.src, buf)
-	}
-	n := 0
-	for n < len(buf) {
-		c, ok := s.next()
-		if !ok {
-			break
-		}
-		buf[n] = c
-		n++
-	}
-	return n
-}
-
-// err surfaces a mid-stream source failure (only possible on the
-// non-partitioned path; partitioned sub-streams come from synthetic
-// generators, which cannot fail underway).
-func (s *shardStream) err() error {
-	if s.parts != nil {
-		return nil
-	}
-	if es, ok := s.src.(trace.ErrSource); ok {
-		return es.Err()
-	}
-	return nil
-}
-
-// stop releases the part goroutines on early abort.
-func (s *shardStream) stop() {
-	if s.done != nil {
-		close(s.done)
-	}
-}
-
-// shardContactLess is the canonical (T, A, B) merge order shared with
-// the structured rate sources: contacts that compare equal are
-// identical values, so the merged sequence is partition-invariant.
-func shardContactLess(x, y trace.Contact) bool {
-	if x.T != y.T {
-		return x.T < y.T
-	}
-	if x.A != y.A {
-		return x.A < y.A
-	}
-	return x.B < y.B
 }

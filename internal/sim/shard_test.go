@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"impatience/internal/adversary"
@@ -15,7 +18,7 @@ import (
 
 // shardScenario builds the structured-rates community scenario the
 // sharding suite runs on: a 48-node 4-community model driven through the
-// group-decomposed (Partitionable) sampler, and the full config battery
+// structured sampler (rates.ShardedSource), and the full config battery
 // — static, live QCR, fault-ridden QCR, and an adversarial QCR (churn,
 // lossy meetings, dishonest nodes, demand shift) — so the invariance
 // claim covers every stateful subsystem at once.
@@ -187,5 +190,47 @@ func TestRunBatchShardedErrors(t *testing.T) {
 	}
 	if shardErr.Error() != serialErr.Error() {
 		t.Errorf("error mismatch:\n  sharded: %v\n  serial:  %v", shardErr, serialErr)
+	}
+}
+
+// TestRunBatchShardedSourceError: a source that fails mid-stream (a
+// malformed line in a streamed text trace, past the first broadcast
+// chunk) fails both executors with the same error and no results — the
+// sharded producer checks trace.ErrSource exactly as RunBatch does.
+func TestRunBatchShardedSourceError(t *testing.T) {
+	_, src := shardScenario(t, 53)
+	var text strings.Builder
+	fmt.Fprintf(&text, "nodes %d\nduration %g\n", src.Nodes(), src.Duration())
+	const good = shardChunkSize + 904
+	for i := 0; i < good; i++ {
+		c, ok := src.Next()
+		if !ok {
+			t.Fatalf("structured stream ended after %d contacts, want %d", i, good)
+		}
+		fmt.Fprintf(&text, "%s %d %d\n", strconv.FormatFloat(c.T, 'g', -1, 64), c.A, c.B)
+	}
+	text.WriteString("not a contact\n")
+	stream := func() trace.Source {
+		sr, err := trace.NewStreamReader(strings.NewReader(text.String()))
+		if err != nil {
+			t.Fatalf("NewStreamReader: %v", err)
+		}
+		return sr
+	}
+
+	cfgs, _ := shardScenario(t, 53)
+	res, serialErr := RunBatch(cfgs, stream())
+	if serialErr == nil || res != nil {
+		t.Fatalf("RunBatch over a failing source: results %v, err %v", res, serialErr)
+	}
+	for _, shards := range []int{2, 4} {
+		cfgs, _ := shardScenario(t, 53)
+		res, err := RunBatchSharded(cfgs, stream(), shards)
+		if err == nil || res != nil {
+			t.Fatalf("shards=%d: results %v, err %v", shards, res, err)
+		}
+		if err.Error() != serialErr.Error() {
+			t.Errorf("shards=%d: error mismatch:\n  sharded: %v\n  serial:  %v", shards, err, serialErr)
+		}
 	}
 }

@@ -83,24 +83,6 @@ type Reopenable interface {
 	Reopen() (Source, error)
 }
 
-// Partitionable is a Source whose contact process decomposes into
-// independent, individually ordered sub-processes: Partition(max)
-// returns up to max sources whose time-ordered merge (ties broken
-// lexicographically by (T, A, B), under which equal contacts are
-// interchangeable) reproduces the receiver's contact sequence exactly.
-// The sharded batch executor (sim.RunBatchSharded) uses it to generate
-// the shared contact stream on several cores at once; the structured
-// rate models (internal/rates) implement it by splitting their
-// community-pair blocks into fixed per-block RNG sub-streams, so the
-// merged sequence is the same for every partition width — including 1.
-// Partition reports false when the source cannot split (for example
-// because it has already been partially drained); callers must then fall
-// back to draining the receiver serially.
-type Partitionable interface {
-	Source
-	Partition(max int) ([]Source, bool)
-}
-
 // SliceSource adapts a materialized Trace to the Source interface — it is
 // how a materialized trace reaches the simulator — yielding the contact
 // slice in order.
