@@ -9,9 +9,8 @@ import (
 
 // TestShardedNextBatchMatchesNext: the bulk seam over the group-merged
 // structured source must reproduce the scalar Next sequence exactly —
-// same heap pops, same contacts — for random
-// community shapes, group counts and batch sizes, including interleaved
-// scalar draws mid-stream.
+// same heap pops, same contacts — for random community shapes, group
+// counts and batch sizes, including interleaved scalar draws mid-stream.
 func TestShardedNextBatchMatchesNext(t *testing.T) {
 	meta := rand.New(rand.NewPCG(0x5a4d, 0xbeef))
 	for trial := 0; trial < 40; trial++ {
