@@ -17,18 +17,27 @@
 // once the prefix is at least as long as they are, so a pop costs O(1)
 // amortized however long the queue grows.
 //
+// Each block also carries a clock: a counter that Tick advances and that
+// restarts at 0 whenever a node takes the block. It counts events in the
+// life of a node's current queues (the simulator's meetings) without a
+// per-node array. At a million nodes an 8-byte counter per node in every
+// store raised the community-1m benchmark's peak RSS from 158.5 to
+// 211 MB, while the per-block clock, which costs only the nodes holding
+// entries, reads 162 MB. A node without a block reads clock 0 and ignores
+// ticks, which is exact for the simulator: its query counters belong to
+// open requests, and a node without entries has none.
+//
 // The orders results depend on are fixed here: a node's entries are
 // visited in ascending item order, values within an entry stay in append
 // order, and no two live entries share a backing array.
 package arena
-
-import "sort"
 
 // Lists is the per-node store. The zero value is unusable; build one with
 // New.
 type Lists[T any] struct {
 	head   []int32      // per node: its block in blocks, 0 when it has no entries
 	blocks [][]Entry[T] // blocks[0] stays empty, so head 0 means "none"
+	clock  []int64      // per block: Ticks since a node took it; clock[0] stays 0
 	free   []int32      // blocks with no entries, capacity kept
 	spare  [][]T        // value storage of drained entries, capacity kept
 }
@@ -62,6 +71,7 @@ func New[T any](nodes int) Lists[T] {
 	return Lists[T]{
 		head:   make([]int32, nodes),
 		blocks: make([][]Entry[T], 1),
+		clock:  make([]int64, 1),
 	}
 }
 
@@ -72,6 +82,20 @@ func (l *Lists[T]) Empty(node int) bool { return l.head[node] == 0 }
 // reads them or edits their values in place. A walk that clears queues
 // must call Compact afterwards.
 func (l *Lists[T]) Entries(node int) []Entry[T] { return l.blocks[l.head[node]] }
+
+// Tick advances node's clock by one. It is a no-op for a node without
+// entries.
+func (l *Lists[T]) Tick(node int) {
+	if id := l.head[node]; id != 0 {
+		l.clock[id]++
+	}
+}
+
+// Clock returns the number of Ticks of node since it took its current
+// block, 0 for a node without entries. The clock survives Push and
+// Compact while the node keeps an entry, and restarts at 0 once its last
+// entry drains.
+func (l *Lists[T]) Clock(node int) int64 { return l.clock[l.head[node]] }
 
 // Compact removes node's empty queues, returning their storage to the
 // pool.
@@ -102,7 +126,7 @@ func (l *Lists[T]) Compact(node int) {
 // Find returns the values queued for (node, item), nil when none.
 func (l *Lists[T]) Find(node, item int) []T {
 	blk := l.blocks[l.head[node]]
-	if i := search(blk, item); i < len(blk) && int(blk[i].item) == item {
+	if i := Search(blk, item); i < len(blk) && int(blk[i].item) == item {
 		return blk[i].Vals()
 	}
 	return nil
@@ -122,7 +146,7 @@ func (l *Lists[T]) Push(node, item int, v T) {
 func (l *Lists[T]) At(node, item int) Cursor[T] {
 	id := l.head[node]
 	blk := l.blocks[id]
-	c := Cursor[T]{l: l, node: node, id: id, blk: blk, r: search(blk, item)}
+	c := Cursor[T]{l: l, node: node, id: id, blk: blk, r: Search(blk, item)}
 	c.Seek(item)
 	return c
 }
@@ -154,17 +178,27 @@ func (l *Lists[T]) Total() int {
 func (l *Lists[T]) TotalItem(item int) int {
 	n := 0
 	for _, blk := range l.blocks {
-		if i := search(blk, item); i < len(blk) && int(blk[i].item) == item {
+		if i := Search(blk, item); i < len(blk) && int(blk[i].item) == item {
 			n += blk[i].Len()
 		}
 	}
 	return n
 }
 
-// search returns the position of the first entry of blk whose item is
-// not below item.
-func search[T any](blk []Entry[T], item int) int {
-	return sort.Search(len(blk), func(i int) bool { return int(blk[i].item) >= item })
+// Search returns the position of the first entry of blk whose item is
+// not below item: len(blk) when there is none. blk is one node's
+// Entries.
+func Search[T any](blk []Entry[T], item int) int {
+	lo, hi := 0, len(blk)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if int(blk[mid].item) < item {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // storage returns empty value storage: a drained queue's, or fresh.
@@ -257,8 +291,10 @@ func (c *Cursor[T]) Seek(item int) {
 		if n := len(l.free); n > 0 {
 			c.id = l.free[n-1]
 			l.free = l.free[:n-1]
+			l.clock[c.id] = 0
 		} else {
 			l.blocks = append(l.blocks, make([]Entry[T], 0, initCap))
+			l.clock = append(l.clock, 0)
 			c.id = int32(len(l.blocks) - 1)
 		}
 		l.head[c.node] = c.id

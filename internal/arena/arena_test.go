@@ -108,9 +108,16 @@ func TestListsMatchModel(t *testing.T) {
 	l := New[int](nodes)
 	m := model{}
 	next, peak, peakNodes := 0, 0, 0
+	// clk is the clock model: one tick per step for the node the step
+	// picks, back to 0 whenever a node holds no entries.
+	var clk [nodes]int64
 	for step := 0; step < steps; step++ {
 		n, item := rng.IntN(nodes), rng.IntN(items)
 		key := [2]int{n, item}
+		l.Tick(n)
+		if !l.Empty(n) {
+			clk[n]++
+		}
 		switch op := rng.IntN(10); {
 		case op < 4: // add: append a few values to (n, item)
 			for k := 1 + rng.IntN(3); k > 0; k-- {
@@ -204,6 +211,61 @@ func TestListsMatchModel(t *testing.T) {
 		peak = max(peak, len(m))
 		peakNodes = max(peakNodes, nodesOf(m))
 		check(t, step, &l, m, nodes, peak, peakNodes)
+		for x := range clk {
+			if l.Empty(x) {
+				clk[x] = 0
+			}
+			if got := l.Clock(x); got != clk[x] {
+				t.Fatalf("step %d: node %d clock %d, want %d", step, x, got, clk[x])
+			}
+		}
+	}
+}
+
+// TestClock pins the block clock's life cycle: a node without a block
+// ignores ticks and reads 0, the clock survives Push and Compact while
+// the node keeps its block, and a block released by one node restarts
+// at 0 when another takes it.
+func TestClock(t *testing.T) {
+	l := New[int](2)
+	l.Tick(0)
+	if l.Clock(0) != 0 || l.clock[0] != 0 {
+		t.Fatalf("a tick without a block moved the clock: Clock %d, clock[0] %d", l.Clock(0), l.clock[0])
+	}
+	l.Push(0, 5, 50)
+	for k := 0; k < 3; k++ {
+		l.Tick(0)
+	}
+	l.Push(0, 2, 20) // inserted in front of item 5
+	l.Push(0, 9, 90)
+	l.Tick(0)
+	ents := l.Entries(0)
+	ents[0].Clear()
+	ents[2].Clear()
+	l.Compact(0) // item 5 still open: the node keeps its block
+	if got := l.Clock(0); got != 4 {
+		t.Fatalf("clock %d after 4 ticks across Push and Compact, want 4", got)
+	}
+	if got := l.Clock(1); got != 0 {
+		t.Fatalf("untouched node reads clock %d", got)
+	}
+	id := l.head[0]
+	l.Clear(0) // the last entry drains: the block goes back to the pool
+	if l.Clock(0) != 0 {
+		t.Fatalf("drained node reads clock %d", l.Clock(0))
+	}
+	l.Tick(0)
+	l.Push(1, 3, 30)
+	if l.head[1] != id {
+		t.Fatalf("node 1 took block %d, want the released block %d", l.head[1], id)
+	}
+	if got := l.Clock(1); got != 0 {
+		t.Fatalf("reused block starts at clock %d, want 0", got)
+	}
+	l.Tick(1)
+	l.Push(0, 1, 10) // a fresh block
+	if l.Clock(0) != 0 || l.Clock(1) != 1 || l.clock[0] != 0 {
+		t.Fatalf("clocks %d, %d (clock[0] %d), want 0, 1 (0)", l.Clock(0), l.Clock(1), l.clock[0])
 	}
 }
 

@@ -168,6 +168,7 @@ type Process struct {
 	items   int
 	itemCDF []float64
 	nodeCDF [][]float64 // per item; items whose profile rows share storage share one CDF
+	equal   []bool      // per item: its profile row's weights are all equal (sampleEqual)
 	total   float64
 	rng     *rand.Rand
 	now     float64
@@ -177,7 +178,9 @@ type Process struct {
 // have one row per item; pass UniformProfile for the paper's default.
 // Rows that share a backing array (the same row given to several items)
 // get one shared CDF, so a profile built from one row costs one CDF
-// rather than one per item.
+// rather than one per item. A row whose weights are all equal (the uniform
+// profile) is flagged, and its node draws cost O(1) instead of a binary
+// search over the row's N-entry CDF.
 func NewProcess(pop Popularity, profile Profile, rng *rand.Rand) (*Process, error) {
 	if err := pop.Validate(); err != nil {
 		return nil, err
@@ -191,19 +194,24 @@ func NewProcess(pop Popularity, profile Profile, rng *rand.Rand) (*Process, erro
 	p := &Process{items: pop.Items(), rng: rng, total: pop.Total()}
 	p.itemCDF = cdf(pop.Rates)
 	p.nodeCDF = make([][]float64, len(profile.P))
+	p.equal = make([]bool, len(profile.P))
 	type rowKey struct {
 		first *float64
 		n     int
 	}
-	built := make(map[rowKey][]float64)
+	type builtRow struct {
+		cdf   []float64
+		equal bool
+	}
+	built := make(map[rowKey]builtRow)
 	for i, row := range profile.P {
 		k := rowKey{&row[0], len(row)} // Validate rejects empty rows
-		if c, ok := built[k]; ok {
-			p.nodeCDF[i] = c
-			continue
+		b, ok := built[k]
+		if !ok {
+			b = builtRow{cdf(row), equalWeights(row)}
+			built[k] = b
 		}
-		p.nodeCDF[i] = cdf(row)
-		built[k] = p.nodeCDF[i]
+		p.nodeCDF[i], p.equal[i] = b.cdf, b.equal
 	}
 	return p, nil
 }
@@ -218,8 +226,13 @@ func (p *Process) Next() (Request, bool) {
 		return Request{}, false
 	}
 	p.now += p.rng.ExpFloat64() / p.total
-	item := sampleCDF(p.itemCDF, p.rng)
-	node := sampleCDF(p.nodeCDF[item], p.rng)
+	item := sampleCDF(p.itemCDF, p.rng.Float64())
+	var node int
+	if u := p.rng.Float64(); p.equal[item] {
+		node = sampleEqual(p.nodeCDF[item], u)
+	} else {
+		node = sampleCDF(p.nodeCDF[item], u)
+	}
 	return Request{T: p.now, Node: node, Item: item}, true
 }
 
@@ -257,9 +270,20 @@ func cdf(w []float64) []float64 {
 	return out
 }
 
-// sampleCDF draws an index from a cumulative distribution by binary search.
-func sampleCDF(c []float64, rng *rand.Rand) int {
-	u := rng.Float64()
+// equalWeights reports whether every weight of row equals the first and
+// is positive.
+func equalWeights(row []float64) bool {
+	for _, v := range row {
+		if v != row[0] {
+			return false
+		}
+	}
+	return row[0] > 0
+}
+
+// sampleCDF returns the smallest index i with c[i] ≥ u, by binary search:
+// the draw of u ∈ [0, 1) from the cumulative distribution c.
+func sampleCDF(c []float64, u float64) int {
 	lo, hi := 0, len(c)-1
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -270,4 +294,20 @@ func sampleCDF(c []float64, rng *rand.Rand) int {
 		}
 	}
 	return lo
+}
+
+// sampleEqual returns sampleCDF(c, u) for the CDF of n equal weights. Its
+// entries are i/n up to rounding, so the answer lies within a step or two
+// of ⌊u·n⌋: start there and walk to the smallest i with c[i] ≥ u. c is
+// non-decreasing with c[n−1] = 1 > u, so the walk ends at the binary
+// search's index.
+func sampleEqual(c []float64, u float64) int {
+	i := min(int(u*float64(len(c))), len(c)-1)
+	for i > 0 && c[i-1] >= u {
+		i--
+	}
+	for c[i] < u {
+		i++
+	}
+	return i
 }

@@ -3,6 +3,7 @@ package demand
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -262,6 +263,39 @@ func TestProcessSharesRowCDFs(t *testing.T) {
 		b, _ := pc.Next()
 		if a != b {
 			t.Fatalf("request %d: shared rows drew %+v, copied rows %+v", k, a, b)
+		}
+	}
+}
+
+// TestProcessEqualRowsDrawAsBinarySearch checks that NewProcess flags
+// exactly the rows of equal weights, and that the O(1) draw on flagged
+// rows yields the same requests as the binary search on every row.
+func TestProcessEqualRowsDrawAsBinarySearch(t *testing.T) {
+	const items, clients = 4, 1000
+	pop := Pareto(items, 1, 3)
+	prof := UniformProfile(items, clients)
+	skew := make([]float64, clients)
+	for n := range skew {
+		skew[n] = float64(n+1) / float64(clients*(clients+1)/2)
+	}
+	prof.P[2] = skew
+	fast, err := NewProcess(pop, prof, newRNG(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []bool{true, true, false, true}; !slices.Equal(fast.equal, want) {
+		t.Fatalf("equal-row flags %v, want %v", fast.equal, want)
+	}
+	ref, err := NewProcess(pop, prof, newRNG(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(ref.equal)
+	for k := 0; k < 20000; k++ {
+		a, _ := fast.Next()
+		b, _ := ref.Next()
+		if a != b {
+			t.Fatalf("request %d: fast draw %+v, binary search %+v", k, a, b)
 		}
 	}
 }

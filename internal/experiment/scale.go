@@ -110,6 +110,20 @@ func (m *meteredSource) Err() error {
 	return nil
 }
 
+// NextBatch implements trace.BulkSource, so the metering keeps the
+// wrapped source's bulk path: it fills buf through trace.FillBatch and
+// samples the heap once whenever the batch carries produced across a
+// multiple of every.
+func (m *meteredSource) NextBatch(buf []trace.Contact) int {
+	n := trace.FillBatch(m.src, buf)
+	before := m.produced
+	m.produced += n
+	if m.produced/m.every != before/m.every {
+		m.sample()
+	}
+	return n
+}
+
 // Next implements trace.Source.
 func (m *meteredSource) Next() (trace.Contact, bool) {
 	c, ok := m.src.Next()

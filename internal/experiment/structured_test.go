@@ -7,7 +7,10 @@ import (
 	"strings"
 	"testing"
 
+	"impatience/internal/parallel"
 	"impatience/internal/rates"
+	"impatience/internal/sim"
+	"impatience/internal/trace"
 	"impatience/internal/utility"
 )
 
@@ -121,6 +124,91 @@ func TestStructuredScaleReport(t *testing.T) {
 		if v <= 0 {
 			t.Errorf("scheme %s utility %g", rep.Schemes[k], v)
 		}
+	}
+}
+
+// TestMeteredSourceMatchesRaw: the metering wrapper's bulk path yields
+// the wrapped source's stream contact for contact, counts every contact,
+// and samples the heap as the count crosses each multiple of every.
+func TestMeteredSourceMatchesRaw(t *testing.T) {
+	sc, m := structuredTiny(t)
+	gen := sc.StructuredSources(m)
+	raw, err := gen(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := gen(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	metered := &meteredSource{src: src, every: 1000}
+	buf := make([]trace.Contact, 777)
+	count := 0
+	for {
+		n := trace.FillBatch(metered, buf)
+		if n == 0 {
+			break
+		}
+		for _, got := range buf[:n] {
+			want, ok := raw.Next()
+			if !ok || got != want {
+				t.Fatalf("contact %d: metered %+v, raw %+v (ok %v)", count, got, want, ok)
+			}
+			count++
+		}
+	}
+	if c, ok := raw.Next(); ok {
+		t.Fatalf("metered stream ended after %d contacts; raw continues with %+v", count, c)
+	}
+	if metered.produced != count || count < 2*metered.every {
+		t.Fatalf("metered %d of %d contacts (every %d)", metered.produced, count, metered.every)
+	}
+	if metered.peak == 0 {
+		t.Error("no heap sample across the batches")
+	}
+}
+
+// TestStructuredScaleMeteringTransparent pins StructuredScale's stream
+// length and digest family on the tiny model, at 1 and 2 shards, to the
+// values of the per-contact metering path, and checks them against an
+// unmetered run of the same configs.
+func TestStructuredScaleMeteringTransparent(t *testing.T) {
+	const (
+		contacts = 52885
+		family   = 0x14489c5c494c801f
+	)
+	sc, m := structuredTiny(t)
+	schemes := []string{SchemeQCR, SchemeUNI}
+	for _, shards := range []int{1, 2} {
+		sc.Shards = shards
+		rep, err := sc.StructuredScale(utility.Step{Tau: 10}, m, schemes, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Contacts != contacts || rep.DigestFamily != family {
+			t.Errorf("shards=%d: %d contacts, family %#016x; want %d, %#016x",
+				shards, rep.Contacts, rep.DigestFamily, contacts, uint64(family))
+		}
+	}
+	src, err := sc.StructuredSources(m)(parallel.TrialSeed(sc.Seed, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs, err := sc.batchConfigs(schemes, utility.Step{Tau: 10}, nil, m.MeanPairRate(), 1, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := sim.RunBatchSharded(cfgs, src, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc := uint64(0x9e3779b97f4a7c15)
+	for _, r := range results {
+		acc = parallel.SplitMix64(acc ^ r.Digest())
+	}
+	if acc != family || results[0].Meetings != contacts {
+		t.Errorf("unmetered run: %d meetings, family %#016x; want %d, %#016x",
+			results[0].Meetings, acc, contacts, uint64(family))
 	}
 }
 

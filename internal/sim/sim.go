@@ -243,9 +243,14 @@ type state struct {
 	atally adversary.Tally
 }
 
+// request is one open request. Its query counter — the meetings its
+// node has had since it arrived, the hit included — is not stored:
+// fulfillSide ticks the node's arena clock once per meeting, and m0 is
+// that clock when the request arrived, so the counter at a hit is the
+// clock's advance since m0, plus one (capped at core.MaxQueryCount + 1).
 type request struct {
-	t0      float64
-	queries int
+	t0 float64
+	m0 int64 // the node's query clock (reqs.Clock) at arrival
 }
 
 // Nodes implements core.Cache.
@@ -356,9 +361,12 @@ func (s *state) freeSlots(node int) int {
 	return hi - lo - int(s.used[node])
 }
 
-// addRequest registers one open request for (node, item).
+// addRequest registers one open request for (node, item), stamped with
+// the node's query clock. A node without open requests reads clock 0,
+// and the block Push gives it starts at 0, so the stamp is right either
+// way.
 func (s *state) addRequest(node, item int, t float64) {
-	s.reqs.Push(node, item, request{t0: t})
+	s.reqs.Push(node, item, request{t0: t, m0: s.reqs.Clock(node)})
 }
 
 // reseed re-pins item's sticky replica at a node currently holding it —
@@ -472,6 +480,9 @@ type runner struct {
 	// guaranteed no-op is invisible to every Result field — the kernel
 	// equivalence tests pin it against a wrapped Static.
 	passive bool
+	// match is fulfillSide's buffer of matched entry positions, at most
+	// ρ long, reused across meetings.
+	match []int32
 	// hasBins gates the per-contact flushTo call: with no time series the
 	// call is a guaranteed no-op (flushTo returns immediately when
 	// BinWidth ≤ 0), but it is not inlinable, so step skips it entirely.
@@ -632,6 +643,7 @@ func buildRunner(cfg *Config, nodes int, duration float64) (*runner, error) {
 		fevents:  fevents,
 		binIdx:   -1,
 		duration: duration,
+		match:    make([]int32, 0, cfg.Rho),
 	}
 	if cfg.BinWidth > 0 {
 		// The whole time series is appended bin by bin (flushTo); its
@@ -731,83 +743,106 @@ func (r *runner) handleArrival(rq demand.Request) {
 	s.addRequest(rq.Node, rq.Item, rq.T)
 }
 
-// fulfillSide advances node n's requests given it met peer: every
-// outstanding request queries the peer (counter++); requests for items
-// the peer holds are all fulfilled. The node's open items are walked in
-// ascending item order; fulfilled items' queues are emptied in the walk
-// and removed after it.
+// fulfillSide serves node n's open requests from peer's cache. The
+// meeting ticks n's query clock once, truncated or refused meetings
+// included: that single tick is every open request's counter++, read
+// back at fulfillment as clock − m0 (see request). Only the matched items
+// are then visited: the node's open items that peer caches, found by
+// walking whichever of the two lists is shorter — peer's ρ slots, each
+// binary-searched in n's sorted block, or n's block, each checked with
+// Has — and fulfilled in ascending item order. Every request of a
+// matched item is fulfilled; its queue is emptied and removed after the
+// walk. The matches are fixed before any OnFulfill hook runs; the hooks
+// mint mandates and write no cache (writes happen in OnMeeting).
 func (r *runner) fulfillSide(n, peer int, t float64) {
 	s := r.s
-	if s.reqs.Empty(n) {
+	clk := s.reqs.Clock(n)
+	s.reqs.Tick(n)
+	// A truncated meeting completes the metadata exchange (the query
+	// counters advance) but loses the item payload: every request stays
+	// open and retries at the next meeting with a holder.
+	if s.truncated {
 		return
 	}
-	// Misbehavior roles for this side of the meeting, resolved once.
-	var peerRefuses, nFreeRides, nDishonest bool
-	if s.adv != nil {
-		peerRefuses = s.adv.FreeRider(peer)
-		nFreeRides = s.adv.FreeRider(n)
-		nDishonest = s.adv.Dishonest(n)
-	}
 	ents := s.reqs.Entries(n)
-	fulfilled := false
-	for i := range ents {
-		e := &ents[i]
-		item := e.Item()
-		pending := e.Vals()
-		// A truncated meeting completes the metadata exchange (the
-		// query counters advance) but loses the item payload: the
-		// request stays open and retries at the next meeting with a
-		// holder. A free-riding peer denies holding the item outright:
-		// the request stays open and the counter advances, exactly as
-		// if the peer's cache missed.
-		if s.Has(peer, item) && !s.truncated && !peerRefuses {
-			uk := &s.uks[item]
-			if r.passive {
-				// Static policy, no adversary: the role switch is dead and
-				// OnFulfill is a no-op — record the fulfillments without
-				// the per-request virtual call.
-				for _, rq := range pending {
-					age := t - rq.t0
-					r.record(t, uk.H(age), item, age, false)
-				}
-			} else {
-				for _, rq := range pending {
-					q := rq.queries + 1
-					age := t - rq.t0
-					r.record(t, uk.H(age), item, age, false)
-					switch {
-					case nFreeRides:
-						// A free-rider consumes without running the protocol.
-						s.atally.SuppressedReactions++
-						continue
-					case nDishonest:
-						if inflated := s.adv.Inflate(q); inflated != q {
-							q = inflated
-							s.atally.InflatedReports++
-						}
-					}
-					r.cfg.Policy.OnFulfill(s, n, peer, item, q, age, t)
-				}
+	hits := r.match[:0]
+	if lo, hi := s.slotRange(peer); len(ents) > hi-lo {
+		for k := lo; k < hi; k++ {
+			item := int(s.slots[k])
+			if item < 0 {
+				continue
 			}
-			if s.inj != nil && !s.cfg.NoSticky && s.stickyN[item] < 0 {
-				s.reseed(peer, item)
+			i := arena.Search(ents, item)
+			if i == len(ents) || ents[i].Item() != item {
+				continue
 			}
-			e.Clear()
-			fulfilled = true
-		} else {
-			if peerRefuses && s.Has(peer, item) && !s.truncated {
-				s.atally.RefusedServes++
+			// Insertion-sort the ≤ ρ hits into ascending item order.
+			j := len(hits)
+			hits = append(hits, 0)
+			for ; j > 0 && hits[j-1] > int32(i); j-- {
+				hits[j] = hits[j-1]
 			}
-			for k := range pending {
-				if pending[k].queries < core.MaxQueryCount {
-					pending[k].queries++
-				}
+			hits[j] = int32(i)
+		}
+	} else {
+		for i := range ents {
+			if s.Has(peer, ents[i].Item()) {
+				hits = append(hits, int32(i))
 			}
 		}
 	}
-	if fulfilled {
-		s.reqs.Compact(n)
+	if len(hits) == 0 {
+		return
 	}
+	// Misbehavior roles for this side of the meeting, resolved once.
+	var nFreeRides, nDishonest bool
+	if s.adv != nil {
+		if s.adv.FreeRider(peer) {
+			// A free-riding peer denies holding the items outright: the
+			// requests stay open, exactly as if its cache missed.
+			s.atally.RefusedServes += len(hits)
+			return
+		}
+		nFreeRides = s.adv.FreeRider(n)
+		nDishonest = s.adv.Dishonest(n)
+	}
+	for _, i := range hits {
+		e := &ents[i]
+		item := e.Item()
+		uk := &s.uks[item]
+		if r.passive {
+			// Static policy, no adversary: the role switch is dead and
+			// OnFulfill is a no-op — record the fulfillments without the
+			// per-request virtual call.
+			for _, rq := range e.Vals() {
+				age := t - rq.t0
+				r.record(t, uk.H(age), item, age, false)
+			}
+		} else {
+			for _, rq := range e.Vals() {
+				q := int(min(clk-rq.m0, core.MaxQueryCount)) + 1
+				age := t - rq.t0
+				r.record(t, uk.H(age), item, age, false)
+				switch {
+				case nFreeRides:
+					// A free-rider consumes without running the protocol.
+					s.atally.SuppressedReactions++
+					continue
+				case nDishonest:
+					if inflated := s.adv.Inflate(q); inflated != q {
+						q = inflated
+						s.atally.InflatedReports++
+					}
+				}
+				r.cfg.Policy.OnFulfill(s, n, peer, item, q, age, t)
+			}
+		}
+		if s.inj != nil && !s.cfg.NoSticky && s.stickyN[item] < 0 {
+			s.reseed(peer, item)
+		}
+		e.Clear()
+	}
+	s.reqs.Compact(n)
 }
 
 // advanceTo interleaves request arrivals and churn events in time
