@@ -2,20 +2,24 @@
 //
 // The figure harness's golden digests pin the contact sequence this
 // sampler draws — ExpFloat64 for the superposed inter-contact gap, then
-// one uniform probed through the pair CDF — so the batch executor cannot
+// one uniform located in the pair CDF — so the batch executor cannot
 // switch those experiments to the alias-sampling Stream (a different RNG
-// stream means different contacts and different goldens). Generate is
-// this sampler collected into a Trace; ReplayStream streams it without
-// materializing the contact list. Its state is the pair CDF plus the
-// idx → (a, b) tables — O(N²), independent of duration — and it is
-// trace.Reopenable, so one trial can be streamed twice (empirical rates,
-// then the lockstep simulation) from one value.
+// stream means different contacts and different goldens). The uniform is
+// located by a numeric.CDFIndex guide table, which returns the binary
+// search's index in O(1) expected reads, so the draws cost about what an
+// alias draw costs without moving a bucket boundary. Generate is this
+// sampler collected into a Trace; ReplayStream streams it without
+// materializing the contact list. Its state is the pair CDF, its index
+// and the idx → (a, b) tables — O(N²), independent of duration — and it
+// is trace.Reopenable, so one trial can be streamed twice (empirical
+// rates, then the lockstep simulation) from one value.
 package contact
 
 import (
 	"fmt"
 	"math/rand/v2"
 
+	"impatience/internal/numeric"
 	"impatience/internal/trace"
 )
 
@@ -25,8 +29,9 @@ type ReplayStream struct {
 	nodes        int
 	duration     float64
 	total        float64
-	cum          []float64 // pair CDF
-	pairA, pairB []int32   // dense pair index → endpoints
+	cum          []float64        // pair CDF
+	index        numeric.CDFIndex // over cum
+	pairA, pairB []int32          // dense pair index → endpoints
 	seed1, seed2 uint64
 	rng          *rand.Rand
 	t            float64
@@ -47,8 +52,8 @@ func NewReplayStream(rm *trace.RateMatrix, duration float64, seed1, seed2 uint64
 	return s, nil
 }
 
-// newCDFSampler builds the pair CDF and pair tables over the rate matrix
-// and draws from rng.
+// newCDFSampler builds the pair CDF, its index and the pair tables over
+// the rate matrix and draws from rng.
 func newCDFSampler(rm *trace.RateMatrix, duration float64, rng *rand.Rand) (*ReplayStream, error) {
 	if duration <= 0 {
 		return nil, fmt.Errorf("contact: duration %g not positive", duration)
@@ -78,6 +83,7 @@ func newCDFSampler(rm *trace.RateMatrix, duration float64, rng *rand.Rand) (*Rep
 		s.cum[i] = run / total
 	}
 	s.cum[len(s.cum)-1] = 1
+	s.index = numeric.NewCDFIndex(s.cum)
 	s.pairA = make([]int32, len(rates))
 	s.pairB = make([]int32, len(rates))
 	for a := 0; a < rm.Nodes; a++ {
@@ -113,7 +119,7 @@ func (s *ReplayStream) Next() (trace.Contact, bool) {
 
 // NextBatch implements trace.BulkSource and is the sampler's one draw
 // loop: per contact, one exponential gap of the superposed process, then
-// one uniform probed through the pair CDF.
+// one uniform located in the pair CDF.
 func (s *ReplayStream) NextBatch(buf []trace.Contact) int {
 	if s.done {
 		return 0
@@ -126,7 +132,7 @@ func (s *ReplayStream) NextBatch(buf []trace.Contact) int {
 			s.done = true
 			break
 		}
-		idx := searchCDF(s.cum, s.rng.Float64())
+		idx := s.index.Search(s.rng.Float64())
 		buf[n] = trace.Contact{T: t, A: int(s.pairA[idx]), B: int(s.pairB[idx])}
 		n++
 	}
@@ -134,27 +140,13 @@ func (s *ReplayStream) NextBatch(buf []trace.Contact) int {
 	return n
 }
 
-// searchCDF returns the smallest index i with cdf[i] >= u.
-func searchCDF(cdf []float64, u float64) int {
-	lo, hi := 0, len(cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 // Reopen implements trace.Reopenable: the copy re-derives its RNG from
-// the recorded seeds and shares the immutable CDF and pair tables, so
+// the recorded seeds and shares the immutable CDF index and pair tables, so
 // reopening costs one small struct however large the population.
 func (s *ReplayStream) Reopen() (trace.Source, error) {
 	r := &ReplayStream{
 		nodes: s.nodes, duration: s.duration, total: s.total,
-		cum: s.cum, pairA: s.pairA, pairB: s.pairB,
+		cum: s.cum, index: s.index, pairA: s.pairA, pairB: s.pairB,
 		seed1: s.seed1, seed2: s.seed2,
 	}
 	if s.total <= 0 {

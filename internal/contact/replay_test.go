@@ -121,3 +121,65 @@ func TestReplayStreamZeroAndInvalidRates(t *testing.T) {
 		t.Error("zero duration accepted")
 	}
 }
+
+// binarySearchCDF is the pair lookup ReplayStream made before its guide
+// table: the smallest index i with cdf[i] ≥ u, by bisection.
+func binarySearchCDF(cdf []float64, u float64) int {
+	lo, hi := 0, len(cdf)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if cdf[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// TestReplayStreamMatchesBinarySearch anchors the guide-table lookup to
+// the bisection it replaced: the same PCG, drawn gap then uniform and
+// located by binary search over the stream's own CDF, reproduces the
+// stream's (T, A, B) sequence contact for contact — on a uniform matrix
+// (the index's array-free arm) and on a heterogeneous one whose zero-rate
+// pairs put flat runs in the CDF.
+func TestReplayStreamMatchesBinarySearch(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rm   *trace.RateMatrix
+	}{
+		{"uniform", trace.UniformRates(50, 0.05)},
+		{"heterogeneous", heteroRates(23)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const duration = 400.0
+			const s1, s2 = uint64(9), uint64(9 ^ 0xabcdef)
+			src, err := NewReplayStream(tc.rm, duration, s1, s2)
+			if err != nil {
+				t.Fatalf("NewReplayStream: %v", err)
+			}
+			got := drain(t, src)
+			rng := rand.New(rand.NewPCG(s1, s2))
+			total := tc.rm.TotalRate()
+			tt := 0.0
+			for i := 0; ; i++ {
+				tt += rng.ExpFloat64() / total
+				if tt > duration {
+					if i != len(got) {
+						t.Fatalf("stream drew %d contacts, binary search %d", len(got), i)
+					}
+					break
+				}
+				idx := binarySearchCDF(src.cum, rng.Float64())
+				a, b := trace.PairFromIndex(tc.rm.Nodes, idx)
+				want := trace.Contact{T: tt, A: a, B: b}
+				if i >= len(got) || got[i] != want {
+					t.Fatalf("contact %d: stream %+v, binary search %+v", i, got[min(i, len(got)-1)], want)
+				}
+			}
+			if len(got) < 1000 {
+				t.Fatalf("only %d contacts; the anchor needs a long sequence", len(got))
+			}
+		})
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"impatience/internal/numeric"
 	"impatience/internal/trace"
 )
 
@@ -28,7 +29,7 @@ func heteroRates(nodes int) *trace.RateMatrix {
 }
 
 // TestStreamMatchesGenerateFrequencies is the statistical-equivalence
-// certificate for the alias sampler: the legacy searchCDF path and the
+// certificate for the alias sampler: the pair-CDF path and the
 // streaming alias path draw pair assignments from the same distribution.
 // A two-sample chi-square over per-pair contact counts checks this
 // directly; the threshold is the 99.9% critical value for the cell count
@@ -87,7 +88,7 @@ func TestStreamMatchesGenerateFrequencies(t *testing.T) {
 	// 99.9% chi-square critical value for df = cells-1 (≤ 29 here) is
 	// 58.3; use a round bound above it.
 	if chi2 > 60 {
-		t.Errorf("two-sample chi-square %.2f over %d cells: alias and searchCDF pair frequencies differ", chi2, cells)
+		t.Errorf("two-sample chi-square %.2f over %d cells: alias and pair-CDF frequencies differ", chi2, cells)
 	}
 }
 
@@ -133,7 +134,7 @@ func TestStreamInterContactExponential(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		tr   *trace.Trace
-	}{{"searchCDF", legacy}, {"alias", streamed}} {
+	}{{"pair CDF", legacy}, {"alias", streamed}} {
 		gaps := trace.InterContactTimes(tc.tr)
 		if len(gaps) < 5000 {
 			t.Fatalf("%s: only %d gaps", tc.name, len(gaps))
@@ -239,12 +240,12 @@ func TestStreamZeroRate(t *testing.T) {
 	}
 }
 
-// BenchmarkSearchCDFSample / BenchmarkStreamNext compare the two pair
-// samplers at N=1000 (≈ 500k pairs): binary search over the CDF vs one
-// alias draw. The benchmark harness in bench/ prices the two end to end
-// as its contact.replay_ns_per_contact and contact.alias_ns_per_contact
-// layer rows.
-func BenchmarkSearchCDFSample(b *testing.B) {
+// BenchmarkCDFIndexSample / BenchmarkStreamNext compare the two pair
+// samplers at N=1000 (≈ 500k pairs): one guide-table search of the CDF
+// vs one alias draw. The benchmark harness in bench/ prices the two end
+// to end as its contact.replay_ns_per_contact and
+// contact.alias_ns_per_contact layer rows.
+func BenchmarkCDFIndexSample(b *testing.B) {
 	const nodes = 1000
 	rm := trace.UniformRates(nodes, 0.05)
 	rates := rm.Rates()
@@ -255,12 +256,13 @@ func BenchmarkSearchCDFSample(b *testing.B) {
 		cum[i] = run / total
 	}
 	cum[len(cum)-1] = 1
+	index := numeric.NewCDFIndex(cum)
 	rng := newRNG(1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var sink int
 	for i := 0; i < b.N; i++ {
-		sink += searchCDF(cum, rng.Float64())
+		sink += index.Search(rng.Float64())
 	}
 	_ = sink
 }

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+
+	"impatience/internal/numeric"
 )
 
 // Popularity holds the per-item total demand rates d_i for a catalog of
@@ -163,24 +165,26 @@ type Request struct {
 // with rate Σ d_i; each arrival picks an item with probability d_i/Σd and
 // then a node from the item's profile row. This is exactly the
 // superposition of the independent Poisson(d_i·π_{i,n}) processes of
-// Section 3.3.
+// Section 3.3. Both draws locate a uniform in a CDF through a
+// numeric.CDFIndex, which returns the binary search's index.
 type Process struct {
-	items   int
-	itemCDF []float64
-	nodeCDF [][]float64 // per item; items whose profile rows share storage share one CDF
-	equal   []bool      // per item: its profile row's weights are all equal (sampleEqual)
-	total   float64
-	rng     *rand.Rand
-	now     float64
+	items     int
+	itemCDF   []float64
+	itemIndex numeric.CDFIndex   // over itemCDF
+	nodeCDF   [][]float64        // per item; items whose profile rows share storage share one CDF
+	nodeIndex []numeric.CDFIndex // per item, over nodeCDF[item]; shared rows share one index
+	total     float64
+	rng       *rand.Rand
+	now       float64
 }
 
 // NewProcess builds a request process starting at time 0. The profile must
 // have one row per item; pass UniformProfile for the paper's default.
 // Rows that share a backing array (the same row given to several items)
-// get one shared CDF, so a profile built from one row costs one CDF
-// rather than one per item. A row whose weights are all equal (the uniform
-// profile) is flagged, and its node draws cost O(1) instead of a binary
-// search over the row's N-entry CDF.
+// get one shared CDF and index, so a profile built from one row costs one
+// CDF rather than one per item. A row whose weights are all equal (the
+// uniform profile) gets the index's array-free arm, so an N-node row
+// costs its CDF and nothing more.
 func NewProcess(pop Popularity, profile Profile, rng *rand.Rand) (*Process, error) {
 	if err := pop.Validate(); err != nil {
 		return nil, err
@@ -193,25 +197,23 @@ func NewProcess(pop Popularity, profile Profile, rng *rand.Rand) (*Process, erro
 	}
 	p := &Process{items: pop.Items(), rng: rng, total: pop.Total()}
 	p.itemCDF = cdf(pop.Rates)
+	p.itemIndex = numeric.NewCDFIndex(p.itemCDF)
 	p.nodeCDF = make([][]float64, len(profile.P))
-	p.equal = make([]bool, len(profile.P))
+	p.nodeIndex = make([]numeric.CDFIndex, len(profile.P))
 	type rowKey struct {
 		first *float64
 		n     int
 	}
-	type builtRow struct {
-		cdf   []float64
-		equal bool
-	}
-	built := make(map[rowKey]builtRow)
+	built := make(map[rowKey]int) // row → first item given it
 	for i, row := range profile.P {
 		k := rowKey{&row[0], len(row)} // Validate rejects empty rows
-		b, ok := built[k]
-		if !ok {
-			b = builtRow{cdf(row), equalWeights(row)}
-			built[k] = b
+		if first, ok := built[k]; ok {
+			p.nodeCDF[i], p.nodeIndex[i] = p.nodeCDF[first], p.nodeIndex[first]
+			continue
 		}
-		p.nodeCDF[i], p.equal[i] = b.cdf, b.equal
+		built[k] = i
+		p.nodeCDF[i] = cdf(row)
+		p.nodeIndex[i] = numeric.NewCDFIndex(p.nodeCDF[i])
 	}
 	return p, nil
 }
@@ -226,13 +228,8 @@ func (p *Process) Next() (Request, bool) {
 		return Request{}, false
 	}
 	p.now += p.rng.ExpFloat64() / p.total
-	item := sampleCDF(p.itemCDF, p.rng.Float64())
-	var node int
-	if u := p.rng.Float64(); p.equal[item] {
-		node = sampleEqual(p.nodeCDF[item], u)
-	} else {
-		node = sampleCDF(p.nodeCDF[item], u)
-	}
+	item := p.itemIndex.Search(p.rng.Float64())
+	node := p.nodeIndex[item].Search(p.rng.Float64())
 	return Request{T: p.now, Node: node, Item: item}, true
 }
 
@@ -247,6 +244,7 @@ func (p *Process) SetPopularity(pop Popularity) error {
 	}
 	p.total = pop.Total()
 	p.itemCDF = cdf(pop.Rates)
+	p.itemIndex = numeric.NewCDFIndex(p.itemCDF)
 	return nil
 }
 
@@ -268,46 +266,4 @@ func cdf(w []float64) []float64 {
 		out[len(out)-1] = 1
 	}
 	return out
-}
-
-// equalWeights reports whether every weight of row equals the first and
-// is positive.
-func equalWeights(row []float64) bool {
-	for _, v := range row {
-		if v != row[0] {
-			return false
-		}
-	}
-	return row[0] > 0
-}
-
-// sampleCDF returns the smallest index i with c[i] ≥ u, by binary search:
-// the draw of u ∈ [0, 1) from the cumulative distribution c.
-func sampleCDF(c []float64, u float64) int {
-	lo, hi := 0, len(c)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if c[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// sampleEqual returns sampleCDF(c, u) for the CDF of n equal weights. Its
-// entries are i/n up to rounding, so the answer lies within a step or two
-// of ⌊u·n⌋: start there and walk to the smallest i with c[i] ≥ u. c is
-// non-decreasing with c[n−1] = 1 > u, so the walk ends at the binary
-// search's index.
-func sampleEqual(c []float64, u float64) int {
-	i := min(int(u*float64(len(c))), len(c)-1)
-	for i > 0 && c[i-1] >= u {
-		i--
-	}
-	for c[i] < u {
-		i++
-	}
-	return i
 }

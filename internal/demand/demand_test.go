@@ -3,7 +3,6 @@ package demand
 import (
 	"math"
 	"math/rand/v2"
-	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -267,9 +266,10 @@ func TestProcessSharesRowCDFs(t *testing.T) {
 	}
 }
 
-// TestProcessEqualRowsDrawAsBinarySearch checks that NewProcess flags
-// exactly the rows of equal weights, and that the O(1) draw on flagged
-// rows yields the same requests as the binary search on every row.
+// TestProcessEqualRowsDrawAsBinarySearch checks that the rows of equal
+// weights, and only those, get the index's array-free arm, and that the
+// process draws exactly the requests a binary search over its own CDFs
+// draws from the same RNG, on every row.
 func TestProcessEqualRowsDrawAsBinarySearch(t *testing.T) {
 	const items, clients = 4, 1000
 	pop := Pareto(items, 1, 3)
@@ -279,23 +279,24 @@ func TestProcessEqualRowsDrawAsBinarySearch(t *testing.T) {
 		skew[n] = float64(n+1) / float64(clients*(clients+1)/2)
 	}
 	prof.P[2] = skew
-	fast, err := NewProcess(pop, prof, newRNG(8))
+	p, err := NewProcess(pop, prof, newRNG(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []bool{true, true, false, true}; !slices.Equal(fast.equal, want) {
-		t.Fatalf("equal-row flags %v, want %v", fast.equal, want)
+	for i := range p.nodeIndex {
+		if b, equal := p.nodeIndex[i].Bytes(), i != 2; (b == 0) != equal {
+			t.Fatalf("row %d: index holds %d guide bytes; equal weights %v", i, b, equal)
+		}
 	}
-	ref, err := NewProcess(pop, prof, newRNG(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	clear(ref.equal)
+	rng := newRNG(8)
+	now := 0.0
 	for k := 0; k < 20000; k++ {
-		a, _ := fast.Next()
-		b, _ := ref.Next()
-		if a != b {
-			t.Fatalf("request %d: fast draw %+v, binary search %+v", k, a, b)
+		got, _ := p.Next()
+		now += rng.ExpFloat64() / p.total
+		item := binarySearch(p.itemCDF, rng.Float64())
+		want := Request{T: now, Node: binarySearch(p.nodeCDF[item], rng.Float64()), Item: item}
+		if got != want {
+			t.Fatalf("request %d: index draw %+v, binary search %+v", k, got, want)
 		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"impatience/internal/numeric"
 )
 
 // FuzzParseSchedule holds the churn-schedule parser to the same contract
@@ -33,10 +35,26 @@ func FuzzParseSchedule(f *testing.F) {
 	})
 }
 
-// FuzzSampleCDFEqualWeights holds the O(1) equal-weight draw to the
-// binary search: for a CDF of n ≤ 2²⁰ equal weights w, sampleEqual must
-// return sampleCDF's index at the fuzzed u, at u = 0, at the largest u
-// below 1, and at and next to the exact CDF value c[k].
+// binarySearch is the draw the demand CDFs were sampled with before
+// numeric.CDFIndex: the smallest index i with c[i] ≥ u, by bisection.
+func binarySearch(c []float64, u float64) int {
+	lo, hi := 0, len(c)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if c[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// FuzzSampleCDFEqualWeights holds the index's equal-weight arm to the
+// binary search: for the demand CDF of n ≤ 2²⁰ equal weights w, the
+// index must hold no guide array and return binarySearch's index at the
+// fuzzed u, at u = 0, at the largest u below 1, and at and next to the
+// exact CDF value c[k].
 func FuzzSampleCDFEqualWeights(f *testing.F) {
 	f.Add(uint32(1), 1.0, 0.5, uint32(0))
 	f.Add(uint32(3), 1.0/3, 0.999999, uint32(1))
@@ -53,6 +71,10 @@ func FuzzSampleCDFEqualWeights(f *testing.F) {
 			row[i] = w
 		}
 		c := cdf(row)
+		index := numeric.NewCDFIndex(c)
+		if b := index.Bytes(); b != 0 {
+			t.Fatalf("n=%d w=%g: the equal-weight index holds %d guide bytes, want the array-free arm", n, w, b)
+		}
 		k := int(k32) % n
 		us := []float64{0, math.Nextafter(1, 0), c[k], math.Nextafter(c[k], 0)}
 		if up := math.Nextafter(c[k], 2); up < 1 {
@@ -62,7 +84,7 @@ func FuzzSampleCDFEqualWeights(f *testing.F) {
 			us = append(us, u-math.Floor(u))
 		}
 		for _, u := range us {
-			if got, want := sampleEqual(c, u), sampleCDF(c, u); got != want {
+			if got, want := index.Search(u), binarySearch(c, u); got != want {
 				t.Fatalf("n=%d w=%g u=%v: equal-weight draw %d, binary search %d", n, w, u, got, want)
 			}
 		}

@@ -16,10 +16,12 @@ import (
 var ErrBadWeights = errors.New("numeric: invalid sampling weights")
 
 // Alias is a Walker/Vose alias table: O(n) construction, O(1) sampling
-// from a fixed discrete distribution. It replaces per-draw binary search
-// over a cumulative distribution (O(log n) with cache-hostile access) in
-// the contact generators, where n is the number of node pairs — O(N²) in
-// the population size — and one draw happens per generated contact.
+// from a fixed discrete distribution. The streaming contact generators
+// draw their pair from it, where n is the number of node pairs — O(N²)
+// in the population size — and one draw happens per generated contact.
+// It draws a different index than a CDF lookup for the same uniform;
+// samplers whose digests pin the CDF's buckets locate their uniform with
+// CDFIndex instead.
 //
 // The table stores, per column i, the probability prob[i] of keeping i
 // and the alias to sample otherwise. Columns with zero weight get

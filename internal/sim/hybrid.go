@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sort"
 
 	"impatience/internal/alloc"
 	"impatience/internal/core"
@@ -216,17 +215,19 @@ type hybridRun struct {
 
 	nodes, items, comms int
 	sizes               []int
-	meet                []float64   // M_k per community
-	partnerCDF          [][]float64 // per community: cumulative β_kl·peers_l
+	meet                []float64          // M_k per community
+	partner             []numeric.CDFIndex // per community: over cumulative β_kl·peers_l, total M_k
 
 	probes    int
-	probeComm []int32     // probe → community
-	probeCDF  []float64   // cumulative probe meeting rate, by probe
-	open      [][]openReq // per probe: outstanding requests
+	probeComm []int32          // probe → community
+	probeCDF  []float64        // cumulative probe meeting rate, by probe
+	probeIdx  numeric.CDFIndex // over probeCDF
+	open      [][]openReq      // per probe: outstanding requests
 
 	rng      *rand.Rand
 	popRates []float64 // current true popularity (switch applies here)
 	popCDF   []float64
+	popIdx   numeric.CDFIndex // over popCDF
 	popTotal float64
 	uk       utilKernel // monomorphic delay-utility for the probe loop
 
@@ -325,7 +326,7 @@ func newHybridRun(cfg *Config, m *rates.Model, duration float64, hy HybridOption
 
 	// Community meeting rates and partner CDFs.
 	h.meet = make([]float64, comms)
-	h.partnerCDF = make([][]float64, comms)
+	h.partner = make([]numeric.CDFIndex, comms)
 	for k := 0; k < comms; k++ {
 		cdf := make([]float64, comms)
 		var acc float64
@@ -338,7 +339,7 @@ func newHybridRun(cfg *Config, m *rates.Model, duration float64, hy HybridOption
 			cdf[l] = acc
 		}
 		h.meet[k] = acc
-		h.partnerCDF[k] = cdf
+		h.partner[k] = numeric.NewCDFIndex(cdf)
 	}
 
 	// Probe set: hybridBoundaryPerComm per community (at most the whole
@@ -372,6 +373,7 @@ func newHybridRun(cfg *Config, m *rates.Model, duration float64, hy HybridOption
 			h.probeCDF = append(h.probeCDF, acc)
 		}
 	}
+	h.probeIdx = numeric.NewCDFIndex(h.probeCDF)
 	h.open = make([][]openReq, total)
 	h.winGain = make([]float64, total)
 	h.samples = make([]float64, total)
@@ -481,6 +483,7 @@ func (h *hybridRun) setPop(rates []float64) {
 		h.popCDF[i] = acc
 	}
 	h.popTotal = acc
+	h.popIdx = numeric.NewCDFIndex(h.popCDF)
 }
 
 // arrivalRate is the total probe request rate: per-node demand d/N per
@@ -616,7 +619,7 @@ func (h *hybridRun) checkpoint(t0, t1 float64) error {
 // arrival books one probe request at time t.
 func (h *hybridRun) arrival(t float64) {
 	p := h.rng.IntN(h.probes)
-	i := sort.SearchFloat64s(h.popCDF, h.rng.Float64()*h.popTotal)
+	i := h.popIdx.Search(h.rng.Float64() * h.popTotal)
 	if i >= h.items {
 		i = h.items - 1
 	}
@@ -633,7 +636,7 @@ func (h *hybridRun) arrival(t float64) {
 // partner community, and resolve each open request independently.
 func (h *hybridRun) meeting(t float64) {
 	h.res.Meetings++
-	p := sort.SearchFloat64s(h.probeCDF, h.rng.Float64()*h.meetingRate())
+	p := h.probeIdx.Search(h.rng.Float64() * h.meetingRate())
 	if p >= h.probes {
 		p = h.probes - 1
 	}
@@ -641,8 +644,7 @@ func (h *hybridRun) meeting(t float64) {
 		return
 	}
 	k := int(h.probeComm[p])
-	cdf := h.partnerCDF[k]
-	l := sort.SearchFloat64s(cdf, h.rng.Float64()*cdf[len(cdf)-1])
+	l := h.partner[k].Search(h.rng.Float64() * h.meet[k])
 	if l >= h.comms {
 		l = h.comms - 1
 	}

@@ -476,3 +476,35 @@ func TestHybridBeliefPushRefreshesDrift(t *testing.T) {
 		}
 	}
 }
+
+// hybridSwitchDigest pins TestHybridDemandSwitchPinned's run. It was
+// computed before the probe CDFs moved onto numeric.CDFIndex, and the
+// index must reproduce it bit for bit.
+const hybridSwitchDigest = 0x2544b14855411cf7
+
+// TestHybridDemandSwitchPinned pins a fluid-path QCR run through a
+// mid-run DemandSwitch, the one place the probe popularity CDF and its
+// index are rebuilt. Demand starts back-loaded (Pareto reversed) and
+// switches to front-loaded Pareto at t = 400, so a stale lookup after
+// the switch would start past the items the new demand draws.
+func TestHybridDemandSwitchPinned(t *testing.T) {
+	const n = 200
+	m := hybridModel(t, n)
+	cfg, scale := hybridQCRConfig(t, n, m.MeanPairRate())
+	front := cfg.Pop
+	back := demand.Popularity{Rates: make([]float64, front.Items())}
+	for i, d := range front.Rates {
+		back.Rates[len(back.Rates)-1-i] = d
+	}
+	cfg.Pop, cfg.DemandSwitch, cfg.DemandSwitchTime = back, &front, 400
+	r, err := RunHybrid(cfg, m, 800, HybridOptions{ContactSeed: 5, ReactionScale: scale})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Hybrid == nil || r.Hybrid.FellBack {
+		t.Fatalf("the pin must cover the fluid path, tally %+v", r.Hybrid)
+	}
+	if got := r.Digest(); got != hybridSwitchDigest {
+		t.Errorf("digest %#016x, pinned %#016x", got, uint64(hybridSwitchDigest))
+	}
+}
