@@ -180,3 +180,73 @@ func TestMeetingCostIndependentOfBacklog(t *testing.T) {
 		t.Errorf("a meeting with %d open requests costs %.1f× one with 1, want < 4", backlog, ratio)
 	}
 }
+
+// TestMeetingCostIndependentOfCatalog times runner.step on miss meetings
+// at ρ = 2 over a 64-item catalog, whose rows are one word, and a
+// 4,096-item one, whose rows are 64: a meeting must cost the peer's
+// slots, not the catalog width, so the two costs stay within a factor of
+// 4. In both the requester has 16 open requests spread evenly over the
+// catalog and the peer caches two items between them that nobody
+// requests.
+func TestMeetingCostIndependentOfCatalog(t *testing.T) {
+	if raceEnabled {
+		t.Skip("wall-clock ratio under the race detector")
+	}
+	const (
+		nodes, rho, open = 4, 2, 16
+		meetings, reps   = 20000, 7
+	)
+	build := func(items int) *runner {
+		gap := items / open
+		p := alloc.NewPlacement(items, nodes, rho)
+		for _, it := range []int{gap + 1, items - gap + 1} {
+			if err := p.Set(it, 1, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cfg := Config{
+			Rho:              rho,
+			Utility:          utility.Step{Tau: 10},
+			Pop:              demand.Popularity{Rates: make([]float64, items)},
+			Policy:           core.Static{},
+			InitialPlacement: p,
+			NoSticky:         true,
+			Seed:             1,
+			WarmupFrac:       -1,
+		}
+		runners, err := newRunners([]Config{cfg}, (&trace.Trace{Nodes: nodes, Duration: math.MaxFloat64}).Source())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := runners[0]
+		for k := 0; k < open; k++ {
+			r.s.addRequest(0, k*gap, 0)
+		}
+		return r
+	}
+	narrow, wide := build(64), build(4096)
+	clock := map[*runner]float64{}
+	timed := func(r *runner) time.Duration {
+		start := time.Now()
+		for k := 0; k < meetings; k++ {
+			clock[r]++
+			if err := r.step(trace.Contact{T: clock[r], A: 0, B: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return time.Since(start)
+	}
+	dn, dw := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for rep := 0; rep < reps; rep++ {
+		dn = min(dn, timed(narrow))
+		dw = min(dw, timed(wide))
+	}
+	if narrow.res.Fulfillments+wide.res.Fulfillments != 0 || wide.s.reqs.Total() != open {
+		t.Fatalf("a request was fulfilled: the peer must miss every open item")
+	}
+	ratio := float64(dw) / float64(dn)
+	t.Logf("per meeting: %v over 64 items, %v over 4096 (ratio %.2f)", dn/meetings, dw/meetings, ratio)
+	if ratio >= 4 {
+		t.Errorf("a meeting over 4096 items costs %.1f× one over 64, want < 4", ratio)
+	}
+}

@@ -23,6 +23,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand/v2"
 	"sort"
 
@@ -218,16 +219,24 @@ type state struct {
 	// digest.
 	slots   []int32 // item id per slot, -1 when empty
 	stickyS []bool  // slot pinned?
-	has     []bool  // node*items + item
 	used    []int32 // per node: occupied slots (occupancy counter)
 	counts  []int   // replicas per item
 	stickyN []int   // per item: node holding the pinned replica, -1
 	writes  int
 
+	// cache and open restate slots and reqs as item bits, one row per
+	// node (see bitRows): cache has bit (n, i) set while n's slots hold
+	// item i, open while reqs holds an entry for (n, i). place, Write and
+	// crash keep cache in step with slots; addRequest, fulfillSide and
+	// crash keep open in step with reqs. Dedicated clients' cache rows
+	// stay zero.
+	cache bitRows
+	open  bitRows
+
 	// Outstanding requests: per node, the items with open requests in
 	// ascending order, each with its requests in arrival order. A meeting
-	// walks the list directly, and the summation orders of crash and the
-	// horizon accounting follow it.
+	// finds its hits in the open rows and reads the list only at them;
+	// the summation orders of crash and the horizon accounting follow it.
 	reqs arena.Lists[request]
 
 	// Fault-injection state; inj is nil when the layer is off, and every
@@ -259,8 +268,9 @@ func (s *state) Nodes() int { return s.nodes }
 // Items implements core.Cache.
 func (s *state) Items() int { return s.items }
 
-// Has implements core.Cache.
-func (s *state) Has(node, item int) bool { return s.has[node*s.items+item] }
+// Has implements core.Cache: one bit of node's cache row, false for a
+// dedicated client.
+func (s *state) Has(node, item int) bool { return s.cache.has(node, item) }
 
 // StickyNode implements core.Cache.
 func (s *state) StickyNode(item int) int { return s.stickyN[item] }
@@ -311,13 +321,13 @@ func (s *state) Write(node, item int) bool {
 		return false
 	}
 	if old := s.slots[chosen]; old >= 0 {
-		s.has[node*s.items+int(old)] = false
+		s.cache.clear(node, int(old))
 		s.counts[old]--
 	} else {
 		s.used[node]++
 	}
 	s.slots[chosen] = int32(item)
-	s.has[node*s.items+item] = true
+	s.cache.set(node, item)
 	s.counts[item]++
 	s.writes++
 	return true
@@ -333,7 +343,7 @@ func (s *state) place(node, item int, sticky bool) error {
 		if s.slots[k] < 0 {
 			s.slots[k] = int32(item)
 			s.stickyS[k] = sticky
-			s.has[node*s.items+item] = true
+			s.cache.set(node, item)
 			s.used[node]++
 			s.counts[item]++
 			if sticky {
@@ -367,6 +377,7 @@ func (s *state) freeSlots(node int) int {
 // way.
 func (s *state) addRequest(node, item int, t float64) {
 	s.reqs.Push(node, item, request{t0: t, m0: s.reqs.Clock(node)})
+	s.open.set(node, item)
 }
 
 // reseed re-pins item's sticky replica at a node currently holding it —
@@ -398,7 +409,6 @@ func (s *state) crash(n int, t float64, res *Result) {
 		if it < 0 {
 			continue
 		}
-		s.has[n*s.items+int(it)] = false
 		s.counts[it]--
 		s.tally.ReplicasLost++
 		if s.stickyS[k] {
@@ -409,6 +419,7 @@ func (s *state) crash(n int, t float64, res *Result) {
 		s.slots[k] = -1
 	}
 	s.used[n] = 0
+	s.cache.zero(n)
 	// Ascending item order: the float summation order — and hence the
 	// Result — stays reproducible.
 	ents := s.reqs.Entries(n)
@@ -428,6 +439,7 @@ func (s *state) crash(n int, t float64, res *Result) {
 		}
 	}
 	s.reqs.Clear(n)
+	s.open.zero(n)
 	s.tally.MandatesCrashed += s.cfg.Policy.OnCrash(n)
 }
 
@@ -526,8 +538,9 @@ func buildRunner(cfg *Config, nodes int, duration float64) (*runner, error) {
 		rng:     rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x5eed0fca11)),
 		slots:   make([]int32, servers*cfg.Rho),
 		stickyS: make([]bool, servers*cfg.Rho),
-		has:     make([]bool, nodes*items),
 		used:    make([]int32, nodes),
+		cache:   newBitRows(nodes, items),
+		open:    newBitRows(nodes, items),
 		counts:  make([]int, items),
 		stickyN: make([]int, items),
 		reqs:    arena.New[request](nodes),
@@ -746,14 +759,17 @@ func (r *runner) handleArrival(rq demand.Request) {
 // fulfillSide serves node n's open requests from peer's cache. The
 // meeting ticks n's query clock once, truncated or refused meetings
 // included: that single tick is every open request's counter++, read
-// back at fulfillment as clock − m0 (see request). Only the matched items
-// are then visited: the node's open items that peer caches, found by
-// walking whichever of the two lists is shorter — peer's ρ slots, each
-// binary-searched in n's sorted block, or n's block, each checked with
-// Has — and fulfilled in ascending item order. Every request of a
-// matched item is fulfilled; its queue is emptied and removed after the
-// walk. The matches are fixed before any OnFulfill hook runs; the hooks
-// mint mandates and write no cache (writes happen in OnMeeting).
+// back at fulfillment as clock − m0 (see request). The hits, the items n
+// has open that peer caches, come from the bit rows, and n's request
+// list is read only at them. When a row has no more words than peer has
+// slots, each word of n's open row is ANDed with the same word of peer's
+// cache row, and a hit's entry position is the number of open bits below
+// it; otherwise peer's slots are walked, each tested against n's open
+// row and, on a hit, binary-searched in n's list. Either way the hits
+// are fulfilled in ascending item order. Every request of a hit item is
+// fulfilled; its queue is emptied and removed after the walk. The hits
+// are fixed before any OnFulfill hook runs; the hooks mint mandates and
+// write no cache (writes happen in OnMeeting).
 func (r *runner) fulfillSide(n, peer int, t float64) {
 	s := r.s
 	clk := s.reqs.Clock(n)
@@ -764,31 +780,34 @@ func (r *runner) fulfillSide(n, peer int, t float64) {
 	if s.truncated {
 		return
 	}
-	ents := s.reqs.Entries(n)
 	hits := r.match[:0]
-	if lo, hi := s.slotRange(peer); len(ents) > hi-lo {
+	if lo, hi := s.slotRange(peer); s.open.words > hi-lo {
+		// Rows wider than peer's slots: walk the slots.
 		for k := lo; k < hi; k++ {
 			item := int(s.slots[k])
-			if item < 0 {
+			if item < 0 || !s.open.has(n, item) {
 				continue
 			}
-			i := arena.Search(ents, item)
-			if i == len(ents) || ents[i].Item() != item {
-				continue
-			}
+			i := int32(arena.Search(s.reqs.Entries(n), item))
 			// Insertion-sort the ≤ ρ hits into ascending item order.
 			j := len(hits)
 			hits = append(hits, 0)
-			for ; j > 0 && hits[j-1] > int32(i); j-- {
+			for ; j > 0 && hits[j-1] > i; j-- {
 				hits[j] = hits[j-1]
 			}
-			hits[j] = int32(i)
+			hits[j] = i
 		}
 	} else {
-		for i := range ents {
-			if s.Has(peer, ents[i].Item()) {
-				hits = append(hits, int32(i))
+		// One AND per row word. h&-h is the lowest hit's bit; the open
+		// bits below it, plus rank for the earlier words, count the
+		// entries before the hit.
+		rank := 0
+		for k := 0; k < s.open.words; k++ {
+			o := s.open.word(n, k)
+			for h := o & s.cache.word(peer, k); h != 0; h &= h - 1 {
+				hits = append(hits, int32(rank+bits.OnesCount64(o&(h&-h-1))))
 			}
+			rank += bits.OnesCount64(o)
 		}
 	}
 	if len(hits) == 0 {
@@ -806,6 +825,7 @@ func (r *runner) fulfillSide(n, peer int, t float64) {
 		nFreeRides = s.adv.FreeRider(n)
 		nDishonest = s.adv.Dishonest(n)
 	}
+	ents := s.reqs.Entries(n)
 	for _, i := range hits {
 		e := &ents[i]
 		item := e.Item()
@@ -840,6 +860,7 @@ func (r *runner) fulfillSide(n, peer int, t float64) {
 		if s.inj != nil && !s.cfg.NoSticky && s.stickyN[item] < 0 {
 			s.reseed(peer, item)
 		}
+		s.open.clear(n, item)
 		e.Clear()
 	}
 	s.reqs.Compact(n)
