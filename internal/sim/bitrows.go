@@ -8,26 +8,18 @@ import "math/bits"
 // power of two, so a row never straddles a word boundary: below 64 items
 // several nodes' rows share a word, from 64 items on a row is stride/64
 // whole words. The kernel keeps two sets of rows, the items each node
-// caches and the items it has open requests for, so the items one node
-// wants and its peer holds are the AND of two rows.
+// caches and the items it has open requests for, so whether a node
+// wants an item its peer holds is one bit test.
 type bitRows struct {
 	w     []uint64
-	shift uint   // log2 of the stride
-	mask  uint64 // the low stride bits, for rows of at most one word
-	words int    // words per row; 1 when rows share a word
+	shift uint // log2 of the stride
 }
 
 // newBitRows returns all-zero rows for nodes nodes over an items-wide
 // catalog (items ≥ 1).
 func newBitRows(nodes, items int) bitRows {
 	shift := uint(bits.Len(uint(items - 1)))
-	stride := 1 << shift
-	return bitRows{
-		w:     make([]uint64, (nodes<<shift+63)>>6),
-		shift: shift,
-		mask:  ^uint64(0) >> (64 - min(stride, 64)),
-		words: max(stride>>6, 1),
-	}
+	return bitRows{w: make([]uint64, (nodes<<shift+63)>>6), shift: shift}
 }
 
 // has reports whether bit (n, i) is set.
@@ -48,21 +40,12 @@ func (b *bitRows) clear(n, i int) {
 	b.w[k>>6] &^= 1 << (k & 63)
 }
 
-// word returns word k of node n's row, the row's items 64k and up from
-// bit 0; k is 0 when rows share a word.
-func (b *bitRows) word(n, k int) uint64 {
-	if b.words == 1 {
-		bit := n << b.shift
-		return b.w[bit>>6] >> (bit & 63) & b.mask
-	}
-	return b.w[n*b.words+k]
-}
-
 // zero clears node n's row.
 func (b *bitRows) zero(n int) {
-	if bit := n << b.shift; b.words == 1 {
-		b.w[bit>>6] &^= b.mask << (bit & 63)
+	bit, stride := n<<b.shift, 1<<b.shift
+	if stride < 64 {
+		b.w[bit>>6] &^= (1<<stride - 1) << (bit & 63)
 	} else {
-		clear(b.w[n*b.words : (n+1)*b.words])
+		clear(b.w[bit>>6 : (bit+stride)>>6])
 	}
 }

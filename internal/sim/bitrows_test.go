@@ -3,16 +3,16 @@ package sim
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 	"testing"
 )
 
-// FuzzBitRows checks set, clear, has, word and zero against a
-// []bool model over fuzzed (nodes, items), read as one more than the
-// fuzzed bytes, the op stream decoded three bytes at a time. The seeds cross the stride boundaries: rows sharing a
-// word, a row of exactly one word, items 63 and 64, multi-word rows and
-// the last node's row. After every op each row must match the model and
-// no bit between a row's items and its stride may be set.
+// FuzzBitRows checks set, clear, has and zero against a []bool model
+// over fuzzed (nodes, items), read as one more than the fuzzed bytes,
+// the op stream decoded three bytes at a time. The seeds cross the
+// stride boundaries: rows sharing a word, a row of exactly one word,
+// items 63 and 64, multi-word rows and the last node's row. After every
+// op each node's bits must match the model and no bit between a row's
+// items and its stride may be set.
 func FuzzBitRows(f *testing.F) {
 	f.Add(uint8(29), uint8(2), []byte{0, 29, 2, 0, 0, 0, 1, 29, 2, 2, 28, 0})
 	f.Add(uint8(4), uint8(0), []byte{0, 4, 0, 0, 3, 0, 2, 4, 0})
@@ -43,21 +43,10 @@ func FuzzBitRows(f *testing.F) {
 				clear(model[n*items : (n+1)*items])
 			}
 			for m := 0; m < nodes; m++ {
-				want := make([]uint64, (stride+63)/64)
 				for it := 0; it < items; it++ {
-					if model[m*items+it] {
-						want[it/64] |= 1 << (it % 64)
-					}
 					if b.has(m, it) != model[m*items+it] {
 						t.Fatalf("N=%d I=%d: has(%d, %d) = %v, model %v", nodes, items, m, it, !model[m*items+it], model[m*items+it])
 					}
-				}
-				got := make([]uint64, b.words)
-				for k := range got {
-					got[k] = b.word(m, k)
-				}
-				if !slices.Equal(got, want) {
-					t.Fatalf("N=%d I=%d: row %d = %x, model %x", nodes, items, m, got, want)
 				}
 			}
 			// Every set bit of the store lies inside some row's items.
@@ -126,13 +115,12 @@ func onesCount(w []uint64) int {
 
 // TestBitRowsMatchState drives runners contact by contact and checks,
 // after every step, that each node's cache row holds exactly the items
-// in its slots and its open row exactly the items of its request list. The scenarios cover QCR writes and mandate
-// routing, UNI, dedicated servers (whose clients' cache rows stay
-// empty), churn crashes, truncated meetings and free-riding and
-// dishonest nodes, over catalogs that pack several rows into a word (1,
-// 4, 50), fill one word (64), or span several (65, 130, 4000), with
-// cache sizes that send multi-word meetings down both the word and the
-// slot walk.
+// in its slots and its open row exactly the items of its request list.
+// The scenarios cover QCR writes and mandate routing, UNI, dedicated
+// servers (whose clients' cache rows stay empty), churn crashes,
+// truncated meetings and free-riding and dishonest nodes, over catalogs
+// that pack several rows into a word (1, 4, 50), fill one word (64), or
+// span several (65, 130, 4000).
 func TestBitRowsMatchState(t *testing.T) {
 	for _, items := range []int{1, 4, 50, 64, 65, 130, 4000} {
 		t.Run(fmt.Sprintf("I=%d", items), func(t *testing.T) {

@@ -81,9 +81,10 @@ func catalogScenarios(t *testing.T, items, rho int) []Config {
 
 // catalogDigests pins TestCatalogWidthsPinned's runs: per catalog size
 // and cache size, the QCR, UNI and dedicated-server digests of
-// catalogScenarios. They were computed while the kernel still kept one byte per (node,
-// item) for its caches and matched requests by binary search, and must
-// survive any change to how meetings find their hits bit for bit.
+// catalogScenarios. They were computed while the kernel still kept one
+// byte per (node, item) for its caches and matched requests by binary
+// search, and must survive any change to how meetings find their hits
+// bit for bit.
 var catalogDigests = []struct {
 	items, rho int
 	want       [3]uint64
@@ -98,9 +99,7 @@ var catalogDigests = []struct {
 
 // TestCatalogWidthsPinned pins whole runs at catalog sizes the golden
 // digests do not reach: a catalog within one machine word, exactly one,
-// just past one, several (with fewer and with more cache slots than
-// words), and one so wide that a meeting must walk the peer's slots
-// rather than the requester's items.
+// just past one, several, and one whose rows span 64 words.
 func TestCatalogWidthsPinned(t *testing.T) {
 	for _, tc := range catalogDigests {
 		for k, cfg := range catalogScenarios(t, tc.items, tc.rho) {

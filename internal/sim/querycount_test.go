@@ -120,62 +120,23 @@ func TestMeetingCostIndependentOfBacklog(t *testing.T) {
 		t.Skip("wall-clock ratio under the race detector")
 	}
 	const (
-		nodes, rho, backlog = 4, 2, 2000
-		items               = 2 * backlog
-		meetings, reps      = 20000, 7
+		backlog = 2000
+		items   = 2 * backlog
 	)
-	build := func(open int) *runner {
-		// The peer, node 1, caches only two items nobody requests.
-		p := alloc.NewPlacement(items, nodes, rho)
-		for _, it := range []int{backlog + 1, items - 3} {
-			if err := p.Set(it, 1, true); err != nil {
-				t.Fatal(err)
-			}
+	cached := []int{backlog + 1, items - 3}
+	evens := func(n int) []int {
+		req := make([]int, n)
+		for k := range req {
+			req[k] = 2 * k
 		}
-		cfg := Config{
-			Rho:              rho,
-			Utility:          utility.Step{Tau: 10},
-			Pop:              demand.Popularity{Rates: make([]float64, items)},
-			Policy:           core.Static{},
-			InitialPlacement: p,
-			NoSticky:         true,
-			Seed:             1,
-			WarmupFrac:       -1,
-		}
-		runners, err := newRunners([]Config{cfg}, (&trace.Trace{Nodes: nodes, Duration: math.MaxFloat64}).Source())
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := runners[0]
-		for k := 0; k < open; k++ {
-			r.s.addRequest(0, 2*k, 0)
-		}
-		return r
+		return req
 	}
-	small, large := build(1), build(backlog)
-	clock := map[*runner]float64{}
-	timed := func(r *runner) time.Duration {
-		start := time.Now()
-		for k := 0; k < meetings; k++ {
-			clock[r]++
-			if err := r.step(trace.Contact{T: clock[r], A: 0, B: 1}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return time.Since(start)
-	}
-	best := func(d *time.Duration, v time.Duration) { *d = min(*d, v) }
-	ds, dl := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
-	for rep := 0; rep < reps; rep++ {
-		best(&ds, timed(small))
-		best(&dl, timed(large))
-	}
-	if small.res.Fulfillments+large.res.Fulfillments != 0 || large.s.reqs.Total() != backlog {
-		t.Fatalf("a request was fulfilled: the peer must miss every open item")
-	}
-	ratio := float64(dl) / float64(ds)
+	d := missMeetingCosts(t,
+		missRunner(t, items, cached, evens(1)),
+		missRunner(t, items, cached, evens(backlog)))
+	ratio := float64(d[1]) / float64(d[0])
 	t.Logf("per meeting: %v with 1 open request, %v with %d (ratio %.2f)",
-		ds/meetings, dl/meetings, backlog, ratio)
+		d[0], d[1], backlog, ratio)
 	if ratio >= 4 {
 		t.Errorf("a meeting with %d open requests costs %.1f× one with 1, want < 4", backlog, ratio)
 	}
@@ -192,61 +153,86 @@ func TestMeetingCostIndependentOfCatalog(t *testing.T) {
 	if raceEnabled {
 		t.Skip("wall-clock ratio under the race detector")
 	}
-	const (
-		nodes, rho, open = 4, 2, 16
-		meetings, reps   = 20000, 7
-	)
+	const open = 16
 	build := func(items int) *runner {
 		gap := items / open
-		p := alloc.NewPlacement(items, nodes, rho)
-		for _, it := range []int{gap + 1, items - gap + 1} {
-			if err := p.Set(it, 1, true); err != nil {
-				t.Fatal(err)
-			}
+		req := make([]int, open)
+		for k := range req {
+			req[k] = k * gap
 		}
-		cfg := Config{
-			Rho:              rho,
-			Utility:          utility.Step{Tau: 10},
-			Pop:              demand.Popularity{Rates: make([]float64, items)},
-			Policy:           core.Static{},
-			InitialPlacement: p,
-			NoSticky:         true,
-			Seed:             1,
-			WarmupFrac:       -1,
-		}
-		runners, err := newRunners([]Config{cfg}, (&trace.Trace{Nodes: nodes, Duration: math.MaxFloat64}).Source())
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := runners[0]
-		for k := 0; k < open; k++ {
-			r.s.addRequest(0, k*gap, 0)
-		}
-		return r
+		return missRunner(t, items, []int{gap + 1, items - gap + 1}, req)
 	}
-	narrow, wide := build(64), build(4096)
-	clock := map[*runner]float64{}
-	timed := func(r *runner) time.Duration {
-		start := time.Now()
-		for k := 0; k < meetings; k++ {
-			clock[r]++
-			if err := r.step(trace.Contact{T: clock[r], A: 0, B: 1}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return time.Since(start)
-	}
-	dn, dw := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
-	for rep := 0; rep < reps; rep++ {
-		dn = min(dn, timed(narrow))
-		dw = min(dw, timed(wide))
-	}
-	if narrow.res.Fulfillments+wide.res.Fulfillments != 0 || wide.s.reqs.Total() != open {
-		t.Fatalf("a request was fulfilled: the peer must miss every open item")
-	}
-	ratio := float64(dw) / float64(dn)
-	t.Logf("per meeting: %v over 64 items, %v over 4096 (ratio %.2f)", dn/meetings, dw/meetings, ratio)
+	d := missMeetingCosts(t, build(64), build(4096))
+	ratio := float64(d[1]) / float64(d[0])
+	t.Logf("per meeting: %v over 64 items, %v over 4096 (ratio %.2f)", d[0], d[1], ratio)
 	if ratio >= 4 {
 		t.Errorf("a meeting over 4096 items costs %.1f× one over 64, want < 4", ratio)
 	}
+}
+
+// missRunner returns a static-policy runner over an items-wide catalog
+// on 4 nodes at ρ = 2 in which node 1 caches the items cached and node 0
+// has one open request, issued at time 0, for each item of requested.
+func missRunner(t *testing.T, items int, cached, requested []int) *runner {
+	const nodes, rho = 4, 2
+	p := alloc.NewPlacement(items, nodes, rho)
+	for _, it := range cached {
+		if err := p.Set(it, 1, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := Config{
+		Rho:              rho,
+		Utility:          utility.Step{Tau: 10},
+		Pop:              demand.Popularity{Rates: make([]float64, items)},
+		Policy:           core.Static{},
+		InitialPlacement: p,
+		NoSticky:         true,
+		Seed:             1,
+		WarmupFrac:       -1,
+	}
+	runners, err := newRunners([]Config{cfg}, (&trace.Trace{Nodes: nodes, Duration: math.MaxFloat64}).Source())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := runners[0]
+	for _, it := range requested {
+		r.s.addRequest(0, it, 0)
+	}
+	return r
+}
+
+// missMeetingCosts times meetings of node 0 with node 1 on each runner
+// and returns the per-meeting cost of each: the best of 7 repetitions of
+// 20,000 meetings, the runners taking turns within each repetition. It
+// fails the test if a meeting fulfilled a request, since every meeting
+// must be a miss.
+func missMeetingCosts(t *testing.T, runners ...*runner) []time.Duration {
+	const meetings, reps = 20000, 7
+	open := make([]int, len(runners))
+	clock := make([]float64, len(runners))
+	best := make([]time.Duration, len(runners))
+	for i, r := range runners {
+		open[i] = r.s.reqs.Total()
+		best[i] = time.Duration(math.MaxInt64)
+	}
+	for rep := 0; rep < reps; rep++ {
+		for i, r := range runners {
+			start := time.Now()
+			for k := 0; k < meetings; k++ {
+				clock[i]++
+				if err := r.step(trace.Contact{T: clock[i], A: 0, B: 1}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			best[i] = min(best[i], time.Since(start))
+		}
+	}
+	for i, r := range runners {
+		if r.res.Fulfillments != 0 || r.s.reqs.Total() != open[i] {
+			t.Fatalf("a request was fulfilled: the peer must miss every open item")
+		}
+		best[i] /= meetings
+	}
+	return best
 }

@@ -23,7 +23,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand/v2"
 	"sort"
 
@@ -760,16 +759,14 @@ func (r *runner) handleArrival(rq demand.Request) {
 // meeting ticks n's query clock once, truncated or refused meetings
 // included: that single tick is every open request's counter++, read
 // back at fulfillment as clock − m0 (see request). The hits, the items n
-// has open that peer caches, come from the bit rows, and n's request
-// list is read only at them. When a row has no more words than peer has
-// slots, each word of n's open row is ANDed with the same word of peer's
-// cache row, and a hit's entry position is the number of open bits below
-// it; otherwise peer's slots are walked, each tested against n's open
-// row and, on a hit, binary-searched in n's list. Either way the hits
-// are fulfilled in ascending item order. Every request of a hit item is
-// fulfilled; its queue is emptied and removed after the walk. The hits
-// are fixed before any OnFulfill hook runs; the hooks mint mandates and
-// write no cache (writes happen in OnMeeting).
+// has open that peer caches, are found by testing each of peer's slots
+// against n's open row, and n's request list is binary-searched only at
+// them, so a meeting costs peer's ρ slots whatever n's backlog and the
+// catalog width. The ≤ ρ hits are fulfilled in ascending item order.
+// Every request of a hit item is fulfilled; its queue is emptied and
+// removed after the walk. The hits are fixed before any OnFulfill hook
+// runs; the hooks mint mandates and write no cache (writes happen in
+// OnMeeting).
 func (r *runner) fulfillSide(n, peer int, t float64) {
 	s := r.s
 	clk := s.reqs.Clock(n)
@@ -781,34 +778,20 @@ func (r *runner) fulfillSide(n, peer int, t float64) {
 		return
 	}
 	hits := r.match[:0]
-	if lo, hi := s.slotRange(peer); s.open.words > hi-lo {
-		// Rows wider than peer's slots: walk the slots.
-		for k := lo; k < hi; k++ {
-			item := int(s.slots[k])
-			if item < 0 || !s.open.has(n, item) {
-				continue
-			}
-			i := int32(arena.Search(s.reqs.Entries(n), item))
-			// Insertion-sort the ≤ ρ hits into ascending item order.
-			j := len(hits)
-			hits = append(hits, 0)
-			for ; j > 0 && hits[j-1] > i; j-- {
-				hits[j] = hits[j-1]
-			}
-			hits[j] = i
+	lo, hi := s.slotRange(peer)
+	for k := lo; k < hi; k++ {
+		item := int(s.slots[k])
+		if item < 0 || !s.open.has(n, item) {
+			continue
 		}
-	} else {
-		// One AND per row word. h&-h is the lowest hit's bit; the open
-		// bits below it, plus rank for the earlier words, count the
-		// entries before the hit.
-		rank := 0
-		for k := 0; k < s.open.words; k++ {
-			o := s.open.word(n, k)
-			for h := o & s.cache.word(peer, k); h != 0; h &= h - 1 {
-				hits = append(hits, int32(rank+bits.OnesCount64(o&(h&-h-1))))
-			}
-			rank += bits.OnesCount64(o)
+		i := int32(arena.Search(s.reqs.Entries(n), item))
+		// Insertion-sort the ≤ ρ hits into ascending item order.
+		j := len(hits)
+		hits = append(hits, 0)
+		for ; j > 0 && hits[j-1] > i; j-- {
+			hits[j] = hits[j-1]
 		}
+		hits[j] = i
 	}
 	if len(hits) == 0 {
 		return
