@@ -143,3 +143,36 @@ func TestNextBatchEmptyBuffer(t *testing.T) {
 		t.Fatalf("first contact after empty NextBatch = %+v, want %+v", first, want)
 	}
 }
+
+// TestEmpiricalRatesFromReplayStream: the batched rates pass over a
+// ReplayStream gives, bit for bit, the matrix of a contact-by-contact
+// accumulation over the same stream's Next.
+func TestEmpiricalRatesFromReplayStream(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	rm := randomMatrix(rng, 12)
+	const duration = 400.0
+	open := func() *ReplayStream {
+		s, err := NewReplayStream(rm, duration, 21, 22)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	want := trace.NewRateMatrix(rm.Nodes)
+	contacts := drainNext(open())
+	if len(contacts) < 3000 {
+		t.Fatalf("only %d contacts; the stream should span several batches", len(contacts))
+	}
+	for _, c := range contacts {
+		want.Set(c.A, c.B, want.At(c.A, c.B)+1/duration)
+	}
+	got, err := trace.EmpiricalRatesFrom(open())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range want.Rates() {
+		if got.Rates()[i] != w {
+			t.Fatalf("pair %d: rate %v != %v", i, got.Rates()[i], w)
+		}
+	}
+}

@@ -124,28 +124,33 @@ func (s *SliceSource) NextBatch(buf []Contact) int {
 func (s *SliceSource) Reopen() (Source, error) { return &SliceSource{tr: s.tr}, nil }
 
 // EmpiricalRatesFrom is EmpiricalRates over a streamed trace: it drains
-// the source, applying the same per-contact accumulation in the same
-// order, so for a source streaming a materialized trace's contacts the
-// returned matrix is bit-identical to EmpiricalRates of that trace.
-// Contacts are contract-checked as they are consumed (a stream cannot be
-// validated up front) and a mid-stream source error is propagated.
+// the source in batches through FillBatch, applying the same per-contact
+// accumulation in the same order, so for a source streaming a
+// materialized trace's contacts the returned matrix is bit-identical to
+// EmpiricalRates of that trace. Contacts are contract-checked as they
+// are consumed (a stream cannot be validated up front) and a mid-stream
+// source error is propagated.
 func EmpiricalRatesFrom(src Source) (*RateMatrix, error) {
 	nodes, duration := src.Nodes(), src.Duration()
 	rm := NewRateMatrix(nodes)
 	if duration <= 0 {
 		return rm, nil
 	}
+	inv := 1 / duration
+	buf := make([]Contact, 1024)
 	prevT := 0.0
 	for {
-		c, ok := src.Next()
-		if !ok {
+		n := FillBatch(src, buf)
+		if n == 0 {
 			break
 		}
-		if err := CheckStreamContact(c, prevT, nodes, duration); err != nil {
-			return nil, err
+		for _, c := range buf[:n] {
+			if err := CheckStreamContact(c, prevT, nodes, duration); err != nil {
+				return nil, err
+			}
+			prevT = c.T
+			rm.rates[PairIndex(nodes, c.A, c.B)] += inv
 		}
-		prevT = c.T
-		rm.rates[PairIndex(nodes, c.A, c.B)] += 1 / duration
 	}
 	if es, ok := src.(ErrSource); ok {
 		if err := es.Err(); err != nil {

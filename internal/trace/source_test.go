@@ -2,6 +2,7 @@ package trace
 
 import (
 	"errors"
+	"math/rand/v2"
 	"strings"
 	"testing"
 )
@@ -250,5 +251,88 @@ func TestEmpiricalRatesFromPropagatesStreamError(t *testing.T) {
 	}
 	if _, err := EmpiricalRatesFrom(sr); !errors.Is(err, ErrInvalid) {
 		t.Errorf("EmpiricalRatesFrom error %v, want ErrInvalid", err)
+	}
+}
+
+// nextOnly hides a source's NextBatch, so FillBatch falls back to Next.
+type nextOnly struct{ Source }
+
+// ratesByNext is the reference accumulation: one Next call, one
+// contract check and one 1/duration added per contact. It returns the
+// first contract error, as EmpiricalRatesFrom must.
+func ratesByNext(src Source) (*RateMatrix, error) {
+	nodes, duration := src.Nodes(), src.Duration()
+	rm := NewRateMatrix(nodes)
+	prevT := 0.0
+	for {
+		c, ok := src.Next()
+		if !ok {
+			return rm, nil
+		}
+		if err := CheckStreamContact(c, prevT, nodes, duration); err != nil {
+			return nil, err
+		}
+		prevT = c.T
+		rm.rates[PairIndex(nodes, c.A, c.B)] += 1 / duration
+	}
+}
+
+// longTrace has enough contacts to span several of EmpiricalRatesFrom's
+// batches.
+func longTrace(contacts int) *Trace {
+	rng := rand.New(rand.NewPCG(5, 7))
+	tr := &Trace{Nodes: 9, Duration: 3.7}
+	t := 0.0
+	for range contacts {
+		t += rng.Float64() * tr.Duration / float64(contacts)
+		a := rng.IntN(tr.Nodes)
+		b := (a + 1 + rng.IntN(tr.Nodes-1)) % tr.Nodes
+		tr.Contacts = append(tr.Contacts, Contact{T: t, A: a, B: b})
+	}
+	return tr
+}
+
+// TestEmpiricalRatesFromBatches: draining in batches must give the
+// matrix of a contact-by-contact accumulation over Next, bit for bit,
+// from a bulk source and from one without NextBatch, and a malformed
+// contact in the middle of a batch must fail with the same error.
+func TestEmpiricalRatesFromBatches(t *testing.T) {
+	tr := longTrace(5000)
+	want, err := ratesByNext(tr.Source())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, src := range map[string]Source{"bulk": tr.Source(), "next-only": nextOnly{tr.Source()}} {
+		got, err := EmpiricalRatesFrom(src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i, w := range want.Rates() {
+			if got.Rates()[i] != w {
+				t.Fatalf("%s: pair %d: rate %v != %v", name, i, got.Rates()[i], w)
+			}
+		}
+	}
+
+	for _, at := range []int{100, 1500, 4999} {
+		for _, bad := range []Contact{
+			{T: tr.Contacts[at].T, A: 0, B: tr.Nodes}, // endpoint out of range
+			{T: tr.Contacts[at].T, A: 3, B: 3},        // self-contact
+			{T: tr.Contacts[at].T / 2, A: 0, B: 1},    // out of order
+			{T: 2 * tr.Duration, A: 0, B: 1},          // past the horizon
+		} {
+			broken := &Trace{Nodes: tr.Nodes, Duration: tr.Duration, Contacts: append([]Contact(nil), tr.Contacts...)}
+			broken.Contacts[at] = bad
+			_, wantErr := ratesByNext(broken.Source())
+			if wantErr == nil {
+				t.Fatalf("contact %d = %+v: reference accepted it", at, bad)
+			}
+			for name, src := range map[string]Source{"bulk": broken.Source(), "next-only": nextOnly{broken.Source()}} {
+				_, err := EmpiricalRatesFrom(src)
+				if err == nil || err.Error() != wantErr.Error() || !errors.Is(err, ErrInvalid) {
+					t.Errorf("%s, contact %d = %+v: error %v, want %v", name, at, bad, err, wantErr)
+				}
+			}
+		}
 	}
 }

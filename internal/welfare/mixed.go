@@ -15,18 +15,28 @@ import (
 
 // utilityFor returns item i's delay-utility.
 func (h Homogeneous) utilityFor(i int) utility.Function {
-	if i < len(h.Utilities) && h.Utilities[i] != nil {
+	if h.ownUtility(i) {
 		return h.Utilities[i]
 	}
 	return h.Utility
 }
 
+// ownUtility reports whether item i overrides the shared Utility.
+func (h Homogeneous) ownUtility(i int) bool {
+	return i < len(h.Utilities) && h.Utilities[i] != nil
+}
+
 // utilityFor returns item i's delay-utility.
 func (s Hetero) utilityFor(i int) utility.Function {
-	if i < len(s.Utilities) && s.Utilities[i] != nil {
+	if s.ownUtility(i) {
 		return s.Utilities[i]
 	}
 	return s.Utility
+}
+
+// ownUtility reports whether item i overrides the shared Utility.
+func (s Hetero) ownUtility(i int) bool {
+	return i < len(s.Utilities) && s.Utilities[i] != nil
 }
 
 // validateUtilities checks the optional per-item utility slice.

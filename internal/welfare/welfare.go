@@ -14,7 +14,6 @@
 package welfare
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -131,6 +130,10 @@ func (h Homogeneous) WelfareDiscrete(c alloc.Counts, delta float64) float64 {
 // item with the largest marginal welfare gain. Concavity of the per-item
 // gain makes the greedy exact. The returned allocation uses the full
 // capacity unless every item already has |S| replicas.
+//
+// Each item's gain at its next count is carried into the following
+// step, so a grant costs one gain evaluation; the first step's gains at
+// 0 and 1 replicas are shared by every item of the shared utility.
 func (h Homogeneous) GreedyOptimal(rho int) (alloc.Counts, error) {
 	if err := h.Validate(); err != nil {
 		return nil, err
@@ -138,19 +141,34 @@ func (h Homogeneous) GreedyOptimal(rho int) (alloc.Counts, error) {
 	items := h.Pop.Items()
 	c := make(alloc.Counts, items)
 	budget := alloc.Capacity(h.Servers, rho)
-	pq := &marginalHeap{}
+	// next[i] is G_i(c_i+1), the gain item i's heap entry leads to.
+	next := make([]float64, items)
+	pq := make(maxHeap, 0, items)
+	var g0, g1 float64 // G(0), G(1) under the shared utility
+	shared := false
 	for i := 0; i < items; i++ {
 		if h.Pop.Rates[i] <= 0 {
 			continue
 		}
-		pq.push(marginal{item: i, gain: h.marginalGain(i, 0)})
+		var lo float64
+		switch {
+		case h.ownUtility(i):
+			lo, next[i] = h.itemGain(i, 0), h.itemGain(i, 1)
+		case !shared:
+			g0, g1, shared = h.itemGain(i, 0), h.itemGain(i, 1), true
+			fallthrough
+		default:
+			lo, next[i] = g0, g1
+		}
+		pq.push(candidate{item: i, gain: h.marginalGain(i, lo, next[i])})
 	}
-	for placed := 0; placed < budget && pq.Len() > 0; placed++ {
-		m := pq.pop()
-		i := m.item
+	for placed := 0; placed < budget && len(pq) > 0; placed++ {
+		i := pq.pop().item
 		c[i]++
-		if c[i] < h.Servers {
-			pq.push(marginal{item: i, gain: h.marginalGain(i, c[i])})
+		if c[i] < h.Servers && placed+1 < budget {
+			lo := next[i]
+			next[i] = h.itemGain(i, float64(c[i]+1))
+			pq.push(candidate{item: i, gain: h.marginalGain(i, lo, next[i])})
 		}
 	}
 	// Spill leftover capacity (all demanded items saturated) onto
@@ -165,11 +183,9 @@ func (h Homogeneous) GreedyOptimal(rho int) (alloc.Counts, error) {
 	return c, nil
 }
 
-// marginalGain is d_i·(G(k+1) − G(k)): the welfare increase from the
-// (k+1)-th replica of item i.
-func (h Homogeneous) marginalGain(i, k int) float64 {
-	lo := h.itemGain(i, float64(k))
-	hi := h.itemGain(i, float64(k+1))
+// marginalGain is d_i·(hi − lo): the welfare increase from a replica of
+// item i that raises its per-request gain from lo to hi.
+func (h Homogeneous) marginalGain(i int, lo, hi float64) float64 {
 	d := h.Pop.Rates[i]
 	gain := d * (hi - lo)
 	if math.IsNaN(gain) {
@@ -213,27 +229,56 @@ func capsFor(items int, cap float64) []float64 {
 	return caps
 }
 
-// marginal/heap: a max-heap of per-item marginal gains.
-type marginal struct {
-	item int
-	gain float64
+// candidate is a greedy's heap entry: the marginal gain of one more
+// copy of item (on server, in the heterogeneous greedy), evaluated when
+// item had stamp copies placed.
+type candidate struct {
+	gain         float64
+	item, server int
+	stamp        int
 }
 
-type marginalHeap struct{ items []marginal }
+// maxHeap is a max-heap of candidates by gain. push and pop follow
+// container/heap's Push and Pop step for step, strict comparisons
+// included: tied gains occur (a saturated step utility's gain is exactly
+// 1), and the heap's layout decides which tied entry wins.
+type maxHeap []candidate
 
-func (h marginalHeap) Len() int           { return len(h.items) }
-func (h marginalHeap) Less(a, b int) bool { return h.items[a].gain > h.items[b].gain }
-func (h marginalHeap) Swap(a, b int)      { h.items[a], h.items[b] = h.items[b], h.items[a] }
-func (h *marginalHeap) Push(x any)        { h.items = append(h.items, x.(marginal)) }
-func (h *marginalHeap) Pop() any {
-	old := h.items
-	n := len(old)
-	v := old[n-1]
-	h.items = old[:n-1]
-	return v
+func (h *maxHeap) push(c candidate) {
+	*h = append(*h, c)
+	q := *h
+	for j := len(q) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !(q[j].gain > q[i].gain) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
 }
-func (h *marginalHeap) push(m marginal) { heap.Push(h, m) }
-func (h *marginalHeap) pop() marginal   { return heap.Pop(h).(marginal) }
+
+func (h *maxHeap) pop() candidate {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && q[j2].gain > q[j1].gain {
+			j = j2 // right child
+		}
+		if !(q[j].gain > q[i].gain) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q[:n]
+	return q[n]
+}
 
 // ---------------------------------------------------------------------------
 // Heterogeneous systems (Lemma 1).
@@ -278,13 +323,21 @@ func (s Hetero) Validate() error {
 	return validateUtilities(s.Utilities, s.Pop.Items(), false)
 }
 
-// serverIndex returns a map from node id to index in Servers.
-func (s Hetero) serverIndex() map[int]int {
-	idx := make(map[int]int, len(s.Servers))
+// clientServers returns, per client, its index in Servers, or −1 for a
+// client that caches nothing.
+func (s Hetero) clientServers() []int {
+	idx := make([]int, s.Rates.Nodes)
+	for n := range idx {
+		idx[n] = -1
+	}
 	for k, m := range s.Servers {
 		idx[m] = k
 	}
-	return idx
+	srv := make([]int, len(s.Clients))
+	for cn, n := range s.Clients {
+		srv[cn] = idx[n]
+	}
+	return srv
 }
 
 // Welfare evaluates Lemma 1's continuous-time expression for a concrete
@@ -294,7 +347,7 @@ func (s Hetero) serverIndex() map[int]int {
 //
 // with Λ_{i,n} = Σ_m x_{i,m}·µ_{m,n}.
 func (s Hetero) Welfare(p *alloc.Placement) float64 {
-	srvIdx := s.serverIndex()
+	srv := s.clientServers()
 	var u float64
 	for i, d := range s.Pop.Rates {
 		if d == 0 {
@@ -304,17 +357,17 @@ func (s Hetero) Welfare(p *alloc.Placement) float64 {
 			if pi == 0 {
 				continue
 			}
-			n := s.Clients[cn]
-			u += d * pi * s.clientGain(p, srvIdx, i, n)
+			u += d * pi * s.clientGain(p, srv[cn], i, s.Clients[cn])
 		}
 	}
 	return u
 }
 
-// clientGain is U_{i,n} for client node n.
-func (s Hetero) clientGain(p *alloc.Placement, srvIdx map[int]int, item, n int) float64 {
+// clientGain is U_{i,n} for client node n, whose index in Servers is k
+// (−1 if n caches nothing).
+func (s Hetero) clientGain(p *alloc.Placement, k, item, n int) float64 {
 	f := s.utilityFor(item)
-	if k, isServer := srvIdx[n]; isServer && p.Has(item, k) {
+	if k >= 0 && p.Has(item, k) {
 		return f.H0()
 	}
 	var lambda float64
@@ -331,112 +384,178 @@ func (s Hetero) clientGain(p *alloc.Placement, srvIdx map[int]int, item, n int) 
 // guarantees stale upper bounds in the priority queue only ever
 // overestimate, so re-evaluating the top candidate until it stays on top
 // yields exactly the greedy solution at a fraction of the evaluations.
+//
+// A pair's marginal depends on its own item's copies only, so an entry
+// goes stale only when its item is placed again; an entry that is not
+// stale is on top with its exact value and is placed. Each client's
+// E[h(Exp(Λ_{i,n}))] is kept from item i's last placement, so evaluating
+// a pair costs one utility evaluation per client it reaches; in the
+// initial fill, where Λ = 0 for every item, that evaluation does not
+// depend on the item and is made once per server for every item of the
+// shared utility.
 func (s Hetero) GreedySubmodular(rho int) (*alloc.Placement, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	items := s.Pop.Items()
-	S := len(s.Servers)
-	p := alloc.NewPlacement(items, S, rho)
-	srvIdx := s.serverIndex()
-
-	// Λ[i][cn] per (item, client); updated incrementally on placement.
-	lambda := make([][]float64, items)
-	for i := range lambda {
-		lambda[i] = make([]float64, len(s.Clients))
+	items, S, C := s.Pop.Items(), len(s.Servers), len(s.Clients)
+	g := heteroGreedy{
+		s:      s,
+		p:      alloc.NewPlacement(items, S, rho),
+		srv:    s.clientServers(),
+		lambda: make([]float64, items*C),
+		base:   make([]float64, items*C),
+		placed: make([]int, items),
 	}
 
-	marginalOf := func(i, k int) float64 {
-		m := s.Servers[k]
-		f := s.utilityFor(i)
-		var gain float64
-		d := s.Pop.Rates[i]
-		for cn, pi := range s.Profile.P[i] {
-			if pi == 0 {
-				continue
-			}
-			n := s.Clients[cn]
-			if ck, isServer := srvIdx[n]; isServer && p.Has(i, ck) {
-				continue // already served locally, no change
-			}
-			cur := lambda[i][cn]
-			if n == m {
-				// This client becomes a holder: gain jumps to h(0⁺).
-				gain += d * pi * (f.H0() - f.ExpectedGain(cur))
-				continue
-			}
-			r := s.Rates.At(m, n)
-			if r == 0 {
-				continue
-			}
-			gain += d * pi * (f.ExpectedGain(cur+r) - f.ExpectedGain(cur))
-		}
-		if math.IsNaN(gain) {
-			return 0
-		}
-		if math.IsInf(gain, 1) {
-			return math.MaxFloat64 * math.Min(1, d)
-		}
-		return gain
+	// Initial fill. Λ = 0 for every item, so base rows hold E[h(Exp(0))],
+	// and under the shared utility a pair's E[h(Exp(µ_{m,n}))] depends on
+	// the server alone: row holds it for one server at a time.
+	shared := false // some demanded item has the shared utility
+	for i := 0; i < items; i++ {
+		shared = shared || s.Pop.Rates[i] > 0 && !s.ownUtility(i)
 	}
-
-	pq := &pairHeap{}
+	var e0 float64
+	var row []float64
+	if shared {
+		e0, row = s.Utility.ExpectedGain(0), make([]float64, C)
+	}
+	for i := 0; i < items; i++ {
+		e := e0
+		if s.ownUtility(i) {
+			e = s.Utilities[i].ExpectedGain(0)
+		}
+		for cn := range C {
+			g.base[i*C+cn] = e
+		}
+	}
+	gains := make([]float64, items*S)
+	for k, m := range s.Servers {
+		if shared {
+			for cn, n := range s.Clients {
+				if r := s.Rates.At(m, n); n != m && r != 0 {
+					row[cn] = s.Utility.ExpectedGain(r)
+				}
+			}
+		}
+		for i := 0; i < items; i++ {
+			if s.Pop.Rates[i] <= 0 {
+				continue
+			}
+			if s.ownUtility(i) {
+				gains[i*S+k] = g.marginal(i, k, nil)
+			} else {
+				gains[i*S+k] = g.marginal(i, k, row)
+			}
+		}
+	}
+	// Push in (item, server) order: the heap's layout, and with it the
+	// winner among tied gains, depends on the push order.
+	pq := make(maxHeap, 0, items*S)
 	for i := 0; i < items; i++ {
 		if s.Pop.Rates[i] <= 0 {
 			continue
 		}
 		for k := 0; k < S; k++ {
-			pq.push(pairGain{item: i, server: k, gain: marginalOf(i, k), epoch: 0})
+			pq.push(candidate{item: i, server: k, gain: gains[i*S+k]})
 		}
 	}
+
 	budget := alloc.Capacity(S, rho)
-	epoch := 0
-	for placed := 0; placed < budget && pq.Len() > 0; {
+	for placed := 0; placed < budget && len(pq) > 0; {
 		top := pq.pop()
-		if p.Has(top.item, top.server) || p.Load(top.server) >= rho {
+		if g.p.Has(top.item, top.server) || g.p.Load(top.server) >= rho {
 			continue
 		}
-		if top.epoch != epoch {
-			top.gain = marginalOf(top.item, top.server)
-			top.epoch = epoch
-			if pq.Len() > 0 && top.gain < pq.peek().gain {
+		if top.stamp != g.placed[top.item] {
+			top.gain = g.marginal(top.item, top.server, nil)
+			top.stamp = g.placed[top.item]
+			if len(pq) > 0 && top.gain < pq[0].gain {
 				pq.push(top)
 				continue
 			}
 		}
-		if err := p.Set(top.item, top.server, true); err != nil {
+		if err := g.place(top.item, top.server); err != nil {
 			return nil, err
 		}
-		m := s.Servers[top.server]
-		for cn := range s.Clients {
-			lambda[top.item][cn] += s.Rates.At(m, s.Clients[cn])
-		}
 		placed++
-		epoch++
 	}
-	return p, nil
+	return g.p, nil
 }
 
-// pairGain is a lazily evaluated marginal for placing item on server.
-type pairGain struct {
-	item, server int
-	gain         float64
-	epoch        int
+// heteroGreedy is GreedySubmodular's state. lambda and base are flat
+// items × clients: lambda holds Λ_{i,n} and base E[h(Exp(Λ_{i,n}))].
+type heteroGreedy struct {
+	s            Hetero
+	p            *alloc.Placement
+	srv          []int // per client: its index in Servers, or −1
+	lambda, base []float64
+	placed       []int // per item: copies placed, the stamp of fresh entries
 }
 
-type pairHeap struct{ items []pairGain }
-
-func (h pairHeap) Len() int           { return len(h.items) }
-func (h pairHeap) Less(a, b int) bool { return h.items[a].gain > h.items[b].gain }
-func (h pairHeap) Swap(a, b int)      { h.items[a], h.items[b] = h.items[b], h.items[a] }
-func (h *pairHeap) Push(x any)        { h.items = append(h.items, x.(pairGain)) }
-func (h *pairHeap) Pop() any {
-	old := h.items
-	n := len(old)
-	v := old[n-1]
-	h.items = old[:n-1]
-	return v
+// marginal is the welfare gain of adding item i on server k. row, when
+// non-nil, holds E[h(Exp(Λ_{i,n}+µ_{m,n}))] per client, computed for an
+// item with Λ = 0.
+func (g *heteroGreedy) marginal(i, k int, row []float64) float64 {
+	s := &g.s
+	C := len(s.Clients)
+	lambda, base := g.lambda[i*C:(i+1)*C], g.base[i*C:(i+1)*C]
+	m := s.Servers[k]
+	f := s.utilityFor(i)
+	d := s.Pop.Rates[i]
+	var gain float64
+	for cn, pi := range s.Profile.P[i] {
+		if pi == 0 {
+			continue
+		}
+		if ck := g.srv[cn]; ck >= 0 && g.p.Has(i, ck) {
+			continue // already served locally, no change
+		}
+		n := s.Clients[cn]
+		if n == m {
+			// This client becomes a holder: gain jumps to h(0⁺).
+			gain += d * pi * (f.H0() - base[cn])
+			continue
+		}
+		r := s.Rates.At(m, n)
+		if r == 0 {
+			continue
+		}
+		var e float64
+		if row != nil {
+			e = row[cn]
+		} else {
+			e = f.ExpectedGain(lambda[cn] + r)
+		}
+		gain += d * pi * (e - base[cn])
+	}
+	if math.IsNaN(gain) {
+		return 0
+	}
+	if math.IsInf(gain, 1) {
+		return math.MaxFloat64 * math.Min(1, d)
+	}
+	return gain
 }
-func (h *pairHeap) push(g pairGain) { heap.Push(h, g) }
-func (h *pairHeap) pop() pairGain   { return heap.Pop(h).(pairGain) }
-func (h *pairHeap) peek() pairGain  { return h.items[0] }
+
+// place adds item i on server k and refreshes item i's rows.
+func (g *heteroGreedy) place(i, k int) error {
+	s := &g.s
+	if err := g.p.Set(i, k, true); err != nil {
+		return err
+	}
+	g.placed[i]++
+	C := len(s.Clients)
+	m := s.Servers[k]
+	f := s.utilityFor(i)
+	for cn, n := range s.Clients {
+		r := s.Rates.At(m, n)
+		if r == 0 {
+			continue
+		}
+		g.lambda[i*C+cn] += r
+		if s.Profile.P[i][cn] != 0 {
+			g.base[i*C+cn] = f.ExpectedGain(g.lambda[i*C+cn])
+		}
+	}
+	return nil
+}

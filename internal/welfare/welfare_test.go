@@ -1,6 +1,7 @@
 package welfare
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -99,38 +100,70 @@ func TestWelfareConcaveIncrements(t *testing.T) {
 	}
 }
 
-// Greedy equals brute force on instances small enough to enumerate.
+// Greedy equals brute force on instances small enough to enumerate:
+// every grid point of items ≤ 4, servers ≤ 6 and ρ ≤ 2, pure P2P and
+// dedicated, for one utility of each family.
 func TestGreedyOptimalMatchesBruteForce(t *testing.T) {
 	for _, f := range []utility.Function{
 		utility.Step{Tau: 8}, utility.Exponential{Nu: 0.3}, utility.Power{Alpha: 0.5},
 	} {
-		h := Homogeneous{
-			Utility: f,
-			Pop:     demand.Pareto(3, 1, 1),
-			Mu:      0.1,
-			Servers: 4,
-			Clients: 4,
-		}
-		const rho = 1 // budget 4 over 3 items
-		got, err := h.GreedyOptimal(rho)
-		if err != nil {
-			t.Fatalf("%s: GreedyOptimal: %v", f.Name(), err)
-		}
-		var best float64 = math.Inf(-1)
-		var bestAlloc alloc.Counts
-		for a := 0; a <= 4; a++ {
-			for b := 0; a+b <= 4; b++ {
-				c := 4 - a - b
-				cand := alloc.Counts{a, b, c}
-				if u := h.WelfareCounts(cand); u > best {
-					best = u
-					bestAlloc = cand
+		for _, pure := range []bool{false, true} {
+			for items := 1; items <= 4; items++ {
+				for servers := 1; servers <= 6; servers++ {
+					for rho := 1; rho <= 2; rho++ {
+						h := Homogeneous{
+							Utility: f,
+							Pop:     demand.Pareto(items, 1, 1),
+							Mu:      0.1,
+							Servers: servers,
+							Clients: servers,
+							PureP2P: pure,
+						}
+						checkGreedyOptimal(t, h, rho)
+					}
 				}
 			}
 		}
-		if gu := h.WelfareCounts(got); math.Abs(gu-best) > 1e-9*math.Max(1, math.Abs(best)) {
-			t.Errorf("%s: greedy %v (U=%g) vs brute %v (U=%g)", f.Name(), got, gu, bestAlloc, best)
+	}
+}
+
+// checkGreedyOptimal compares GreedyOptimal's welfare with the best over
+// every count vector that fits the budget.
+func checkGreedyOptimal(t *testing.T, h Homogeneous, rho int) {
+	t.Helper()
+	got, err := h.GreedyOptimal(rho)
+	if err != nil {
+		t.Fatalf("%s: GreedyOptimal: %v", h.Utility.Name(), err)
+	}
+	if err := got.Validate(h.Servers, rho); err != nil {
+		t.Fatalf("%s: infeasible greedy %v: %v", h.Utility.Name(), got, err)
+	}
+	budget := alloc.Capacity(h.Servers, rho)
+	best := math.Inf(-1)
+	var bestAlloc alloc.Counts
+	cand := make(alloc.Counts, h.Pop.Items())
+	var rec func(i, left int)
+	rec = func(i, left int) {
+		if i == len(cand) {
+			if u := h.WelfareCounts(cand); u > best {
+				best = u
+				bestAlloc = append(alloc.Counts(nil), cand...)
+			}
+			return
 		}
+		for c := 0; c <= h.Servers && c <= left; c++ {
+			cand[i] = c
+			rec(i+1, left-c)
+		}
+	}
+	rec(0, budget)
+	gu := h.WelfareCounts(got)
+	if gu == best {
+		return
+	}
+	if math.IsInf(best, 0) || math.Abs(gu-best) > 1e-9*math.Max(1, math.Abs(best)) {
+		t.Errorf("%s pure=%v I=%d S=%d ρ=%d µ=%g: greedy %v (U=%g) vs brute %v (U=%g)",
+			h.Utility.Name(), h.PureP2P, h.Pop.Items(), h.Servers, rho, h.Mu, got, gu, bestAlloc, best)
 	}
 }
 
@@ -396,52 +429,169 @@ func TestMonotonicityProperty(t *testing.T) {
 }
 
 // The lazy submodular greedy must match the plain greedy (recompute all
-// marginals each step) on small instances.
+// marginals each step) on small instances, over seeds, utilities and
+// system shapes: pure P2P, dedicated clients disjoint from the servers,
+// a non-uniform profile, per-item utilities and zero-rate pairs.
 func TestGreedySubmodularMatchesPlainGreedy(t *testing.T) {
-	rng := newRNG(17)
 	const (
 		items = 4
 		nodes = 5
 		rho   = 2
 	)
-	s := heteroUniform(utility.Step{Tau: 10}, items, nodes, 0.05)
-	for a := 0; a < nodes; a++ {
-		for b := a + 1; b < nodes; b++ {
-			s.Rates.Set(a, b, 0.01+rng.Float64()*0.1)
+	utilities := []utility.Function{
+		utility.Step{Tau: 1}, utility.Step{Tau: 10}, utility.Step{Tau: 1000},
+		utility.Exponential{Nu: 0.1}, utility.Power{Alpha: 0.5},
+	}
+	shapes := []string{"p2p", "dedicated", "profile", "per-item", "zero-rate"}
+	for _, seed := range []uint64{17, 29, 41} {
+		for _, f := range utilities {
+			for _, shape := range shapes {
+				rng := newRNG(seed)
+				s := heteroUniform(f, items, nodes, 0.05)
+				if shape == "dedicated" {
+					s = dedicated(f, items, nodes, 3, 0.05)
+				}
+				for a := 0; a < s.Rates.Nodes; a++ {
+					for b := a + 1; b < s.Rates.Nodes; b++ {
+						r := 0.01 + rng.Float64()*0.1
+						if shape == "zero-rate" && rng.IntN(3) == 0 {
+							r = 0
+						}
+						s.Rates.Set(a, b, r)
+					}
+				}
+				switch shape {
+				case "profile":
+					s.Profile = randomProfile(rng, items, len(s.Clients))
+				case "per-item":
+					s.Utilities = []utility.Function{nil, utility.Exponential{Nu: 0.3}, utility.Step{Tau: 4}, utility.Power{Alpha: -1}}
+				}
+				name := fmt.Sprintf("seed=%d/%s/%s", seed, f.Name(), shape)
+				checkLazyMatchesPlain(t, name, s, rho)
+			}
 		}
 	}
+}
+
+// randomProfile draws a profile whose rows sum to 1 over clients, with
+// some clients issuing no requests for an item.
+func randomProfile(rng *rand.Rand, items, clients int) demand.Profile {
+	p := demand.Profile{P: make([][]float64, items)}
+	for i := range p.P {
+		row := make([]float64, clients)
+		var sum float64
+		for cn := range row {
+			if rng.IntN(4) > 0 {
+				row[cn] = rng.Float64()
+				sum += row[cn]
+			}
+		}
+		if sum == 0 {
+			row[0], sum = 1, 1
+		}
+		for cn := range row {
+			row[cn] /= sum
+		}
+		p.P[i] = row
+	}
+	return p
+}
+
+// checkLazyMatchesPlain checks that the lazy greedy's placement is one
+// the plain greedy (re-evaluate every feasible pair at every step) can
+// reach. It replays the placement: at each step some remaining pair of
+// it must attain the best marginal over all feasible pairs, and at the
+// end no feasible pair may be left. Ties, as among the first copies of
+// a cost-type item, whose marginals are all infinite, may be broken
+// either way, so the replay tries every tied pair; without ties it asks
+// for the plain greedy's placement itself.
+func checkLazyMatchesPlain(t *testing.T, name string, s Hetero, rho int) {
+	t.Helper()
+	items, servers := s.Pop.Items(), len(s.Servers)
 	lazy, err := s.GreedySubmodular(rho)
 	if err != nil {
-		t.Fatalf("GreedySubmodular: %v", err)
+		t.Fatalf("%s: GreedySubmodular: %v", name, err)
 	}
-	// Plain greedy reference.
-	plain := alloc.NewPlacement(items, nodes, rho)
-	for placed := 0; placed < nodes*rho; placed++ {
-		bestGain := math.Inf(-1)
-		bi, bm := -1, -1
-		base := s.Welfare(plain)
+	plain := alloc.NewPlacement(items, servers, rho)
+	var replay func() bool
+	replay = func() bool {
+		best := math.Inf(-1)
+		gains := make([]float64, items*servers)
 		for i := 0; i < items; i++ {
-			for m := 0; m < nodes; m++ {
-				if plain.Has(i, m) || plain.Load(m) >= rho {
+			for k := 0; k < servers; k++ {
+				gains[i*servers+k] = math.Inf(-1)
+				if plain.Has(i, k) || plain.Load(k) >= rho {
 					continue
 				}
-				plain.Set(i, m, true)
-				g := s.Welfare(plain) - base
-				plain.Set(i, m, false)
-				if g > bestGain {
-					bestGain, bi, bm = g, i, m
+				gains[i*servers+k] = plainMarginal(s, plain, i, k)
+				best = math.Max(best, gains[i*servers+k])
+			}
+		}
+		if math.IsInf(best, -1) {
+			return true // nothing feasible is left
+		}
+		for i := 0; i < items; i++ {
+			for k := 0; k < servers; k++ {
+				g := gains[i*servers+k]
+				if !lazy.Has(i, k) || plain.Has(i, k) || math.IsInf(g, -1) || g < best-1e-9*math.Max(1, math.Abs(best)) {
+					continue
+				}
+				plain.Set(i, k, true)
+				ok := replay()
+				plain.Set(i, k, false)
+				if ok {
+					return true
 				}
 			}
 		}
-		if bi < 0 {
-			break
+		return false
+	}
+	if !replay() {
+		t.Errorf("%s: no plain greedy run reaches the lazy greedy's placement %v", name, lazy.Counts())
+	}
+}
+
+// plainMarginal is the welfare gain of adding item i on server k to p,
+// summed client by client from Lemma 1's per-client terms. An infinite
+// gain, the first copy reaching a client of a cost-type utility, ranks
+// by demand as in the greedy.
+func plainMarginal(s Hetero, p *alloc.Placement, i, k int) float64 {
+	d := s.Pop.Rates[i]
+	var gain float64
+	for cn, pi := range s.Profile.P[i] {
+		if pi == 0 {
+			continue
 		}
-		plain.Set(bi, bm, true)
+		before := plainClientGain(s, p, i, cn)
+		p.Set(i, k, true)
+		after := plainClientGain(s, p, i, cn)
+		p.Set(i, k, false)
+		if after != before {
+			gain += d * pi * (after - before)
+		}
 	}
-	ul, up := s.Welfare(lazy), s.Welfare(plain)
-	if math.Abs(ul-up) > 1e-9*math.Max(1, math.Abs(up)) {
-		t.Errorf("lazy greedy U=%g, plain greedy U=%g", ul, up)
+	if math.IsInf(gain, 1) {
+		return math.MaxFloat64 * math.Min(1, d)
 	}
+	return gain
+}
+
+// plainClientGain is U_{i,n} for the client at index cn: h(0⁺) if the
+// client holds item i, else E[h(Exp(Λ))] over the holders' rates.
+func plainClientGain(s Hetero, p *alloc.Placement, i, cn int) float64 {
+	f := s.utilityFor(i)
+	n := s.Clients[cn]
+	var lambda float64
+	for k, m := range s.Servers {
+		if !p.Has(i, k) {
+			continue
+		}
+		if m == n {
+			return f.H0()
+		}
+		lambda += s.Rates.At(m, n)
+	}
+	return f.ExpectedGain(lambda)
 }
 
 func TestGreedySubmodularNearBruteForceOptimum(t *testing.T) {
